@@ -9,7 +9,6 @@ observations provably exceeds the source rate.
 
 from .calibration import CalibrationResult, GridSpec, calibrate, selector_metrics
 from .confidence import (
-    BACKEND,
     PmEbState,
     hoeffding_halfwidth,
     pmeb_fresh,

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import sys
 
 import click
 import numpy as np
 
-from . import confidence
 from .calibration import GridSpec, calibrate, write_grid_report
 from .config import AppConfig, parse_config
 from .core import Dataset, Selector, StreamEvent, read_dataset, write_dataset
@@ -162,8 +162,24 @@ def cmd_calibrate(config_file, **flags):
     )
 
 
+def _production_cell(row, col, line):
+    raw = row.get(col) or ""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise IngestError(
+            f"production stream line {line}, column {col}: expected a finite number, got {raw!r}"
+        )
+    return value
+
+
 def _iter_production_rows(path):
-    """Yield (features, score_or_None, error_or_None) one CSV row at a time."""
+    """Yield (features, score_or_None, error_or_None) one CSV row at a time.
+
+    Every feature cell, and each non-empty score or error cell, must be a
+    finite number; otherwise IngestError names the line and the column."""
     fh = sys.stdin if path == "-" else open(path, newline="")
     try:
         reader = csv.DictReader(fh)
@@ -173,9 +189,10 @@ def _iter_production_rows(path):
         if not fcols:
             raise IngestError("production stream: no feature columns")
         for row in reader:
-            feats = np.array([float(row[c]) for c in fcols])
-            score = float(row["score"]) if "score" in row and row["score"] not in (None, "") else None
-            error = float(row["error"]) if "error" in row and row["error"] not in (None, "") else None
+            line = reader.line_num
+            feats = np.array([_production_cell(row, c, line) for c in fcols])
+            score = _production_cell(row, "score", line) if row.get("score") else None
+            error = _production_cell(row, "error", line) if row.get("error") else None
             yield feats, score, error
     finally:
         if fh is not sys.stdin:
@@ -354,12 +371,6 @@ def cmd_sweep(config_file, **flags):
         writer.writeheader()
         writer.writerows(rows)
     click.echo(f"wrote {len(rows)} sweep rows to {cfg.out_dir}")
-
-
-@main.command("backend")
-def cmd_backend():
-    """Report which PM-EB kernel backend is active."""
-    click.echo(confidence.BACKEND)
 
 
 if __name__ == "__main__":

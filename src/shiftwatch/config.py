@@ -20,7 +20,7 @@ _FLOAT_KEYS = {
     "ablation_fraction",
 }
 _INT_KEYS = {"k", "horizon", "onset", "seed", "n_seeds", "workers"}
-_STR_KEYS = {"source", "production", "scores", "out_dir", "schedule", "feature_kinds"}
+_STR_KEYS = {"source", "production", "out_dir", "schedule", "feature_kinds"}
 _LIST_KEYS = {"p_values", "p_hat_values", "eps_harm_grid", "eps_tol_grid"}
 KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _LIST_KEYS
 
@@ -29,7 +29,6 @@ KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _LIST_KEYS
 class AppConfig:
     source: Optional[str] = None
     production: Optional[str] = None
-    scores: Optional[str] = None
     out_dir: str = "out"
     k: int = 10
     p_values: Optional[Tuple[float, ...]] = None
@@ -137,7 +136,7 @@ def _validate(cfg: AppConfig) -> None:
         raise ConfigError("n_seeds", "must be >= 1")
     if cfg.workers < 1:
         raise ConfigError("workers", "must be >= 1")
-    for key in ("source", "production", "scores"):
+    for key in ("source", "production"):
         path = getattr(cfg, key)
         if path is not None and path != "-" and not os.path.exists(path):
             raise ConfigError(key, f"file not found: {path}")

@@ -123,6 +123,47 @@ class TestMonitorCommand:
         )
         assert result.exit_code == 2, result.output
 
+    def _monitor_rows(self, runner, tmp_path, rows):
+        src = _scored_source(tmp_path / "src.csv")
+        prod = tmp_path / "prod.csv"
+        prod.write_text("\n".join(rows) + "\n")
+        return runner.invoke(
+            main,
+            ["monitor", "--source", str(src), "--production", str(prod), "--out-dir", str(tmp_path / "out")],
+        )
+
+    def _assert_one_line_error(self, result, *fragments):
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # no uncaught traceback
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+        for fragment in fragments:
+            assert fragment in lines[0]
+
+    def test_non_numeric_cell_is_ingest_error(self, runner, tmp_path):
+        result = self._monitor_rows(runner, tmp_path, ["f0,f1,score", "0.1,abc,0.2"])
+        self._assert_one_line_error(result, "line 2", "column f1", "'abc'")
+        result = self._monitor_rows(runner, tmp_path, ["f0,f1,score", "0.1,0.2,0.3", "0.1,,0.2"])
+        self._assert_one_line_error(result, "line 3", "column f1")
+        result = self._monitor_rows(runner, tmp_path, ["f0,f1,score", "0.1,0.2,high"])
+        self._assert_one_line_error(result, "line 2", "column score")
+        result = self._monitor_rows(runner, tmp_path, ["f0,f1,error,score", "0.1,0.2,x,0.3"])
+        self._assert_one_line_error(result, "line 2", "column error")
+
+    def test_nan_scores_are_rejected(self, runner, tmp_path):
+        result = self._monitor_rows(runner, tmp_path, ["f0,f1,score"] + ["0.5,0.5,nan"] * 50)
+        self._assert_one_line_error(result, "line 2", "column score", "'nan'")
+        result = self._monitor_rows(runner, tmp_path, ["f0,f1,score", "0.5,0.5,0.1", "0.5,0.5,-inf"])
+        self._assert_one_line_error(result, "line 3", "column score")
+
+    def test_non_finite_feature_is_rejected(self, runner, tmp_path):
+        result = self._monitor_rows(runner, tmp_path, ["f0,f1,score", "inf,0.5,0.2"])
+        self._assert_one_line_error(result, "line 2", "column f0", "'inf'")
+
+    def test_finite_scores_outside_unit_interval_are_legal(self, runner, tmp_path):
+        result = self._monitor_rows(runner, tmp_path, ["f0,f1,score"] + ["0.5,0.5,-3.0", "0.5,0.5,7.5"] * 10)
+        assert result.exit_code in (0, 2), result.output
+
 
 class TestSimulateCommand:
     def test_writes_streams_and_index(self, runner, tmp_path):
@@ -185,9 +226,3 @@ class TestEvaluateCommand:
         payload = json.loads(m1)
         assert set(payload["detectors"]) == {"phi_q", "phi_q2", "mean"}
 
-
-class TestBackendCommand:
-    def test_reports_backend(self, runner):
-        result = runner.invoke(main, ["backend"])
-        assert result.exit_code == 0
-        assert result.output.strip() in ("cython", "python")

@@ -39,6 +39,16 @@ class TestValidation:
         with pytest.raises(ConfigError):
             parse_config(str(path))
 
+    def test_scores_key_is_unknown(self, tmp_path):
+        # The production scores come from the production CSV's own column;
+        # a separate scores file was never read, so the key is rejected.
+        (tmp_path / "src.csv").write_text("f0,error\n1.0,0.5\n")
+        path = tmp_path / "c.cfg"
+        path.write_text(f"scores = {tmp_path / 'src.csv'}\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(str(path))
+        assert exc.value.key == "scores"
+
     def test_missing_config_file(self):
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/path.cfg")
