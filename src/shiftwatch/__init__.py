@@ -12,11 +12,10 @@ from .confidence import (
     PmEbState,
     hoeffding_halfwidth,
     pmeb_fresh,
-    pmeb_lower,
     pmeb_lower_path,
     pmeb_update,
 )
-from .core import Dataset, ErrorSample, Selector, StreamEvent, empirical_quantile
+from .core import Dataset, Selector, empirical_quantile
 from .errors import (
     CalibrationInfeasible,
     ConfigError,
@@ -25,18 +24,16 @@ from .errors import (
     InvalidInput,
     ShiftwatchError,
 )
-from .estimator import KnnModel, fit_knn, load_scores, predict, r_squared
+from .estimator import KnnModel, fit_knn, predict, r_squared
 from .harness import (
     ExperimentConfig,
     RunReport,
     SuiteMetrics,
-    ground_truth_harmful,
     run_experiment,
     run_suite,
     suite_metrics,
 )
 from .monitor import (
-    MeanMonitorState,
     MonitorConfig,
     MonitorState,
     SourceStats,

@@ -11,8 +11,6 @@ import csv
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-import numpy as np
-
 from .core import Dataset, Selector, empirical_quantile
 from .errors import CalibrationInfeasible, InvalidInput
 
@@ -70,20 +68,28 @@ class CalibrationResult:
     grid_report: Tuple[GridCell, ...] = field(repr=False)
 
 
-def selector_metrics(selector: Selector, data: Dataset):
-    """(power, fdp) of the high-error flag against true errors.
+def _power_fdp(selector: Selector, errors, scores) -> Tuple[float, float, int, int]:
+    """(power, fdp, n_positive, n_selected) of the high-error flag against
+    the true-error flag 1{E > q}.
 
     Conventions: power := 1 when nothing exceeds q; fdp := 0 when nothing
     is selected.
     """
-    if data.errors is None or data.scores is None:
-        raise InvalidInput("selector metrics need both true errors and scores")
-    selected = data.scores > selector.q_hat
-    positive = data.errors > selector.q
+    selected = selector.select(scores)
+    positive = errors > selector.q
     n_pos = int(positive.sum())
     n_sel = int(selected.sum())
     power = 1.0 if n_pos == 0 else float((selected & positive).sum()) / n_pos
     fdp = 0.0 if n_sel == 0 else float((selected & ~positive).sum()) / n_sel
+    return power, fdp, n_pos, n_sel
+
+
+def selector_metrics(selector: Selector, data: Dataset):
+    """(power, fdp) of the high-error flag against true errors, with the
+    0/0 conventions of ``_power_fdp``."""
+    if data.errors is None or data.scores is None:
+        raise InvalidInput("selector metrics need both true errors and scores")
+    power, fdp, _, _ = _power_fdp(selector, data.errors, data.scores)
     return power, fdp
 
 
@@ -97,19 +103,13 @@ def calibrate(grid: GridSpec, data: Dataset) -> CalibrationResult:
     if data.errors is None or data.scores is None:
         raise InvalidInput("calibration needs both true errors and scores")
 
-    errors = data.errors
-    scores = data.scores
     report: List[GridCell] = []
     for p in grid.p_values:
-        q = empirical_quantile(p, errors)
-        positive = errors > q
-        n_pos = int(positive.sum())
+        q = empirical_quantile(p, data.errors)
         for p_hat in grid.p_hat_values:
-            q_hat = empirical_quantile(p_hat, scores)
-            selected = scores > q_hat
-            n_sel = int(selected.sum())
-            power = 1.0 if n_pos == 0 else float((selected & positive).sum()) / n_pos
-            fdp = 0.0 if n_sel == 0 else float((selected & ~positive).sum()) / n_sel
+            q_hat = empirical_quantile(p_hat, data.scores)
+            selector = Selector(q=q, q_hat=q_hat, p=p, p_hat=p_hat)
+            power, fdp, n_pos, n_sel = _power_fdp(selector, data.errors, data.scores)
             report.append(
                 GridCell(
                     p=p,

@@ -19,8 +19,8 @@ import numpy as np
 
 from .calibration import GridSpec, calibrate, write_grid_report
 from .config import AppConfig, parse_config
-from .core import Dataset, Selector, StreamEvent, read_dataset, write_dataset
-from .errors import CalibrationInfeasible, ConfigError, IngestError, InvalidInput, ShiftwatchError
+from .core import _feature_columns, read_dataset, write_dataset
+from .errors import CalibrationInfeasible, ConfigError, IngestError, InvalidInput
 from .estimator import fit_knn, predict, r_squared, score_dataset, split_half
 from .harness import (
     ExperimentConfig,
@@ -185,9 +185,7 @@ def _iter_production_rows(path):
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise IngestError("production stream: missing header row")
-        fcols = [c for c in reader.fieldnames if c.startswith("f") and c[1:].isdigit()]
-        if not fcols:
-            raise IngestError("production stream: no feature columns")
+        fcols = _feature_columns(reader.fieldnames, "production stream")
         for row in reader:
             line = reader.line_num
             feats = np.array([_production_cell(row, c, line) for c in fcols])
@@ -215,7 +213,7 @@ def cmd_monitor(config_file, **flags):
         mon_cfg = _monitor_config(cfg)
         stats = source_statistics(cal_scored, calres.selector, mon_cfg)
         state = MonitorState(calres.selector, stats, mon_cfg)
-        for t, (feats, score, _err) in enumerate(_iter_production_rows(cfg.production), 1):
+        for feats, score, _err in _iter_production_rows(cfg.production):
             if score is None:
                 if model is None:
                     raise IngestError(
@@ -223,7 +221,7 @@ def cmd_monitor(config_file, **flags):
                         "was fitted (source file had pre-computed scores)"
                     )
                 score = predict(model, feats)
-            state.observe(StreamEvent(t=t, features=tuple(feats)), score)
+            state.observe(score)
     except (CalibrationInfeasible, IngestError, InvalidInput, ConfigError) as exc:
         _fail(exc)
     write_trajectory_csv(os.path.join(cfg.out_dir, "trajectory.csv"), state.trajectory)

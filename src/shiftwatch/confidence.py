@@ -37,7 +37,8 @@ class PmEbState:
     """Accumulators of the predictably-mixed empirical-Bernstein lower
     confidence sequence for a running mean of [0, 1]-valued variables.
 
-    ``best_lower`` is the running maximum of the per-step lower bounds;
+    ``best_lower`` is the running maximum of the per-step lower bounds,
+    the current anytime-valid lower bound (vacuous 0 before any data);
     intersecting a confidence sequence over time keeps it valid.
     """
 
@@ -49,16 +50,6 @@ class PmEbState:
     sum_x: float = 0.0
     sum_dev: float = 0.0
     best_lower: float = 0.0
-
-    @property
-    def mu_hat(self) -> float:
-        """Shrunk running mean (1/2 + sum X_i) / (t + 1)."""
-        return (0.5 + self.sum_x) / (self.t + 1.0)
-
-    @property
-    def sigma2_hat(self) -> float:
-        """Shrunk running variance (1/4 + sum (X_i - mu_i)^2) / (t + 1)."""
-        return (0.25 + self.sum_dev) / (self.t + 1.0)
 
 
 def step(t, sum_lx, sum_l, sum_psi, sum_x, sum_dev, log_inv_alpha, x):
@@ -122,11 +113,6 @@ def pmeb_update(state: PmEbState, x: float) -> PmEbState:
         sum_dev=sum_dev,
         best_lower=max(state.best_lower, lower),
     )
-
-
-def pmeb_lower(state: PmEbState) -> float:
-    """Current anytime-valid lower bound; vacuous 0 before any data."""
-    return state.best_lower
 
 
 def _running(values: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ overrides. Flags win over file values, which win over defaults."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import ConfigError

@@ -1,8 +1,8 @@
 """Shared domain types, the empirical-quantile primitive, and CSV ingestion.
 
-All types are immutable value objects. A ``Dataset`` stores its columns as
-numpy arrays for speed but iterates as ``ErrorSample`` records; iteration
-order is the file/row order and is stable.
+A ``Dataset`` stores its columns as numpy arrays whose row order is the
+file order. ``_feature_columns`` is the one check that a CSV header names
+its feature columns f0..f{d-1} in order.
 """
 
 from __future__ import annotations
@@ -10,20 +10,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import IngestError, InvalidInput
-
-
-@dataclass(frozen=True)
-class ErrorSample:
-    """One labeled observation: features, true error, optional score."""
-
-    features: tuple
-    true_error: float
-    est_score: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -45,19 +36,8 @@ class Selector:
         return np.asarray(scores, dtype=float) > self.q_hat
 
 
-@dataclass(frozen=True)
-class StreamEvent:
-    """One production observation. ``true_error`` is only present for
-    oracle/diagnostic evaluation and is never consumed by the label-free
-    detectors."""
-
-    t: int
-    features: tuple
-    true_error: Optional[float] = None
-
-
 class Dataset:
-    """Ordered collection of labeled observations.
+    """Ordered collection of observations.
 
     ``features`` is an (n, d) array; ``errors`` holds true errors in [0, 1]
     (may be None for unlabeled production files); ``scores`` holds estimator
@@ -105,14 +85,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.n
 
-    def __iter__(self) -> Iterator[ErrorSample]:
-        for i in range(self.n):
-            yield ErrorSample(
-                features=tuple(self.features[i]),
-                true_error=float(self.errors[i]) if self.errors is not None else math.nan,
-                est_score=float(self.scores[i]) if self.scores is not None else None,
-            )
-
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
         return Dataset(
@@ -140,12 +112,16 @@ def empirical_quantile(p: float, values) -> float:
     return float(np.sort(values)[k - 1])
 
 
-def _feature_columns(header: Sequence[str]) -> list:
+def _feature_columns(header: Sequence[str], where) -> list:
+    """The feature columns of a CSV header, which must be f0..f{d-1} in
+    order with d >= 1; ``where`` names the input in the IngestError."""
     cols = [c for c in header if c.startswith("f") and c[1:].isdigit()]
+    if not cols:
+        raise IngestError(f"{where}: no feature columns f0..f{{d-1}} found")
     expected = [f"f{i}" for i in range(len(cols))]
     if cols != expected:
         raise IngestError(
-            f"feature columns must be named f0..f{{d-1}} in order, got {cols}"
+            f"{where}: feature columns must be named f0..f{{d-1}} in order, got {cols}"
         )
     return cols
 
@@ -156,9 +132,7 @@ def read_dataset(path, require_error: bool = True) -> Dataset:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise IngestError(f"{path}: missing header row")
-        fcols = _feature_columns(reader.fieldnames)
-        if not fcols:
-            raise IngestError(f"{path}: no feature columns f0..f{{d-1}} found")
+        fcols = _feature_columns(reader.fieldnames, path)
         has_error = "error" in reader.fieldnames
         has_score = "score" in reader.fieldnames
         if require_error and not has_error:

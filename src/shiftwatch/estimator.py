@@ -1,5 +1,6 @@
-"""Error-score estimation: a deterministic k-NN regressor plus an escape
-hatch for ingesting externally computed scores.
+"""Error-score estimation: a deterministic k-NN regressor. Externally
+computed scores need no estimator; they arrive as the ``score`` column of
+the source CSV.
 
 The downstream machinery only uses the ordering of scores, so the
 estimator does not need to be accurate in magnitude; it needs to rank
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, read_dataset
-from .errors import DegenerateError, IngestError, InvalidInput
+from .core import Dataset
+from .errors import DegenerateError, InvalidInput
 
 DEFAULT_K = 10
 
@@ -97,14 +98,6 @@ def r_squared(predicted, actual) -> float:
         raise DegenerateError("R^2 is undefined for a constant target")
     ss_res = float(((actual - predicted) ** 2).sum())
     return 1.0 - ss_res / ss_tot
-
-
-def load_scores(path) -> np.ndarray:
-    """Read pre-computed scores from a CSV with a ``score`` column."""
-    data = read_dataset(path, require_error=False)
-    if data.scores is None:
-        raise IngestError(f"{path}: missing required 'score' column")
-    return data.scores
 
 
 def split_half(data: Dataset, seed: int):

@@ -24,7 +24,6 @@ from .errors import CalibrationInfeasible, InvalidInput
 from .estimator import fit_knn, predict_many, r_squared, score_dataset, split_half
 from .monitor import (
     MonitorConfig,
-    SourceStats,
     delta_diagnostic,
     first_alarm_time,
     mean_lower_path,
@@ -33,7 +32,7 @@ from .monitor import (
     source_mean_upper,
     source_statistics,
 )
-from .shiftsim import ProductionStream, Schedule, ShiftScenario, build_stream, split_pools
+from .shiftsim import Schedule, ShiftScenario, build_stream, split_pools
 
 SCHEMA_VERSION = 1
 
@@ -200,7 +199,7 @@ def run_experiment(
     stream_scores = predict_many(model, stream.features)
 
     # plug-in quantile detectors share one lower-bound trajectory
-    sel_plugin = (stream_scores > selector.q_hat).astype(float)
+    sel_plugin = selector.select(stream_scores).astype(float)
     l_plugin = quantile_lower_path(sel_plugin, stats, mon_cfg)
     # oracle: selection is the true-error flag, false discoveries impossible
     sel_oracle = (stream.errors > selector.q).astype(float)
@@ -223,38 +222,6 @@ def run_experiment(
         Dataset(stream.features, stream.errors, stream_scores), selector, stats
     )
     return report
-
-
-def ground_truth_harmful(
-    stream: ProductionStream,
-    family: str,
-    eps_harm: float,
-    *,
-    selector: Selector,
-    source_scored: Dataset,
-    monitor_config: MonitorConfig,
-) -> bool:
-    """Run a detector family on the stream's true errors and report whether
-    it would ever alarm at tolerance ``eps_harm``.
-
-    Quantile families replace the selector flag by the true-error flag
-    1{E > q}; the mean family is the labeled-oracle mean detector.
-    """
-    if stream.errors is None:
-        raise InvalidInput("ground-truth harmfulness needs true errors on the stream")
-    if family not in PLUGIN_DETECTORS:
-        raise InvalidInput(f"unknown detector family {family!r}")
-    if family == "mean":
-        lowers = mean_lower_path(stream.errors, monitor_config)
-        upper = source_mean_upper(source_scored.errors, monitor_config.alpha_source)
-        margins = lowers - upper
-    else:
-        oracle_stats = oracle_source_statistics(source_scored, selector, monitor_config)
-        sel = (stream.errors > selector.q).astype(float)
-        l_q = quantile_lower_path(sel, oracle_stats, monitor_config)
-        upper = oracle_stats.u_q if family == "phi_q" else oracle_stats.u_q2
-        margins = l_q - upper
-    return first_alarm_time(margins, eps_harm) is not None
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,7 @@ alarms latch: once fired, a detector stays fired.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -21,10 +20,9 @@ from .confidence import (
     hoeffding_halfwidth,
     pmeb_best_lower_path,
     pmeb_fresh,
-    pmeb_lower,
     pmeb_update,
 )
-from .core import Dataset, Selector, StreamEvent
+from .core import Dataset, Selector
 from .errors import InvalidInput
 
 
@@ -110,7 +108,7 @@ def source_statistics(source: Dataset, selector: Selector, config: MonitorConfig
         raise InvalidInput("source statistics need both true errors and scores")
     n = source.n
     above = source.errors > selector.q
-    selected = source.scores > selector.q_hat
+    selected = selector.select(source.scores)
     return SourceStats(
         n=n,
         rate_above_q=float(above.sum()) / n,
@@ -131,16 +129,6 @@ def oracle_source_statistics(source: Dataset, selector: Selector, config: Monito
     return source_statistics(
         oracle, Selector(q=selector.q, q_hat=selector.q, p=selector.p, p_hat=selector.p), config
     )
-
-
-@dataclass(frozen=True)
-class AlarmDecision:
-    t: int
-    l_q: float
-    u_q: float
-    u_q2: float
-    phi_q: bool
-    phi_q2: bool
 
 
 @dataclass
@@ -180,26 +168,17 @@ class MonitorState:
     def phi_q2(self) -> bool:
         return self.phi_q2_time is not None
 
-    def observe(self, event: StreamEvent, score: float) -> AlarmDecision:
-        if event.t <= self.t:
-            raise InvalidInput(
-                f"events must arrive in strictly increasing time order "
-                f"(got t={event.t} after t={self.t})"
-            )
+    def observe(self, score: float) -> None:
+        """Feed the next event's score and latch any alarm it raises."""
         self.t += 1
         flag = 1.0 if score > self.selector.q_hat else 0.0
         self.n_selected += int(flag)
         self.selection_cs = pmeb_update(self.selection_cs, flag)
-        l_q = (
-            pmeb_lower(self.selection_cs)
-            - (self.source.rate_false_discovery + self.source.w_fd)
-            - self.config.delta_corr
-        )
-        if l_q < 0.0:
-            l_q = 0.0
-        if self.phi_q_time is None and l_q > self.source.u_q + self.config.eps_tol:
+        l_q = float(quantile_lower(self.selection_cs.best_lower, self.source, self.config))
+        eps_tol = self.config.eps_tol
+        if self.phi_q_time is None and l_q - self.source.u_q > eps_tol:
             self.phi_q_time = self.t
-        if self.phi_q2_time is None and l_q > self.source.u_q2 + self.config.eps_tol:
+        if self.phi_q2_time is None and l_q - self.source.u_q2 > eps_tol:
             self.phi_q2_time = self.t
         self.trajectory.append(
             TrajectoryRow(
@@ -212,72 +191,31 @@ class MonitorState:
                 phi_q2=self.phi_q2,
             )
         )
-        return AlarmDecision(
-            t=self.t,
-            l_q=l_q,
-            u_q=self.source.u_q,
-            u_q2=self.source.u_q2,
-            phi_q=self.phi_q,
-            phi_q2=self.phi_q2,
-        )
+
+
+def quantile_lower(lower, source: SourceStats, config: MonitorConfig):
+    """Corrected production lower bound L_q from the PM-EB lower bound on
+    the selection rate (a scalar or a whole trajectory): subtract the
+    source false-discovery upper bound and ``delta_corr``, floor at 0.
+
+    The detectors alarm once the margin L_q - U exceeds eps_tol, where U
+    is ``u_q`` or ``u_q2`` (see ``first_alarm_time``)."""
+    l_q = lower - (source.rate_false_discovery + source.w_fd) - config.delta_corr
+    return np.maximum(l_q, 0.0)
 
 
 def quantile_lower_path(selection, source: SourceStats, config: MonitorConfig) -> np.ndarray:
-    """Batch trajectory of the corrected production lower bound L_q.
-
-    Identical arithmetic to repeated ``MonitorState.observe``; used by the
-    experiment harness where whole streams are available upfront.
-    """
+    """Batch trajectory of L_q, equal bit for bit to repeated
+    ``MonitorState.observe``; used by the experiment harness where whole
+    streams are available upfront."""
     selection = np.asarray(selection, dtype=float)
-    lowers = pmeb_best_lower_path(selection, config.alpha1)
-    l_q = lowers - (source.rate_false_discovery + source.w_fd) - config.delta_corr
-    np.clip(l_q, 0.0, None, out=l_q)
-    return l_q
+    return quantile_lower(pmeb_best_lower_path(selection, config.alpha1), source, config)
 
 
 def first_alarm_time(margins: np.ndarray, eps_tol: float) -> Optional[int]:
     """First 1-based index where the margin strictly exceeds eps_tol."""
     hits = np.nonzero(margins > eps_tol)[0]
     return int(hits[0]) + 1 if hits.size else None
-
-
-class MeanMonitorState:
-    """Streaming mean detector: PM-EB lower bound on the running mean of a
-    [0, 1]-valued stream against a fixed source-mean upper bound.
-
-    Fed with true errors it is the labeled-oracle detector; fed with
-    estimated scores (clipped to [0, 1], counted in ``n_clipped``) it is
-    the plug-in detector.
-    """
-
-    def __init__(self, source_upper: float, config: MonitorConfig, clip_scores: bool = False):
-        self.source_upper = source_upper
-        self.config = config
-        self.clip_scores = clip_scores
-        self.t = 0
-        self.error_cs: PmEbState = pmeb_fresh(config.alpha_prod)
-        self.alarm_time: Optional[int] = None
-        self.n_clipped = 0
-        self.lowers: List[float] = []
-
-    @property
-    def alarm(self) -> bool:
-        return self.alarm_time is not None
-
-    def observe(self, value: float) -> bool:
-        if self.clip_scores:
-            if value < 0.0 or value > 1.0:
-                self.n_clipped += 1
-                value = min(max(value, 0.0), 1.0)
-        elif not 0.0 <= value <= 1.0:
-            raise InvalidInput(f"mean detector input must lie in [0, 1], got {value}")
-        self.t += 1
-        self.error_cs = pmeb_update(self.error_cs, value)
-        lower = pmeb_lower(self.error_cs)
-        self.lowers.append(lower)
-        if self.alarm_time is None and lower > self.source_upper + self.config.eps_tol:
-            self.alarm_time = self.t
-        return self.alarm
 
 
 def mean_lower_path(values, config: MonitorConfig, clip_scores: bool = False) -> np.ndarray:
@@ -303,7 +241,7 @@ def delta_diagnostic(prod: Dataset, selector: Selector, source: SourceStats) -> 
     """
     if prod.errors is None or prod.scores is None:
         raise InvalidInput("delta diagnostic needs production true errors and scores")
-    selected = prod.scores > selector.q_hat
+    selected = selector.select(prod.scores)
     low = prod.errors <= selector.q
     prod_fd = float((selected & low).sum()) / prod.n
     return prod_fd - source.rate_false_discovery
@@ -326,19 +264,3 @@ def write_trajectory_csv(path, trajectory) -> None:
                 ]
             )
 
-
-def trajectory_to_json(trajectory) -> str:
-    return json.dumps(
-        [
-            {
-                "t": row.t,
-                "selection_rate": row.selection_rate,
-                "L_q": row.l_q,
-                "U_q": row.u_q,
-                "U_q2": row.u_q2,
-                "phi_q": row.phi_q,
-                "phi_q2": row.phi_q2,
-            }
-            for row in trajectory
-        ]
-    )

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import Dataset, StreamEvent, empirical_quantile
+from .core import Dataset, empirical_quantile
 from .errors import InvalidInput
 
 CONTINUOUS = "continuous"
@@ -160,14 +160,6 @@ class ProductionStream:
     @property
     def horizon(self) -> int:
         return self.features.shape[0]
-
-    def events(self) -> Iterator[StreamEvent]:
-        for i in range(self.horizon):
-            yield StreamEvent(
-                t=i + 1,
-                features=tuple(self.features[i]),
-                true_error=None if self.errors is None else float(self.errors[i]),
-            )
 
     def to_dataset(self) -> Dataset:
         return Dataset(self.features, self.errors)

@@ -164,6 +164,34 @@ class TestMonitorCommand:
         result = self._monitor_rows(runner, tmp_path, ["f0,f1,score"] + ["0.5,0.5,-3.0", "0.5,0.5,7.5"] * 10)
         assert result.exit_code in (0, 2), result.output
 
+    def _monitor_knn_rows(self, runner, tmp_path, header, n=60):
+        """Production rows scored by the k-NN fitted on a 4-feature source."""
+        rng = np.random.default_rng(5)
+        src = tmp_path / "src.csv"
+        features = rng.random((400, 4))
+        write_dataset(src, Dataset(features, 0.9 * features[:, 0]))
+        prod = tmp_path / "prod.csv"
+        rows = [",".join(repr(float(x)) for x in row) for row in rng.random((n, len(header)))]
+        prod.write_text("\n".join([",".join(header)] + rows) + "\n")
+        return runner.invoke(
+            main,
+            ["monitor", "--source", str(src), "--production", str(prod), "--out-dir", str(tmp_path / "out")],
+        )
+
+    def test_feature_columns_out_of_order_are_rejected(self, runner, tmp_path):
+        result = self._monitor_knn_rows(runner, tmp_path, ["f3", "f2", "f1", "f0"])
+        self._assert_one_line_error(
+            result, "production stream", "f0..f{d-1} in order", "['f3', 'f2', 'f1', 'f0']"
+        )
+        result = self._monitor_knn_rows(runner, tmp_path, ["f0", "f1", "f2", "f3"])
+        assert result.exit_code in (0, 2), result.output
+
+    def test_feature_column_gap_is_rejected(self, runner, tmp_path):
+        result = self._monitor_knn_rows(runner, tmp_path, ["f0", "f1", "f3"])
+        self._assert_one_line_error(
+            result, "production stream", "f0..f{d-1} in order", "['f0', 'f1', 'f3']"
+        )
+
 
 class TestSimulateCommand:
     def test_writes_streams_and_index(self, runner, tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from shiftwatch import (
     hoeffding_halfwidth,
     pmeb_fresh,
-    pmeb_lower,
     pmeb_lower_path,
     pmeb_update,
 )
@@ -51,7 +50,7 @@ class TestHoeffding:
 class TestPmEb:
     def test_fresh_state_vacuous(self):
         state = pmeb_fresh(0.05)
-        assert pmeb_lower(state) == 0.0
+        assert state.best_lower == 0.0
         assert state.t == 0
 
     def test_rejects_bad_alpha(self):

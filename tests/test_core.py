@@ -79,12 +79,6 @@ class TestDataset:
         with pytest.raises(InvalidInput):
             Dataset([[1.0], [2.0]], errors=[0.5, 0.5], scores=[0.1])
 
-    def test_iteration_order_stable(self):
-        data = Dataset([[1.0], [2.0], [3.0]], [0.1, 0.2, 0.3], [1.0, 2.0, 3.0])
-        rows = list(data)
-        assert [s.true_error for s in rows] == [0.1, 0.2, 0.3]
-        assert rows == list(data)
-
     def test_subset_preserves_columns(self):
         data = Dataset([[1.0], [2.0], [3.0]], [0.1, 0.2, 0.3], [5.0, 6.0, 7.0])
         sub = data.subset([2, 0])

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from shiftwatch import Dataset, fit_knn, load_scores, predict, r_squared
-from shiftwatch.core import write_dataset
-from shiftwatch.errors import DegenerateError, IngestError, InvalidInput
+from shiftwatch import Dataset, fit_knn, predict, r_squared
+from shiftwatch.errors import DegenerateError, InvalidInput
 from shiftwatch.estimator import predict_many, score_dataset, split_half
 
 
@@ -108,31 +107,6 @@ class TestRSquared:
             r_squared([0.1], [0.1, 0.2])
         with pytest.raises(InvalidInput):
             r_squared([], [])
-
-
-class TestLoadScores:
-    def test_round_trip(self, tmp_path):
-        data = Dataset([[1.0], [2.0], [3.0]], [0.1, 0.2, 0.3], [0.5, 0.6, 0.7])
-        path = tmp_path / "scored.csv"
-        write_dataset(path, data)
-        assert list(load_scores(path)) == [0.5, 0.6, 0.7]
-
-    def test_single_row(self, tmp_path):
-        path = tmp_path / "one.csv"
-        path.write_text("f0,score\n1.0,0.3\n")
-        assert list(load_scores(path)) == [0.3]
-
-    def test_missing_score_column(self, tmp_path):
-        path = tmp_path / "noscore.csv"
-        path.write_text("f0,error\n1.0,0.3\n")
-        with pytest.raises(IngestError):
-            load_scores(path)
-
-    def test_empty_data_section(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("f0,score\n")
-        with pytest.raises(IngestError):
-            load_scores(path)
 
 
 class TestSplitHalf:

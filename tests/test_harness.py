@@ -8,8 +8,6 @@ from shiftwatch import (
     ExperimentConfig,
     RunReport,
     Schedule,
-    Selector,
-    ground_truth_harmful,
     make_subgroup_dataset,
     run_experiment,
     run_suite,
@@ -18,7 +16,7 @@ from shiftwatch import (
 from shiftwatch.errors import InvalidInput
 from shiftwatch.harness import DetectorTrace, reports_to_json, suite_metrics_by_r2
 from shiftwatch.monitor import MonitorConfig
-from shiftwatch.shiftsim import ProductionStream, ShiftScenario, enumerate_scenarios
+from shiftwatch.shiftsim import ShiftScenario, enumerate_scenarios
 
 
 def _report(i, oracle_max, plugin_max, r2=0.5):
@@ -162,53 +160,3 @@ class TestRunExperiment:
         assert payload == reports_to_json(
             run_suite(data, scenarios, schedule, config, seeds=[0, 1])
         )
-
-
-class TestGroundTruthHarmful:
-    def _setup(self):
-        rng = np.random.default_rng(30)
-        errors = rng.random(200) * 0.4
-        source = Dataset(rng.random((200, 2)), errors, errors)
-        selector = Selector(q=0.3, q_hat=0.3, p=0.75, p_hat=0.75)
-        stream = ProductionStream(
-            features=np.zeros((500, 2)), errors=np.full(500, 0.95)
-        )
-        return stream, selector, source
-
-    def test_sudden_max_error_stream_is_harmful(self):
-        stream, selector, source = self._setup()
-        for family in ("phi_q", "phi_q2", "mean"):
-            assert ground_truth_harmful(
-                stream,
-                family,
-                0.0,
-                selector=selector,
-                source_scored=source,
-                monitor_config=MonitorConfig(),
-            )
-
-    def test_eps_harm_one_never_harmful(self):
-        stream, selector, source = self._setup()
-        for family in ("phi_q", "phi_q2", "mean"):
-            assert not ground_truth_harmful(
-                stream,
-                family,
-                1.0,
-                selector=selector,
-                source_scored=source,
-                monitor_config=MonitorConfig(),
-            )
-
-    def test_requires_labels_and_known_family(self):
-        stream, selector, source = self._setup()
-        unlabeled = ProductionStream(features=np.zeros((10, 2)), errors=None)
-        with pytest.raises(InvalidInput):
-            ground_truth_harmful(
-                unlabeled, "mean", 0.0, selector=selector,
-                source_scored=source, monitor_config=MonitorConfig(),
-            )
-        with pytest.raises(InvalidInput):
-            ground_truth_harmful(
-                stream, "phi_q9", 0.0, selector=selector,
-                source_scored=source, monitor_config=MonitorConfig(),
-            )

@@ -7,12 +7,12 @@ import pytest
 
 from shiftwatch import (
     Dataset,
-    MeanMonitorState,
     MonitorConfig,
     MonitorState,
     Selector,
-    StreamEvent,
     delta_diagnostic,
+    pmeb_fresh,
+    pmeb_update,
     source_statistics,
 )
 from shiftwatch.confidence import pmeb_best_lower_path
@@ -24,7 +24,6 @@ from shiftwatch.monitor import (
     oracle_source_statistics,
     quantile_lower_path,
     source_mean_upper,
-    trajectory_to_json,
     write_trajectory_csv,
 )
 
@@ -121,19 +120,46 @@ class TestQuantileDetector:
 
     def test_streaming_observe_matches_batch_path(self):
         rng = np.random.default_rng(2)
-        scores = rng.random(300)
+        # selection rate 0.4 for 200 events, then 0.7: both detectors fire
+        scores = rng.random(600)
+        scores[200:] += 0.3
         selector = Selector(q=0.5, q_hat=0.6, p=0.7, p_hat=0.6)
-        cfg = MonitorConfig()
         stats = _stats()
-        state = MonitorState(selector, stats, cfg)
-        streaming = []
-        for t, s in enumerate(scores, 1):
-            decision = state.observe(StreamEvent(t=t, features=(0.0,)), s)
-            streaming.append(decision.l_q)
-        sel_flags = (scores > selector.q_hat).astype(float)
-        assert np.allclose(
-            streaming, quantile_lower_path(sel_flags, stats, cfg), atol=0.0
-        )
+        for delta_corr in (0.0, 0.02):
+            cfg = MonitorConfig(delta_corr=delta_corr)
+            state = MonitorState(selector, stats, cfg)
+            for s in scores:
+                state.observe(s)
+            streaming = np.array([row.l_q for row in state.trajectory])
+            batch = quantile_lower_path(selector.select(scores).astype(float), stats, cfg)
+            assert np.array_equal(streaming, batch)
+            assert state.phi_q_time == first_alarm_time(batch - stats.u_q, cfg.eps_tol)
+            assert state.phi_q2_time == first_alarm_time(batch - stats.u_q2, cfg.eps_tol)
+            assert state.phi_q2_time is not None
+
+    def test_alarm_rule_at_float_boundary(self):
+        """Streaming and batch share the rule margin > eps_tol, also where
+        it differs from L_q > U + eps_tol in the last bit."""
+        eps_tol, n = 0.01, 400
+        cfg = MonitorConfig(eps_tol=eps_tol)
+        flat = dict(rate_above_q=1.0, rate_false_discovery=0.0, w_source=0.0, w_fd=0.0)
+        l_final = quantile_lower_path(np.ones(n), _stats(**flat), cfg)[-1]
+        u = l_final - eps_tol
+        for _ in range(100):
+            if (l_final - u) > eps_tol and not (l_final > u + eps_tol):
+                break
+            u = math.nextafter(u, -math.inf)
+        else:
+            pytest.fail("no boundary upper bound found")
+        stats = _stats(rate_true_discovery=u, **flat)
+        assert stats.u_q2 == u
+        batch = quantile_lower_path(np.ones(n), stats, cfg)
+        assert first_alarm_time(batch - stats.u_q2, eps_tol) == n
+        state = MonitorState(Selector(q=0.5, q_hat=0.5, p=0.7, p_hat=0.5), stats, cfg)
+        for _ in range(n):
+            state.observe(1.0)
+        assert state.phi_q2_time == n
+        assert state.phi_q_time is None
 
     def test_alarm_comparisons_and_latching(self):
         cfg = MonitorConfig()
@@ -141,27 +167,18 @@ class TestQuantileDetector:
         selector = Selector(q=0.5, q_hat=0.5, p=0.7, p_hat=0.5)
         state = MonitorState(selector, stats, cfg)
         # feed constant selections until phi_q2 (threshold 0.07) fires
-        t = 0
-        while not state.phi_q2 and t < 2000:
-            t += 1
-            state.observe(StreamEvent(t=t, features=(0.0,)), 1.0)
+        while not state.phi_q2 and state.t < 2000:
+            state.observe(1.0)
         assert state.phi_q2
         first = state.phi_q2_time
         for _ in range(50):
-            t += 1
-            state.observe(StreamEvent(t=t, features=(0.0,)), 0.0)
+            state.observe(0.0)
         assert state.phi_q2_time == first  # latched
         assert state.phi_q2_time <= (state.phi_q_time or 10**9)
 
     def test_simple_threshold_comparisons(self):
         assert first_alarm_time(np.array([0.40 - 0.30]), 0.0) == 1
         assert first_alarm_time(np.array([0.40 - 0.45]), 0.0) is None
-
-    def test_out_of_order_events_rejected(self):
-        state = MonitorState(Selector(0.5, 0.5, 0.7, 0.5), _stats(), MonitorConfig())
-        state.observe(StreamEvent(t=1, features=(0.0,)), 0.9)
-        with pytest.raises(InvalidInput):
-            state.observe(StreamEvent(t=1, features=(0.0,)), 0.9)
 
     def test_delta_correction_shifts_bound_exactly(self):
         sel = np.ones(400)
@@ -174,14 +191,14 @@ class TestQuantileDetector:
     def test_trajectory_exports(self, tmp_path):
         state = MonitorState(Selector(0.5, 0.5, 0.7, 0.5), _stats(), MonitorConfig())
         for t in range(1, 6):
-            state.observe(StreamEvent(t=t, features=(0.0,)), float(t % 2))
+            state.observe(float(t % 2))
+        assert [row.t for row in state.trajectory] == [1, 2, 3, 4, 5]
+        assert all(type(row.l_q) is float for row in state.trajectory)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, state.trajectory)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,selection_rate,L_q,U_q,U_q2,phi_q,phi_q2"
         assert len(lines) == 6
-        payload = trajectory_to_json(state.trajectory)
-        assert '"t": 5' in payload
 
 
 class TestMeanDetector:
@@ -191,42 +208,39 @@ class TestMeanDetector:
         assert source_mean_upper(errors, 0.05) == pytest.approx(expected, rel=1e-12)
 
     def test_constant_stream_at_source_mean_never_alarms(self):
+        cfg = MonitorConfig()
         upper = source_mean_upper(np.full(500, 0.3), 0.05)
-        state = MeanMonitorState(upper, MonitorConfig())
-        for _ in range(10_000):
-            assert not state.observe(0.3)
+        lowers = mean_lower_path(np.full(10_000, 0.3), cfg)
+        assert first_alarm_time(lowers - upper, cfg.eps_tol) is None
 
     def test_all_ones_stream_alarms_in_finite_time(self):
+        cfg = MonitorConfig()
         upper = source_mean_upper(np.full(10_000, 0.1), 0.05)
-        state = MeanMonitorState(upper, MonitorConfig())
-        t = 0
-        while not state.alarm and t < 5000:
-            t += 1
-            state.observe(1.0)
-        assert state.alarm and state.alarm_time is not None
+        lowers = mean_lower_path(np.ones(5000), cfg)
+        assert first_alarm_time(lowers - upper, cfg.eps_tol) is not None
 
     def test_eps_tol_one_never_fires(self):
-        state = MeanMonitorState(0.0, MonitorConfig(eps_tol=1.0))
-        for _ in range(2000):
-            assert not state.observe(1.0)
+        cfg = MonitorConfig(eps_tol=1.0)
+        lowers = mean_lower_path(np.ones(2000), cfg)
+        assert first_alarm_time(lowers, cfg.eps_tol) is None
 
     def test_clipping_policy(self):
-        state = MeanMonitorState(0.5, MonitorConfig(), clip_scores=True)
-        state.observe(1.7)
-        state.observe(-0.2)
-        state.observe(0.5)
-        assert state.n_clipped == 2
-        strict = MeanMonitorState(0.5, MonitorConfig())
+        cfg = MonitorConfig()
+        clipped = mean_lower_path([1.7, -0.2, 0.5], cfg, clip_scores=True)
+        assert np.array_equal(clipped, mean_lower_path([1.0, 0.0, 0.5], cfg))
         with pytest.raises(InvalidInput):
-            strict.observe(1.7)
+            mean_lower_path([1.7], cfg)
 
     def test_batch_path_matches_streaming(self):
         rng = np.random.default_rng(3)
         xs = rng.random(200)
-        state = MeanMonitorState(0.9, MonitorConfig())
+        cfg = MonitorConfig()
+        state = pmeb_fresh(cfg.alpha_prod)
+        lowers = []
         for x in xs:
-            state.observe(x)
-        assert np.array_equal(np.array(state.lowers), mean_lower_path(xs, MonitorConfig()))
+            state = pmeb_update(state, x)
+            lowers.append(state.best_lower)
+        assert np.array_equal(np.array(lowers), mean_lower_path(xs, cfg))
 
 
 class TestDeltaDiagnostic:

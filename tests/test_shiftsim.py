@@ -177,13 +177,6 @@ class TestBuildStream:
         with pytest.raises(InvalidInput):
             Schedule("sudden", 100, onset=101)
 
-    def test_events_carry_errors_in_order(self, pools):
-        retained, excluded = pools
-        stream = build_stream(retained, excluded, Schedule("none", 10), seed=1)
-        events = list(stream.events())
-        assert [e.t for e in events] == list(range(1, 11))
-        assert events[0].true_error == pytest.approx(float(stream.errors[0]))
-
 
 class TestSubgroupGenerator:
     def test_reproducible_and_bounded(self):
