@@ -8,9 +8,9 @@ timestamps so reruns with identical config are byte-identical. Exit codes:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
-import math
 import os
 import sys
 
@@ -19,8 +19,8 @@ import numpy as np
 
 from .calibration import GridSpec, calibrate, write_grid_report
 from .config import AppConfig, parse_config
-from .core import _feature_columns, read_dataset, write_dataset
-from .errors import CalibrationInfeasible, ConfigError, IngestError, InvalidInput
+from .core import read_chunks, read_dataset, write_dataset
+from .errors import ConfigError, IngestError, ShiftwatchError
 from .estimator import fit_knn, predict, r_squared, score_dataset, split_half
 from .harness import (
     ExperimentConfig,
@@ -30,6 +30,7 @@ from .harness import (
     suite_metrics_by_r2,
 )
 from .monitor import (
+    TRAJECTORY_COLUMNS,
     MonitorConfig,
     MonitorState,
     source_statistics,
@@ -38,10 +39,6 @@ from .monitor import (
 from .shiftsim import Schedule, build_stream, enumerate_scenarios, split_pools
 
 SCHEMA_VERSION = 1
-
-
-def _fail(exc) -> None:
-    raise click.ClickException(str(exc))
 
 
 def _monitor_config(cfg: AppConfig) -> MonitorConfig:
@@ -57,9 +54,9 @@ def _monitor_config(cfg: AppConfig) -> MonitorConfig:
 
 def _grid_spec(cfg: AppConfig) -> GridSpec:
     kwargs = {"fdp_max": cfg.fdp_max}
-    if cfg.p_values:
+    if cfg.p_values is not None:
         kwargs["p_values"] = cfg.p_values
-    if cfg.p_hat_values:
+    if cfg.p_hat_values is not None:
         kwargs["p_hat_values"] = cfg.p_hat_values
     return GridSpec(**kwargs)
 
@@ -115,14 +112,18 @@ def _config_flags(fn):
     return fn
 
 
-def _parse(config_file, **flags) -> AppConfig:
-    try:
-        return parse_config(config_file, **flags)
-    except ConfigError as exc:
-        _fail(exc)
+class _Group(click.Group):
+    """Reports a package error from any subcommand as one line and exit
+    code 1, in place of a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ShiftwatchError as exc:
+            raise click.ClickException(str(exc))
 
 
-@click.group()
+@click.group(cls=_Group)
 def main():
     """Label-free sequential harmful-shift monitoring."""
 
@@ -131,14 +132,9 @@ def main():
 @_config_flags
 def cmd_calibrate(config_file, **flags):
     """Calibrate the threshold pair and emit the grid report."""
-    cfg = _parse(config_file, **flags)
+    cfg = parse_config(config_file, **flags)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    try:
-        model, cal_scored, calres, r2 = _calibration_pipeline(cfg)
-    except CalibrationInfeasible as exc:
-        _fail(exc)
-    except (IngestError, InvalidInput, ConfigError) as exc:
-        _fail(exc)
+    model, cal_scored, calres, r2 = _calibration_pipeline(cfg)
     write_grid_report(os.path.join(cfg.out_dir, "grid_report.csv"), calres.grid_report)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -162,76 +158,49 @@ def cmd_calibrate(config_file, **flags):
     )
 
 
-def _production_cell(row, col, line):
-    raw = row.get(col) or ""
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise IngestError(
-            f"production stream line {line}, column {col}: expected a finite number, got {raw!r}"
-        )
-    return value
-
-
-def _iter_production_rows(path):
-    """Yield (features, score_or_None, error_or_None) one CSV row at a time.
-
-    Every feature cell, and each non-empty score or error cell, must be a
-    finite number; otherwise IngestError names the line and the column."""
-    fh = sys.stdin if path == "-" else open(path, newline="")
-    try:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise IngestError("production stream: missing header row")
-        fcols = _feature_columns(reader.fieldnames, "production stream")
-        for row in reader:
-            line = reader.line_num
-            feats = np.array([_production_cell(row, c, line) for c in fcols])
-            score = _production_cell(row, "score", line) if row.get("score") else None
-            error = _production_cell(row, "error", line) if row.get("error") else None
-            yield feats, score, error
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
-
-
 @main.command("monitor")
 @_config_flags
 @click.option("--production", type=str, default=None, help="Production CSV path, or '-' for stdin (one event per line).")
 def cmd_monitor(config_file, **flags):
     """Stream a production file (or stdin) through the quantile detectors.
 
-    Exits 2 when an alarm latched; the trajectory is always written."""
-    cfg = _parse(config_file, **flags)
+    Production rows carry a 'score' column exactly when the source does;
+    otherwise the k-NN fitted on the source scores them. trajectory.csv is
+    written as the rows are read, monitor.json when the input ends. Exits 2
+    when an alarm latched."""
+    cfg = parse_config(config_file, **flags)
     if cfg.production is None:
-        _fail(ConfigError("production", "a production CSV (or '-') is required"))
+        raise ConfigError("production", "a production CSV (or '-') is required")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    try:
-        model, cal_scored, calres, r2 = _calibration_pipeline(cfg)
-        mon_cfg = _monitor_config(cfg)
-        stats = source_statistics(cal_scored, calres.selector, mon_cfg)
-        state = MonitorState(calres.selector, stats, mon_cfg)
-        for feats, score, _err in _iter_production_rows(cfg.production):
-            if score is None:
-                if model is None:
-                    raise IngestError(
-                        "production rows carry no 'score' column and no estimator "
-                        "was fitted (source file had pre-computed scores)"
-                    )
-                score = predict(model, feats)
-            state.observe(score)
-    except (CalibrationInfeasible, IngestError, InvalidInput, ConfigError) as exc:
-        _fail(exc)
-    write_trajectory_csv(os.path.join(cfg.out_dir, "trajectory.csv"), state.trajectory)
+    model, cal_scored, calres, r2 = _calibration_pipeline(cfg)
+    mon_cfg = _monitor_config(cfg)
+    stats = source_statistics(cal_scored, calres.selector, mon_cfg)
+    state = MonitorState(calres.selector, stats, mon_cfg)
+    summary_path = os.path.join(cfg.out_dir, "monitor.json")
+    # A run stopped by an error leaves the trajectory rows read so far;
+    # an earlier run's summary must not sit beside them.
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(summary_path)
+    with open(os.path.join(cfg.out_dir, "trajectory.csv"), "w", newline="") as fh:
+        csv.writer(fh).writerow(TRAJECTORY_COLUMNS)
+        for chunk in read_chunks(cfg.production, "production stream"):
+            if (chunk.scores is None) != (model is not None):
+                raise IngestError(
+                    "production stream: the source file has a 'score' column, so the "
+                    "production rows need one too"
+                    if model is None
+                    else "production stream: a 'score' column is not allowed when the "
+                    "k-NN fitted on the source scores the rows"
+                )
+            scores = chunk.scores if model is None else np.array([predict(model, x) for x in chunk.features])
+            write_trajectory_csv(fh, state.observe(scores))
     summary = {
         "schema_version": SCHEMA_VERSION,
         "events": state.t,
         "phi_q_alarm_time": state.phi_q_time,
         "phi_q2_alarm_time": state.phi_q2_time,
     }
-    with open(os.path.join(cfg.out_dir, "monitor.json"), "w") as fh:
+    with open(summary_path, "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
     if state.phi_q or state.phi_q2:
         click.echo(
@@ -250,35 +219,32 @@ def cmd_monitor(config_file, **flags):
 @click.option("--ablation-fraction", "ablation_fraction", type=float, default=None)
 def cmd_simulate(config_file, **flags):
     """Enumerate feature-split scenarios and write replayable streams."""
-    cfg = _parse(config_file, **flags)
+    cfg = parse_config(config_file, **flags)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    try:
-        source = read_dataset(cfg.source) if cfg.source else None
-        if source is None:
-            raise ConfigError("source", "a source CSV is required")
-        kinds = _feature_kinds(cfg, source.d)
-        scenarios = enumerate_scenarios(
-            source, kinds, cfg.ablation_fraction, base_seed=cfg.seed
+    source = read_dataset(cfg.source) if cfg.source else None
+    if source is None:
+        raise ConfigError("source", "a source CSV is required")
+    kinds = _feature_kinds(cfg, source.d)
+    scenarios = enumerate_scenarios(
+        source, kinds, cfg.ablation_fraction, base_seed=cfg.seed
+    )
+    schedule = _schedule(cfg)
+    index = []
+    for scenario in scenarios:
+        retained, excluded = split_pools(source, scenario)
+        stream = build_stream(retained, excluded, schedule, cfg.seed)
+        path = os.path.join(cfg.out_dir, f"stream_{scenario.scenario_id}.csv")
+        write_dataset(path, stream.to_dataset())
+        index.append(
+            {
+                "scenario_id": scenario.scenario_id,
+                "feature_index": scenario.feature_index,
+                "split_kind": scenario.split_kind,
+                "category_value": scenario.category_value,
+                "excluded_size": excluded.n,
+                "stream_file": os.path.basename(path),
+            }
         )
-        schedule = _schedule(cfg)
-        index = []
-        for scenario in scenarios:
-            retained, excluded = split_pools(source, scenario)
-            stream = build_stream(retained, excluded, schedule, cfg.seed)
-            path = os.path.join(cfg.out_dir, f"stream_{scenario.scenario_id}.csv")
-            write_dataset(path, stream.to_dataset())
-            index.append(
-                {
-                    "scenario_id": scenario.scenario_id,
-                    "feature_index": scenario.feature_index,
-                    "split_kind": scenario.split_kind,
-                    "category_value": scenario.category_value,
-                    "excluded_size": excluded.n,
-                    "stream_file": os.path.basename(path),
-                }
-            )
-    except (IngestError, InvalidInput, ConfigError) as exc:
-        _fail(exc)
     with open(os.path.join(cfg.out_dir, "scenarios.json"), "w") as fh:
         json.dump({"schema_version": SCHEMA_VERSION, "scenarios": index}, fh, sort_keys=True, indent=2)
     click.echo(f"wrote {len(index)} scenario streams to {cfg.out_dir}")
@@ -311,25 +277,22 @@ def _run_suite_from_config(cfg: AppConfig):
 @click.option("--workers", type=int, default=None)
 def cmd_evaluate(config_file, **flags):
     """Run the full shift suite and emit per-detector metrics JSON."""
-    cfg = _parse(config_file, **flags)
+    cfg = parse_config(config_file, **flags)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    try:
-        reports = _run_suite_from_config(cfg)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "n_runs": len(reports),
-            "n_uncalibratable": sum(r.uncalibratable for r in reports),
-            "detectors": {
-                det: suite_metrics(reports, det, eps_harm=0.0).to_dict()
-                for det in ("phi_q", "phi_q2", "mean")
-            },
-            "by_r2_decile": {
-                det: suite_metrics_by_r2(reports, det, eps_harm=0.0)
-                for det in ("phi_q2", "mean")
-            },
-        }
-    except (IngestError, InvalidInput, ConfigError) as exc:
-        _fail(exc)
+    reports = _run_suite_from_config(cfg)
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "n_runs": len(reports),
+        "n_uncalibratable": sum(r.uncalibratable for r in reports),
+        "detectors": {
+            det: suite_metrics(reports, det, eps_harm=0.0).to_dict()
+            for det in ("phi_q", "phi_q2", "mean")
+        },
+        "by_r2_decile": {
+            det: suite_metrics_by_r2(reports, det, eps_harm=0.0)
+            for det in ("phi_q2", "mean")
+        },
+    }
     with open(os.path.join(cfg.out_dir, "metrics.json"), "w") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2))
     with open(os.path.join(cfg.out_dir, "runs.json"), "w") as fh:
@@ -349,18 +312,15 @@ def cmd_evaluate(config_file, **flags):
 @click.option("--eps-tol-grid", "eps_tol_grid", type=str, default=None, help="Comma-separated detector tolerances.")
 def cmd_sweep(config_file, **flags):
     """Sweep harmfulness-threshold and tolerance grids over one suite run."""
-    cfg = _parse(config_file, **flags)
+    cfg = parse_config(config_file, **flags)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    try:
-        reports = _run_suite_from_config(cfg)
-        rows = []
-        for eps_tol in cfg.eps_tol_grid:
-            for eps_harm in cfg.eps_harm_grid:
-                for det in ("phi_q", "phi_q2", "mean"):
-                    m = suite_metrics(reports, det, eps_harm=eps_harm, eps_tol=eps_tol)
-                    rows.append({"eps_tol": eps_tol, **m.to_dict()})
-    except (IngestError, InvalidInput, ConfigError) as exc:
-        _fail(exc)
+    reports = _run_suite_from_config(cfg)
+    rows = []
+    for eps_tol in cfg.eps_tol_grid:
+        for eps_harm in cfg.eps_harm_grid:
+            for det in ("phi_q", "phi_q2", "mean"):
+                m = suite_metrics(reports, det, eps_harm=eps_harm, eps_tol=eps_tol)
+                rows.append({"eps_tol": eps_tol, **m.to_dict()})
     payload = {"schema_version": SCHEMA_VERSION, "sweep": rows}
     with open(os.path.join(cfg.out_dir, "sweep.json"), "w") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2))

@@ -1,18 +1,20 @@
 """Anytime-valid lower confidence sequence (PM-EB) and Hoeffding interval.
 
-The PM-EB arithmetic exists in two forms: ``step``, the scalar update the
-streaming monitor feeds one observation at a time, and
-``pmeb_lower_path``, which computes a whole stream's bounds at once from
-numpy running sums. The batch form keeps the scalar form's order of
-operations and routes both logarithms through libm ``math.log`` (numpy's
-vectorized ``np.log`` can differ in the last bit), so the two agree bit
-for bit; the tests hold them to that.
+The PM-EB arithmetic is ``pmeb_update``, which advances the confidence
+sequence over a chunk of observations with numpy running sums that
+resume from the carried accumulators. The streaming monitor calls it once
+per chunk; ``pmeb_lower_path`` is one call on a fresh state. It keeps the
+order of operations of the one-observation-at-a-time recurrence and
+routes both logarithms through libm ``math.log`` (numpy's vectorized
+``np.log`` can differ in the last bit), so its bounds equal that
+recurrence's bit for bit; the tests hold them to a scalar reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -52,107 +54,71 @@ class PmEbState:
     best_lower: float = 0.0
 
 
-def step(t, sum_lx, sum_l, sum_psi, sum_x, sum_dev, log_inv_alpha, x):
-    """Advance the PM-EB accumulators by one observation.
-
-    Returns (t, sum_lx, sum_l, sum_psi, sum_x, sum_dev, lower) after the
-    update, with ``lower`` already clipped to [0, 1].
-    """
-    mu_prev = (0.5 + sum_x) / (t + 1.0)
-    sig2_prev = (0.25 + sum_dev) / (t + 1.0)
-    tn = t + 1
-    lam = math.sqrt(2.0 * log_inv_alpha / (sig2_prev * tn * math.log(tn + 1.0)))
-    if lam > 0.5:
-        lam = 0.5
-    v = 4.0 * (x - mu_prev) * (x - mu_prev)
-    psi = (-math.log(1.0 - lam) - lam) / 4.0
-    sum_lx += lam * x
-    sum_l += lam
-    sum_psi += v * psi
-    sum_x += x
-    mu_new = (0.5 + sum_x) / (tn + 1.0)
-    sum_dev += (x - mu_new) * (x - mu_new)
-    lower = (sum_lx - log_inv_alpha - sum_psi) / sum_l
-    if lower < 0.0:
-        lower = 0.0
-    elif lower > 1.0:
-        lower = 1.0
-    return tn, sum_lx, sum_l, sum_psi, sum_x, sum_dev, lower
-
-
 def pmeb_fresh(alpha: float) -> PmEbState:
     if not 0.0 < alpha < 1.0:
         raise InvalidInput(f"miscoverage level must lie in (0, 1), got {alpha}")
     return PmEbState(alpha=alpha)
 
 
-def pmeb_update(state: PmEbState, x: float) -> PmEbState:
-    """Feed one observation in [0, 1] into the confidence sequence."""
-    if not 0.0 <= x <= 1.0:
-        raise InvalidInput(
-            f"PM-EB observations must lie in [0, 1], got {x}; an unnormalized "
-            "error reached the monitor"
-        )
-    t, sum_lx, sum_l, sum_psi, sum_x, sum_dev, lower = step(
-        state.t,
-        state.sum_lx,
-        state.sum_l,
-        state.sum_psi,
-        state.sum_x,
-        state.sum_dev,
-        math.log(1.0 / state.alpha),
-        float(x),
-    )
-    return PmEbState(
-        alpha=state.alpha,
-        t=t,
-        sum_lx=sum_lx,
-        sum_l=sum_l,
-        sum_psi=sum_psi,
-        sum_x=sum_x,
-        sum_dev=sum_dev,
-        best_lower=max(state.best_lower, lower),
-    )
-
-
-def _running(values: np.ndarray) -> np.ndarray:
-    """Running sums with a leading 0: entry i is the sum of the first i
-    values, so ``[:-1]`` is the exclusive and ``[1:]`` the inclusive sum.
-    ``np.cumsum`` adds left to right, as the scalar accumulators do."""
-    return np.cumsum(np.concatenate(([0.0], values)))
+def _running(carry: float, values: np.ndarray) -> np.ndarray:
+    """Running sums that start from a carried accumulator: entry i is
+    ``carry`` plus the first i values, so ``[:-1]`` is the exclusive and
+    ``[1:]`` the inclusive sum, and ``[-1]`` is the next carry.
+    ``np.cumsum`` adds left to right, as one scalar accumulator would."""
+    return np.cumsum(np.concatenate(([carry], values)))
 
 
 def _libm_log(values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, values.tolist()), float, values.size)
 
 
-def pmeb_lower_path(xs, alpha: float) -> np.ndarray:
-    """Per-step clipped lower bounds over a whole stream (no running max).
+def pmeb_update(state: PmEbState, xs) -> Tuple[np.ndarray, PmEbState]:
+    """Feed a chunk of observations in [0, 1] into the confidence sequence.
 
-    Batch equivalent of repeated ``pmeb_update``: entry i equals, bit for
-    bit, the bound a streaming state would report after observation i.
+    Returns the per-step clipped lower bounds of the chunk (no running
+    max) and the state after it. Each accumulator resumes from its
+    carried value, so any cutting of a stream into chunks gives the same
+    bounds and final state, bit for bit, as one call over the whole
+    stream.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInput(f"miscoverage level must lie in (0, 1), got {alpha}")
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise InvalidInput("stream must be one-dimensional")
-    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
-        raise InvalidInput("PM-EB observations must lie in [0, 1]")
-    log_inv_alpha = math.log(1.0 / alpha)
-    tn = np.arange(1.0, xs.size + 1.0)
-    sum_x = _running(xs)
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
+        raise InvalidInput(
+            "PM-EB observations must lie in [0, 1]; an unnormalized error "
+            "reached the monitor"
+        )
+    log_inv_alpha = math.log(1.0 / state.alpha)
+    tn = np.arange(state.t + 1.0, state.t + xs.size + 1.0)
+    sum_x = _running(state.sum_x, xs)
     mu_prev = (0.5 + sum_x[:-1]) / tn
     mu_new = (0.5 + sum_x[1:]) / (tn + 1.0)
-    sig2_prev = (0.25 + _running((xs - mu_new) * (xs - mu_new))[:-1]) / tn
+    sum_dev = _running(state.sum_dev, (xs - mu_new) * (xs - mu_new))
+    sig2_prev = (0.25 + sum_dev[:-1]) / tn
     lam = np.sqrt(2.0 * log_inv_alpha / (sig2_prev * tn * _libm_log(tn + 1.0)))
     np.minimum(lam, 0.5, out=lam)
     v = 4.0 * (xs - mu_prev) * (xs - mu_prev)
     psi = (-_libm_log(1.0 - lam) - lam) / 4.0
-    sum_lx = _running(lam * xs)[1:]
-    sum_l = _running(lam)[1:]
-    sum_psi = _running(v * psi)[1:]
-    return np.clip((sum_lx - log_inv_alpha - sum_psi) / sum_l, 0.0, 1.0)
+    sum_lx = _running(state.sum_lx, lam * xs)
+    sum_l = _running(state.sum_l, lam)
+    sum_psi = _running(state.sum_psi, v * psi)
+    lowers = np.clip((sum_lx[1:] - log_inv_alpha - sum_psi[1:]) / sum_l[1:], 0.0, 1.0)
+    return lowers, PmEbState(
+        alpha=state.alpha,
+        t=state.t + xs.size,
+        sum_lx=float(sum_lx[-1]),
+        sum_l=float(sum_l[-1]),
+        sum_psi=float(sum_psi[-1]),
+        sum_x=float(sum_x[-1]),
+        sum_dev=float(sum_dev[-1]),
+        best_lower=float(np.max(lowers, initial=state.best_lower)),
+    )
+
+
+def pmeb_lower_path(xs, alpha: float) -> np.ndarray:
+    """Per-step clipped lower bounds over a whole stream (no running max)."""
+    return pmeb_update(pmeb_fresh(alpha), xs)[0]
 
 
 def pmeb_best_lower_path(xs, alpha: float) -> np.ndarray:

@@ -136,6 +136,10 @@ def _validate(cfg: AppConfig) -> None:
         raise ConfigError("n_seeds", "must be >= 1")
     if cfg.workers < 1:
         raise ConfigError("workers", "must be >= 1")
+    for key in sorted(_LIST_KEYS):
+        values = getattr(cfg, key)
+        if values is not None and not values:
+            raise ConfigError(key, "must list at least one value")
     for key in ("source", "production"):
         path = getattr(cfg, key)
         if path is not None and path != "-" and not os.path.exists(path):

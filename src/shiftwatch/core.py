@@ -1,20 +1,26 @@
 """Shared domain types, the empirical-quantile primitive, and CSV ingestion.
 
 A ``Dataset`` stores its columns as numpy arrays whose row order is the
-file order. ``_feature_columns`` is the one check that a CSV header names
-its feature columns f0..f{d-1} in order.
+file order. ``read_chunks`` is the one CSV reader: ``read_dataset`` joins
+its chunks and the monitor consumes them one by one. ``_feature_columns``
+is the one check that a CSV header names its feature columns
+f0..f{d-1} in order.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import IngestError, InvalidInput
+
+# Rows per chunk of ``read_chunks``; bounds the memory of a streaming read.
+CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -126,38 +132,76 @@ def _feature_columns(header: Sequence[str], where) -> list:
     return cols
 
 
-def read_dataset(path, require_error: bool = True) -> Dataset:
-    """Read a dataset from the CSV schema: f0..f{d-1}, [error], [score]."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise IngestError(f"{path}: missing header row")
-        fcols = _feature_columns(reader.fieldnames, path)
-        has_error = "error" in reader.fieldnames
-        has_score = "score" in reader.fieldnames
-        if require_error and not has_error:
-            raise IngestError(f"{path}: missing required 'error' column")
+def read_chunks(path, where) -> Iterator[Dataset]:
+    """Read a CSV of the dataset schema, f0..f{d-1}, [error], [score], as
+    Datasets of at most ``CHUNK_ROWS`` rows in file order; ``path`` '-'
+    reads stdin, in the same chunks. ``where`` names the input in errors.
 
-        feats, errs, scs = [], [], []
-        for row in reader:
-            try:
-                feats.append([float(row[c]) for c in fcols])
-                if has_error:
-                    errs.append(float(row["error"]))
-                if has_score:
-                    scs.append(float(row["score"]))
-            except (TypeError, ValueError) as exc:
-                raise IngestError(f"{path}: unparseable row {reader.line_num}: {exc}")
-    if not feats:
-        raise IngestError(f"{path}: no data rows")
+    Every cell of a feature, ``error`` or ``score`` column in the header
+    must be a finite number; otherwise IngestError names the line and the
+    column. Errors must also lie in [0, 1]. Blank lines are skipped."""
+    fh = sys.stdin if path == "-" else open(path, newline="")
     try:
-        return Dataset(
-            np.array(feats),
-            np.array(errs) if has_error else None,
-            np.array(scs) if has_score else None,
-        )
-    except InvalidInput as exc:
-        raise IngestError(f"{path}: {exc}")
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise IngestError(f"{where}: missing header row")
+        names = _feature_columns(header, where)
+        d = len(names)
+        has_error, has_score = "error" in header, "score" in header
+        names += [c for c in ("error", "score") if c in header]
+        cols = [(header.index(name), name) for name in names]
+
+        def chunk(rows) -> Dataset:
+            values = np.array(rows)
+            try:
+                return Dataset(
+                    values[:, :d],
+                    values[:, d] if has_error else None,
+                    values[:, -1] if has_score else None,
+                )
+            except InvalidInput as exc:
+                raise IngestError(f"{where}: {exc}")
+
+        rows = []
+        for row in reader:
+            if row:
+                rows.append([_cell(row, i, name, reader.line_num, where) for i, name in cols])
+            if len(rows) == CHUNK_ROWS:
+                yield chunk(rows)
+                rows = []
+        if rows:
+            yield chunk(rows)
+    finally:
+        if fh is not sys.stdin:
+            fh.close()
+
+
+def _cell(row, i, name, line, where) -> float:
+    raw = row[i] if i < len(row) else ""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise IngestError(f"{where} line {line}, column {name}: expected a finite number, got {raw!r}")
+    return value
+
+
+def read_dataset(path) -> Dataset:
+    """Read a labeled dataset, which needs an ``error`` column, from the
+    CSV schema by joining the chunks of ``read_chunks``."""
+    chunks = list(read_chunks(path, path))
+    if not chunks:
+        raise IngestError(f"{path}: no data rows")
+    if chunks[0].errors is None:
+        raise IngestError(f"{path}: missing required 'error' column")
+    scores = None if chunks[0].scores is None else np.concatenate([c.scores for c in chunks])
+    return Dataset(
+        np.concatenate([c.features for c in chunks]),
+        np.concatenate([c.errors for c in chunks]),
+        scores,
+    )
 
 
 def write_dataset(path, data: Dataset) -> None:

@@ -10,8 +10,9 @@ alarms latch: once fired, a detector stays fired.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -131,15 +132,7 @@ def oracle_source_statistics(source: Dataset, selector: Selector, config: Monito
     )
 
 
-@dataclass
-class TrajectoryRow:
-    t: int
-    selection_rate: float
-    l_q: float
-    u_q: float
-    u_q2: float
-    phi_q: bool
-    phi_q2: bool
+TRAJECTORY_COLUMNS = ("t", "selection_rate", "L_q", "U_q", "U_q2", "phi_q", "phi_q2")
 
 
 class MonitorState:
@@ -158,7 +151,6 @@ class MonitorState:
         self.n_selected = 0
         self.phi_q_time: Optional[int] = None
         self.phi_q2_time: Optional[int] = None
-        self.trajectory: List[TrajectoryRow] = []
 
     @property
     def phi_q(self) -> bool:
@@ -168,29 +160,44 @@ class MonitorState:
     def phi_q2(self) -> bool:
         return self.phi_q2_time is not None
 
-    def observe(self, score: float) -> None:
-        """Feed the next event's score and latch any alarm it raises."""
-        self.t += 1
-        flag = 1.0 if score > self.selector.q_hat else 0.0
-        self.n_selected += int(flag)
-        self.selection_cs = pmeb_update(self.selection_cs, flag)
-        l_q = float(quantile_lower(self.selection_cs.best_lower, self.source, self.config))
-        eps_tol = self.config.eps_tol
-        if self.phi_q_time is None and l_q - self.source.u_q > eps_tol:
-            self.phi_q_time = self.t
-        if self.phi_q2_time is None and l_q - self.source.u_q2 > eps_tol:
-            self.phi_q2_time = self.t
-        self.trajectory.append(
-            TrajectoryRow(
-                t=self.t,
-                selection_rate=self.n_selected / self.t,
-                l_q=l_q,
-                u_q=self.source.u_q,
-                u_q2=self.source.u_q2,
-                phi_q=self.phi_q,
-                phi_q2=self.phi_q2,
+    def observe(self, scores) -> list:
+        """Feed the next chunk of event scores and latch any alarm it raises.
+
+        Returns the chunk's trajectory rows, one tuple per event with the
+        fields of ``TRAJECTORY_COLUMNS`` (the flags as 0/1)."""
+        flags = self.selector.select(scores)
+        n = flags.size
+        best_before = self.selection_cs.best_lower
+        lowers, self.selection_cs = pmeb_update(self.selection_cs, flags.astype(float))
+        best = np.maximum(np.maximum.accumulate(lowers), best_before)
+        l_q = quantile_lower(best, self.source, self.config)
+        t = np.arange(self.t + 1, self.t + n + 1)
+        selection_rate = (self.n_selected + np.cumsum(flags)) / t
+        u_q, u_q2 = self.source.u_q, self.source.u_q2
+        if self.phi_q_time is None:
+            self.phi_q_time = _latch(l_q - u_q, self.config.eps_tol, self.t)
+        if self.phi_q2_time is None:
+            self.phi_q2_time = _latch(l_q - u_q2, self.config.eps_tol, self.t)
+        self.t += n
+        self.n_selected += int(flags.sum())
+        return list(
+            zip(
+                t.tolist(),
+                selection_rate.tolist(),
+                l_q.tolist(),
+                [u_q] * n,
+                [u_q2] * n,
+                (t >= (self.phi_q_time or math.inf)).astype(int).tolist(),
+                (t >= (self.phi_q2_time or math.inf)).astype(int).tolist(),
             )
         )
+
+
+def _latch(margins: np.ndarray, eps_tol: float, t_before: int) -> Optional[int]:
+    """Alarm time of the first margin above eps_tol in a chunk that
+    follows event ``t_before``, or None."""
+    hit = first_alarm_time(margins, eps_tol)
+    return None if hit is None else t_before + hit
 
 
 def quantile_lower(lower, source: SourceStats, config: MonitorConfig):
@@ -205,9 +212,9 @@ def quantile_lower(lower, source: SourceStats, config: MonitorConfig):
 
 
 def quantile_lower_path(selection, source: SourceStats, config: MonitorConfig) -> np.ndarray:
-    """Batch trajectory of L_q, equal bit for bit to repeated
-    ``MonitorState.observe``; used by the experiment harness where whole
-    streams are available upfront."""
+    """Batch trajectory of L_q, equal bit for bit to the ``L_q`` rows of
+    ``MonitorState.observe`` over any chunks of the same stream; used by
+    the experiment harness where whole streams are available upfront."""
     selection = np.asarray(selection, dtype=float)
     return quantile_lower(pmeb_best_lower_path(selection, config.alpha1), source, config)
 
@@ -218,11 +225,9 @@ def first_alarm_time(margins: np.ndarray, eps_tol: float) -> Optional[int]:
     return int(hits[0]) + 1 if hits.size else None
 
 
-def mean_lower_path(values, config: MonitorConfig, clip_scores: bool = False) -> np.ndarray:
-    """Batch trajectory of the mean detector's lower bound."""
-    values = np.asarray(values, dtype=float)
-    if clip_scores:
-        values = np.clip(values, 0.0, 1.0)
+def mean_lower_path(values, config: MonitorConfig) -> np.ndarray:
+    """Batch trajectory of the mean detector's lower bound over values in
+    [0, 1]."""
     return pmeb_best_lower_path(values, config.alpha_prod)
 
 
@@ -247,20 +252,7 @@ def delta_diagnostic(prod: Dataset, selector: Selector, source: SourceStats) -> 
     return prod_fd - source.rate_false_discovery
 
 
-def write_trajectory_csv(path, trajectory) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "selection_rate", "L_q", "U_q", "U_q2", "phi_q", "phi_q2"])
-        for row in trajectory:
-            writer.writerow(
-                [
-                    row.t,
-                    repr(row.selection_rate),
-                    repr(row.l_q),
-                    repr(row.u_q),
-                    repr(row.u_q2),
-                    int(row.phi_q),
-                    int(row.phi_q2),
-                ]
-            )
-
+def write_trajectory_csv(fh, rows) -> None:
+    """Append rows returned by ``MonitorState.observe`` to an open CSV file
+    whose header row is ``TRAJECTORY_COLUMNS``."""
+    csv.writer(fh).writerows(rows)

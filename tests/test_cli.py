@@ -1,12 +1,16 @@
 """Command-line interface: subcommands, exit codes, output artifacts."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from shiftwatch import Dataset
+from shiftwatch import Dataset, core
 from shiftwatch.cli import main
 from shiftwatch.core import write_dataset
 
@@ -191,6 +195,92 @@ class TestMonitorCommand:
         self._assert_one_line_error(
             result, "production stream", "f0..f{d-1} in order", "['f0', 'f1', 'f3']"
         )
+
+
+    def test_score_column_with_fitted_knn_is_rejected(self, runner, tmp_path):
+        # the production scores would be compared with a q_hat calibrated
+        # on k-NN scores
+        result = self._monitor_knn_rows(runner, tmp_path, ["f0", "f1", "f2", "f3", "score"])
+        self._assert_one_line_error(result, "production stream", "'score' column")
+
+    def test_scored_source_needs_production_scores(self, runner, tmp_path):
+        result = self._monitor_rows(runner, tmp_path, ["f0,f1", "0.5,0.5"])
+        self._assert_one_line_error(result, "production stream", "'score' column")
+
+    def test_failed_run_leaves_no_summary(self, runner, tmp_path, monkeypatch):
+        src = _scored_source(tmp_path / "src.csv")
+        out = tmp_path / "out"
+        args = ["monitor", "--source", str(src), "--out-dir", str(out), "--production"]
+        assert runner.invoke(main, args + [str(src)]).exit_code == 0
+        assert (out / "monitor.json").exists()
+        prod = tmp_path / "prod.csv"
+        prod.write_text("\n".join(["f0,f1,score"] + ["0.5,0.5,0.2"] * 5 + ["0.5,0.5,x"]) + "\n")
+        monkeypatch.setattr(core, "CHUNK_ROWS", 2)
+        self._assert_one_line_error(runner.invoke(main, args + [str(prod)]), "line 7")
+        assert not (out / "monitor.json").exists()
+        assert len((out / "trajectory.csv").read_text().splitlines()) == 5  # header + 2 chunks
+
+    def test_chunked_stdin_matches_file(self, runner, tmp_path, monkeypatch):
+        src = _scored_source(tmp_path / "src.csv")
+        rng = np.random.default_rng(4)
+        prod = tmp_path / "prod.csv"
+        scores = np.concatenate([rng.random(100) * 0.5, rng.random(400) * 0.1 + 0.85])
+        write_dataset(prod, Dataset(rng.random((500, 2)), None, scores))
+        args = ["monitor", "--source", str(src)]
+        whole = runner.invoke(main, args + ["--production", str(prod), "--out-dir", str(tmp_path / "o1")])
+        assert whole.exit_code == 2, whole.output
+        monkeypatch.setattr(core, "CHUNK_ROWS", 7)
+        chunked = runner.invoke(
+            main, args + ["--production", "-", "--out-dir", str(tmp_path / "o2")], input=prod.read_text()
+        )
+        assert chunked.exit_code == 2, chunked.output
+        for name in ("trajectory.csv", "monitor.json"):
+            assert (tmp_path / "o1" / name).read_bytes() == (tmp_path / "o2" / name).read_bytes()
+        assert len((tmp_path / "o1" / "trajectory.csv").read_text().splitlines()) == 501
+
+
+class TestPackageErrors:
+    def test_constant_source_errors_are_one_line(self, runner, tmp_path):
+        """R^2 of a constant target is undefined: every command that fits
+        the estimator stops with exit code 1 and one line."""
+        src = tmp_path / "src.csv"
+        rng = np.random.default_rng(6)
+        write_dataset(src, Dataset(rng.random((200, 2)), np.full(200, 0.5)))
+        prod = tmp_path / "prod.csv"
+        write_dataset(prod, Dataset(rng.random((20, 2))))
+        common = ["--source", str(src), "--out-dir", str(tmp_path / "out")]
+        for args in (
+            ["calibrate"],
+            ["monitor", "--production", str(prod)],
+            ["evaluate", "--horizon", "50", "--onset", "10"],
+        ):
+            result = runner.invoke(main, args + common)
+            assert result.exit_code == 1, (args, result.output)
+            assert isinstance(result.exception, SystemExit), args
+            lines = result.output.strip().splitlines()
+            assert lines == ["Error: R^2 is undefined for a constant target"], args
+
+    def test_empty_sweep_grid_is_config_error(self, runner, tmp_path):
+        src = _scored_source(tmp_path / "src.csv")
+        result = runner.invoke(
+            main, ["sweep", "--source", str(src), "--out-dir", str(tmp_path / "o"), "--eps-tol-grid", ","]
+        )
+        assert result.exit_code == 1, result.output
+        assert result.output.strip().splitlines() == ["Error: eps_tol_grid: must list at least one value"]
+
+
+def test_tracer_finds_every_name_it_wraps(tmp_path):
+    """perfbench/trace_cli.py wraps package functions by name; renaming
+    one of them breaks its start-up, which ``--help`` exercises."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "trace_cli.py"), str(tmp_path / "spans.json"), "--help"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "monitor" in proc.stdout
 
 
 class TestSimulateCommand:

@@ -12,7 +12,7 @@ from shiftwatch import (
     pmeb_lower_path,
     pmeb_update,
 )
-from shiftwatch.confidence import pmeb_best_lower_path, step
+from shiftwatch.confidence import pmeb_best_lower_path
 from shiftwatch.errors import InvalidInput
 
 REL = 1e-12
@@ -61,17 +61,16 @@ class TestPmEb:
 
     def test_rejects_out_of_range_observation(self):
         state = pmeb_fresh(0.05)
-        with pytest.raises(InvalidInput):
-            pmeb_update(state, 1.5)
-        with pytest.raises(InvalidInput):
-            pmeb_update(state, -0.1)
+        for bad in (1.5, -0.1, math.nan):
+            with pytest.raises(InvalidInput):
+                pmeb_update(state, [0.5, bad])
 
     def test_single_one_hand_computed(self):
         # First update at alpha=0.05: mu_0 = 1/2, sigma2_0 = 1/4, so
         # lambda_1 = min(sqrt(2 ln20 / (0.25 * 1 * ln2)), 1/2) = 1/2,
         # psi_E(1/2) = (-ln(1/2) - 1/2) / 4, and the raw bound
         # (0.5 - ln20 - psi) / 0.5 is deeply negative, clipping to 0.
-        state = pmeb_update(pmeb_fresh(0.05), 1.0)
+        lowers, state = pmeb_update(pmeb_fresh(0.05), [1.0])
         psi = (-math.log(0.5) - 0.5) / 4.0
         assert state.t == 1
         assert state.sum_l == pytest.approx(0.5, rel=REL)
@@ -79,13 +78,15 @@ class TestPmEb:
         assert state.sum_psi == pytest.approx(psi, rel=REL)
         raw = (0.5 - math.log(20.0) - psi) / 0.5
         assert raw < 0.0
+        assert lowers.tolist() == [0.0]
         assert state.best_lower == 0.0
 
     def test_all_zeros_stream(self):
         state = pmeb_fresh(0.05)
         for _ in range(100):
-            state = pmeb_update(state, 0.0)
-            assert state.best_lower == 0.0
+            lowers, state = pmeb_update(state, [0.0])
+            assert lowers.tolist() == [0.0]
+        assert state.best_lower == 0.0
 
     def test_all_ones_stream_approaches_one(self):
         path = pmeb_best_lower_path(np.ones(5000), 0.05)
@@ -99,7 +100,7 @@ class TestPmEb:
         state = pmeb_fresh(0.1)
         best = []
         for x in xs:
-            state = pmeb_update(state, x)
+            _, state = pmeb_update(state, [x])
             best.append(state.best_lower)
         assert np.array_equal(np.array(best), pmeb_best_lower_path(xs, 0.1))
 
@@ -136,15 +137,52 @@ class TestPmEb:
         assert np.all(np.diff(path) >= 0.0)
 
 
-def _scalar_path(xs, alpha):
-    """Reference: the streaming ``step`` looped over the stream."""
+def step(t, sum_lx, sum_l, sum_psi, sum_x, sum_dev, log_inv_alpha, x):
+    """Advance the PM-EB accumulators by one observation.
+
+    Returns (t, sum_lx, sum_l, sum_psi, sum_x, sum_dev, lower) after the
+    update, with ``lower`` already clipped to [0, 1].
+    """
+    mu_prev = (0.5 + sum_x) / (t + 1.0)
+    sig2_prev = (0.25 + sum_dev) / (t + 1.0)
+    tn = t + 1
+    lam = math.sqrt(2.0 * log_inv_alpha / (sig2_prev * tn * math.log(tn + 1.0)))
+    if lam > 0.5:
+        lam = 0.5
+    v = 4.0 * (x - mu_prev) * (x - mu_prev)
+    psi = (-math.log(1.0 - lam) - lam) / 4.0
+    sum_lx += lam * x
+    sum_l += lam
+    sum_psi += v * psi
+    sum_x += x
+    mu_new = (0.5 + sum_x) / (tn + 1.0)
+    sum_dev += (x - mu_new) * (x - mu_new)
+    lower = (sum_lx - log_inv_alpha - sum_psi) / sum_l
+    if lower < 0.0:
+        lower = 0.0
+    elif lower > 1.0:
+        lower = 1.0
+    return tn, sum_lx, sum_l, sum_psi, sum_x, sum_dev, lower
+
+
+def _scalar_run(xs, alpha):
+    """Reference: ``step`` looped over the stream; returns the per-step
+    bounds and the final (t, sum_lx, sum_l, sum_psi, sum_x, sum_dev)."""
     log_inv_alpha = math.log(1.0 / alpha)
     acc = (0, 0.0, 0.0, 0.0, 0.0, 0.0)
     out = []
     for x in xs.tolist():
         *acc, lower = step(*acc, log_inv_alpha, x)
         out.append(lower)
-    return np.array(out, dtype=float)
+    return np.array(out, dtype=float), tuple(acc)
+
+
+def _random_cuts(n, rng):
+    """Sorted cut points of a stream of length n: a few random ones, a
+    chunk of length 1 and an empty chunk included."""
+    i = int(rng.integers(0, n - 1))
+    cuts = rng.integers(0, n + 1, size=int(rng.integers(1, 12))).tolist()
+    return sorted(cuts + [i, i + 1, i + 1])
 
 
 def _stream(kind, n, rng):
@@ -164,7 +202,23 @@ class TestBatchPathBitIdentity:
         rng = np.random.default_rng(7)
         for n in (0, 1, 2, 1000):
             xs = _stream(kind, n, rng)
-            assert pmeb_lower_path(xs, alpha).tobytes() == _scalar_path(xs, alpha).tobytes()
+            assert pmeb_lower_path(xs, alpha).tobytes() == _scalar_run(xs, alpha)[0].tobytes()
+
+    @pytest.mark.parametrize("kind", ["uniform", "bernoulli"])
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.25])
+    def test_resumed_chunks_match_scalar_step(self, alpha, kind):
+        rng = np.random.default_rng(11)
+        xs = _stream(kind, 3000, rng)
+        lowers_ref, acc_ref = _scalar_run(xs, alpha)
+        for _ in range(5):
+            state, parts = pmeb_fresh(alpha), []
+            for chunk in np.split(xs, _random_cuts(xs.size, rng)):
+                lowers, state = pmeb_update(state, chunk)
+                parts.append(lowers)
+            assert np.concatenate(parts).tobytes() == lowers_ref.tobytes()
+            acc = (state.t, state.sum_lx, state.sum_l, state.sum_psi, state.sum_x, state.sum_dev)
+            assert np.array(acc).tobytes() == np.array(acc_ref).tobytes()
+            assert state.best_lower == lowers_ref.max()
 
     def test_long_stream_matches_scalar_step(self):
         # Long enough that numpy's vectorized log, which differs from libm
@@ -172,4 +226,4 @@ class TestBatchPathBitIdentity:
         # log(t + 1) or log(1 - lambda) to np.log changes bounds from step
         # 9,637 and 14,559 of this stream respectively.
         xs = np.random.default_rng(103).random(15_000)
-        assert pmeb_lower_path(xs, 0.05).tobytes() == _scalar_path(xs, 0.05).tobytes()
+        assert pmeb_lower_path(xs, 0.05).tobytes() == _scalar_run(xs, 0.05)[0].tobytes()

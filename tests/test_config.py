@@ -49,6 +49,17 @@ class TestValidation:
             parse_config(str(path))
         assert exc.value.key == "scores"
 
+    @pytest.mark.parametrize("key", ["p_values", "p_hat_values", "eps_harm_grid", "eps_tol_grid"])
+    def test_empty_list_is_rejected(self, tmp_path, key):
+        # an empty p_values used to fall back to the default grid, and an
+        # empty eps_tol_grid crashed sweep on its first row
+        path = tmp_path / "c.cfg"
+        path.write_text(f"{key} =\n")
+        for args, flags in (((str(path),), {}), ((), {key: ","})):
+            with pytest.raises(ConfigError) as exc:
+                parse_config(*args, **flags)
+            assert exc.value.key == key
+
     def test_missing_config_file(self):
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/path.cfg")

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shiftwatch import Dataset, Selector, empirical_quantile
-from shiftwatch.core import read_dataset, write_dataset
+from shiftwatch import core
+from shiftwatch.core import read_chunks, read_dataset, write_dataset
 from shiftwatch.errors import IngestError, InvalidInput
 
 
@@ -106,10 +107,37 @@ class TestCsvRoundTrip:
     def test_missing_error_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1\n1,2\n")
-        with pytest.raises(IngestError):
+        with pytest.raises(IngestError, match="missing required 'error' column"):
             read_dataset(path)
-        data = read_dataset(path, require_error=False)
-        assert data.errors is None and data.n == 1
+
+    def test_chunks_join_to_the_whole_file(self, tmp_path, monkeypatch, correlated_dataset):
+        path = tmp_path / "data.csv"
+        write_dataset(path, correlated_dataset)
+        whole = read_dataset(path)
+        monkeypatch.setattr(core, "CHUNK_ROWS", 7)
+        chunks = list(read_chunks(path, "data"))
+        assert [c.n for c in chunks] == [7] * 57 + [1]
+        joined = read_dataset(path)
+        for col in ("features", "errors", "scores"):
+            assert getattr(joined, col).tobytes() == getattr(whole, col).tobytes()
+            assert np.concatenate([getattr(c, col) for c in chunks]).tobytes() == getattr(whole, col).tobytes()
+
+    @pytest.mark.parametrize(
+        "text, fragments",
+        [
+            ("f0,error\n1,0.5\n\n2,oops\n", ["line 4", "column error", "'oops'"]),
+            ("f0,f1,error\n1,2,0.5\n1,2\n", ["line 3", "column error", "''"]),
+            ("f0,error,score\n1,0.5,inf\n", ["line 2", "column score", "'inf'"]),
+            ("f0,error\nnan,0.5\n", ["line 2", "column f0", "'nan'"]),
+        ],
+    )
+    def test_bad_cell_names_line_and_column(self, tmp_path, text, fragments):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(IngestError) as exc:
+            read_dataset(path)
+        for fragment in fragments:
+            assert fragment in str(exc.value)
 
     def test_bad_feature_names(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -13,7 +13,9 @@ from shiftwatch import (
     run_suite,
     suite_metrics,
 )
+from shiftwatch import harness as harness_module
 from shiftwatch.errors import InvalidInput
+from shiftwatch.estimator import predict_many
 from shiftwatch.harness import DetectorTrace, reports_to_json, suite_metrics_by_r2
 from shiftwatch.monitor import MonitorConfig
 from shiftwatch.shiftsim import ShiftScenario, enumerate_scenarios
@@ -139,6 +141,28 @@ class TestRunExperiment:
                 fired += 1
             assert report.traces["oracle_q2"].max_margin <= 0.0
         assert fired == 0
+
+    def test_out_of_range_scores_are_clipped_and_counted(self, small_run, monkeypatch):
+        """The plug-in mean detector sees scores clipped to [0, 1], and the
+        report counts the clipped ones."""
+        data, scenario, schedule, config = small_run
+        stretched = lambda model, x: 3.0 * predict_many(model, x) - 1.0
+        counted = []
+
+        def out_of_range(model, x):
+            scores = stretched(model, x)
+            counted.append(int(((scores < 0.0) | (scores > 1.0)).sum()))
+            return scores
+
+        monkeypatch.setattr(harness_module, "predict_many", out_of_range)
+        report = run_experiment(data, scenario, schedule, config, seed=5)
+        monkeypatch.setattr(harness_module, "predict_many", lambda m, x: np.clip(stretched(m, x), 0.0, 1.0))
+        clipped = run_experiment(data, scenario, schedule, config, seed=5)
+        assert report.n_clipped == counted[0] > 0
+        assert clipped.n_clipped == 0
+        assert report.selector == clipped.selector
+        for key in report.traces:
+            assert np.array_equal(report.traces[key].margins, clipped.traces[key].margins)
 
     def test_requires_labels(self, small_run):
         _, scenario, schedule, config = small_run

@@ -18,6 +18,7 @@ from shiftwatch import (
 from shiftwatch.confidence import pmeb_best_lower_path
 from shiftwatch.errors import InvalidInput
 from shiftwatch.monitor import (
+    TRAJECTORY_COLUMNS,
     SourceStats,
     first_alarm_time,
     mean_lower_path,
@@ -125,17 +126,34 @@ class TestQuantileDetector:
         scores[200:] += 0.3
         selector = Selector(q=0.5, q_hat=0.6, p=0.7, p_hat=0.6)
         stats = _stats()
+        selected = selector.select(scores)
+        t = np.arange(1, scores.size + 1)
         for delta_corr in (0.0, 0.02):
             cfg = MonitorConfig(delta_corr=delta_corr)
-            state = MonitorState(selector, stats, cfg)
-            for s in scores:
-                state.observe(s)
-            streaming = np.array([row.l_q for row in state.trajectory])
-            batch = quantile_lower_path(selector.select(scores).astype(float), stats, cfg)
-            assert np.array_equal(streaming, batch)
-            assert state.phi_q_time == first_alarm_time(batch - stats.u_q, cfg.eps_tol)
-            assert state.phi_q2_time == first_alarm_time(batch - stats.u_q2, cfg.eps_tol)
-            assert state.phi_q2_time is not None
+            batch = quantile_lower_path(selected.astype(float), stats, cfg)
+            t_q = first_alarm_time(batch - stats.u_q, cfg.eps_tol)
+            t_q2 = first_alarm_time(batch - stats.u_q2, cfg.eps_tol)
+            assert t_q2 is not None and t_q is not None
+            for _ in range(5):
+                # random cuts, a chunk of length 1, and a chunk that
+                # crosses each alarm
+                cuts = sorted(
+                    rng.integers(0, scores.size + 1, size=6).tolist()
+                    + [t_q2 - 3, t_q2 + 2, t_q - 1, t_q + 4, 50, 51]
+                )
+                state = MonitorState(selector, stats, cfg)
+                rows = []
+                for chunk in np.split(scores, cuts):
+                    rows += state.observe(chunk)
+                assert state.phi_q_time == t_q and state.phi_q2_time == t_q2
+                assert state.t == scores.size and state.n_selected == selected.sum()
+                cols = list(zip(*rows))
+                assert np.array_equal(np.array(cols[2]), batch)
+                assert list(cols[0]) == t.tolist()
+                assert list(cols[1]) == [int(n) / int(i) for n, i in zip(np.cumsum(selected), t)]
+                assert set(cols[3]) == {stats.u_q} and set(cols[4]) == {stats.u_q2}
+                assert list(cols[5]) == (t >= t_q).astype(int).tolist()
+                assert list(cols[6]) == (t >= t_q2).astype(int).tolist()
 
     def test_alarm_rule_at_float_boundary(self):
         """Streaming and batch share the rule margin > eps_tol, also where
@@ -156,8 +174,9 @@ class TestQuantileDetector:
         batch = quantile_lower_path(np.ones(n), stats, cfg)
         assert first_alarm_time(batch - stats.u_q2, eps_tol) == n
         state = MonitorState(Selector(q=0.5, q_hat=0.5, p=0.7, p_hat=0.5), stats, cfg)
-        for _ in range(n):
-            state.observe(1.0)
+        state.observe(np.ones(n - 1))
+        assert state.phi_q2_time is None
+        state.observe(np.ones(1))
         assert state.phi_q2_time == n
         assert state.phi_q_time is None
 
@@ -168,12 +187,12 @@ class TestQuantileDetector:
         state = MonitorState(selector, stats, cfg)
         # feed constant selections until phi_q2 (threshold 0.07) fires
         while not state.phi_q2 and state.t < 2000:
-            state.observe(1.0)
+            state.observe([1.0])
         assert state.phi_q2
         first = state.phi_q2_time
-        for _ in range(50):
-            state.observe(0.0)
+        rows = state.observe(np.zeros(50))
         assert state.phi_q2_time == first  # latched
+        assert all(row[6] == 1 for row in rows)
         assert state.phi_q2_time <= (state.phi_q_time or 10**9)
 
     def test_simple_threshold_comparisons(self):
@@ -190,14 +209,18 @@ class TestQuantileDetector:
 
     def test_trajectory_exports(self, tmp_path):
         state = MonitorState(Selector(0.5, 0.5, 0.7, 0.5), _stats(), MonitorConfig())
-        for t in range(1, 6):
-            state.observe(float(t % 2))
-        assert [row.t for row in state.trajectory] == [1, 2, 3, 4, 5]
-        assert all(type(row.l_q) is float for row in state.trajectory)
+        rows = state.observe([1.0, 0.0, 1.0]) + state.observe([0.0, 1.0])
+        assert [row[0] for row in rows] == [1, 2, 3, 4, 5]
+        assert all(type(x) is float for row in rows for x in row[1:5])
+        assert all(type(x) is int for row in rows for x in (row[0], row[5], row[6]))
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, state.trajectory)
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
+            write_trajectory_csv(fh, rows[:3])
+            write_trajectory_csv(fh, rows[3:])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,selection_rate,L_q,U_q,U_q2,phi_q,phi_q2"
+        assert lines[2] == f"2,0.5,{rows[1][2]!r},{rows[1][3]!r},{rows[1][4]!r},0,0"
         assert len(lines) == 6
 
 
@@ -224,13 +247,6 @@ class TestMeanDetector:
         lowers = mean_lower_path(np.ones(2000), cfg)
         assert first_alarm_time(lowers, cfg.eps_tol) is None
 
-    def test_clipping_policy(self):
-        cfg = MonitorConfig()
-        clipped = mean_lower_path([1.7, -0.2, 0.5], cfg, clip_scores=True)
-        assert np.array_equal(clipped, mean_lower_path([1.0, 0.0, 0.5], cfg))
-        with pytest.raises(InvalidInput):
-            mean_lower_path([1.7], cfg)
-
     def test_batch_path_matches_streaming(self):
         rng = np.random.default_rng(3)
         xs = rng.random(200)
@@ -238,7 +254,7 @@ class TestMeanDetector:
         state = pmeb_fresh(cfg.alpha_prod)
         lowers = []
         for x in xs:
-            state = pmeb_update(state, x)
+            _, state = pmeb_update(state, [x])
             lowers.append(state.best_lower)
         assert np.array_equal(np.array(lowers), mean_lower_path(xs, cfg))
 
