@@ -23,6 +23,8 @@ from .core import read_chunks, read_dataset, write_dataset
 from .errors import ConfigError, IngestError, ShiftwatchError
 from .estimator import fit_knn, predict, r_squared, score_dataset, split_half
 from .harness import (
+    PLUGIN_DETECTORS,
+    SCHEMA_VERSION,
     ExperimentConfig,
     reports_to_json,
     run_suite,
@@ -38,43 +40,30 @@ from .monitor import (
 )
 from .shiftsim import Schedule, build_stream, enumerate_scenarios, split_pools
 
-SCHEMA_VERSION = 1
-
 
 def _monitor_config(cfg: AppConfig) -> MonitorConfig:
     return MonitorConfig(
         alpha_source=cfg.alpha_source,
         alpha_prod=cfg.alpha_prod,
         alpha1=cfg.alpha1,
-        alpha2=cfg.alpha2,
         eps_tol=cfg.eps_tol,
         delta_corr=cfg.delta_corr,
     )
 
 
-def _grid_spec(cfg: AppConfig) -> GridSpec:
-    kwargs = {"fdp_max": cfg.fdp_max}
-    if cfg.p_values is not None:
-        kwargs["p_values"] = cfg.p_values
-    if cfg.p_hat_values is not None:
-        kwargs["p_hat_values"] = cfg.p_hat_values
-    return GridSpec(**kwargs)
-
-
-def _schedule(cfg: AppConfig) -> Schedule:
-    onset = cfg.onset
-    if cfg.schedule != "none" and onset is None:
-        onset = cfg.horizon // 2
-    return Schedule(kind=cfg.schedule, horizon=cfg.horizon, onset=onset)
-
-
-def _feature_kinds(cfg: AppConfig, d: int):
-    if cfg.feature_kinds is None:
-        return ["continuous"] * d
-    kinds = [k.strip() for k in cfg.feature_kinds.split(",")]
-    if len(kinds) != d:
-        raise ConfigError("feature_kinds", f"expected {d} kinds, got {len(kinds)}")
-    return kinds
+def _scenarios(cfg: AppConfig):
+    """The source, its feature-split scenarios and the production schedule
+    of simulate, evaluate and sweep."""
+    if cfg.source is None:
+        raise ConfigError("source", "a source CSV is required")
+    source = read_dataset(cfg.source)
+    kinds = ["continuous"] * source.d
+    if cfg.feature_kinds is not None:
+        kinds = [k.strip() for k in cfg.feature_kinds.split(",")]
+    if len(kinds) != source.d:
+        raise ConfigError("feature_kinds", f"expected {source.d} kinds, got {len(kinds)}")
+    scenarios = enumerate_scenarios(source, kinds, cfg.ablation_fraction, base_seed=cfg.seed)
+    return source, scenarios, Schedule(kind=cfg.schedule, horizon=cfg.horizon, onset=cfg.onset)
 
 
 def _calibration_pipeline(cfg: AppConfig):
@@ -94,7 +83,7 @@ def _calibration_pipeline(cfg: AppConfig):
         model = fit_knn(fit_half, min(cfg.k, fit_half.n))
         cal_scored = score_dataset(model, cal_half)
     r2 = r_squared(cal_scored.scores, cal_scored.errors)
-    calres = calibrate(_grid_spec(cfg), cal_scored)
+    calres = calibrate(GridSpec(cfg.p_values, cfg.p_hat_values, cfg.fdp_max), cal_scored)
     return model, cal_scored, calres, r2
 
 
@@ -221,14 +210,7 @@ def cmd_simulate(config_file, **flags):
     """Enumerate feature-split scenarios and write replayable streams."""
     cfg = parse_config(config_file, **flags)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    source = read_dataset(cfg.source) if cfg.source else None
-    if source is None:
-        raise ConfigError("source", "a source CSV is required")
-    kinds = _feature_kinds(cfg, source.d)
-    scenarios = enumerate_scenarios(
-        source, kinds, cfg.ablation_fraction, base_seed=cfg.seed
-    )
-    schedule = _schedule(cfg)
+    source, scenarios, schedule = _scenarios(cfg)
     index = []
     for scenario in scenarios:
         retained, excluded = split_pools(source, scenario)
@@ -251,20 +233,14 @@ def cmd_simulate(config_file, **flags):
 
 
 def _run_suite_from_config(cfg: AppConfig):
-    source = read_dataset(cfg.source) if cfg.source else None
-    if source is None:
-        raise ConfigError("source", "a source CSV is required")
-    kinds = _feature_kinds(cfg, source.d)
-    scenarios = enumerate_scenarios(source, kinds, cfg.ablation_fraction, base_seed=cfg.seed)
+    source, scenarios, schedule = _scenarios(cfg)
     exp = ExperimentConfig(
         k=cfg.k,
-        grid=_grid_spec(cfg),
+        grid=GridSpec(cfg.p_values, cfg.p_hat_values, cfg.fdp_max),
         monitor=_monitor_config(cfg),
-        horizon=cfg.horizon,
     )
     seeds = list(range(cfg.seed, cfg.seed + cfg.n_seeds))
-    reports = run_suite(source, scenarios, _schedule(cfg), exp, seeds, workers=cfg.workers)
-    return reports
+    return run_suite(source, scenarios, schedule, exp, seeds, workers=cfg.workers)
 
 
 @main.command("evaluate")
@@ -286,7 +262,7 @@ def cmd_evaluate(config_file, **flags):
         "n_uncalibratable": sum(r.uncalibratable for r in reports),
         "detectors": {
             det: suite_metrics(reports, det, eps_harm=0.0).to_dict()
-            for det in ("phi_q", "phi_q2", "mean")
+            for det in PLUGIN_DETECTORS
         },
         "by_r2_decile": {
             det: suite_metrics_by_r2(reports, det, eps_harm=0.0)
@@ -318,7 +294,7 @@ def cmd_sweep(config_file, **flags):
     rows = []
     for eps_tol in cfg.eps_tol_grid:
         for eps_harm in cfg.eps_harm_grid:
-            for det in ("phi_q", "phi_q2", "mean"):
+            for det in PLUGIN_DETECTORS:
                 m = suite_metrics(reports, det, eps_harm=eps_harm, eps_tol=eps_tol)
                 rows.append({"eps_tol": eps_tol, **m.to_dict()})
     payload = {"schema_version": SCHEMA_VERSION, "sweep": rows}

@@ -7,13 +7,16 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from .calibration import DEFAULT_FDP_MAX, DEFAULT_P_HAT_VALUES, DEFAULT_P_VALUES
 from .errors import ConfigError
+from .estimator import DEFAULT_K
+from .monitor import MonitorConfig
+from .shiftsim import DEFAULT_ABLATION_FRACTION
 
 _FLOAT_KEYS = {
     "alpha_source",
     "alpha_prod",
     "alpha1",
-    "alpha2",
     "eps_tol",
     "delta_corr",
     "fdp_max",
@@ -30,16 +33,15 @@ class AppConfig:
     source: Optional[str] = None
     production: Optional[str] = None
     out_dir: str = "out"
-    k: int = 10
-    p_values: Optional[Tuple[float, ...]] = None
-    p_hat_values: Optional[Tuple[float, ...]] = None
-    fdp_max: float = 0.2
-    alpha_source: float = 0.05
-    alpha_prod: float = 0.05
-    alpha1: Optional[float] = None
-    alpha2: Optional[float] = None
-    eps_tol: float = 0.0
-    delta_corr: float = 0.0
+    k: int = DEFAULT_K
+    p_values: Tuple[float, ...] = DEFAULT_P_VALUES
+    p_hat_values: Tuple[float, ...] = DEFAULT_P_HAT_VALUES
+    fdp_max: float = DEFAULT_FDP_MAX
+    alpha_source: float = MonitorConfig.alpha_source
+    alpha_prod: float = MonitorConfig.alpha_prod
+    alpha1: Optional[float] = MonitorConfig.alpha1
+    eps_tol: float = MonitorConfig.eps_tol
+    delta_corr: float = MonitorConfig.delta_corr
     schedule: str = "sudden"
     horizon: int = 2000
     onset: Optional[int] = None
@@ -47,7 +49,7 @@ class AppConfig:
     n_seeds: int = 1
     workers: int = 1
     feature_kinds: Optional[str] = None
-    ablation_fraction: float = 0.8
+    ablation_fraction: float = DEFAULT_ABLATION_FRACTION
     eps_harm_grid: Tuple[float, ...] = (0.0, 0.02, 0.05, 0.1)
     eps_tol_grid: Tuple[float, ...] = (0.0,)
 
@@ -70,20 +72,22 @@ def _coerce(key: str, raw):
 
 
 def _read_config_file(path: str) -> dict:
-    if not os.path.exists(path):
-        raise ConfigError("config", f"file not found: {path}")
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("config", f"cannot read {path}: {exc}")
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError("config", f"line {lineno}: expected key = value")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in KNOWN_KEYS:
-                raise ConfigError(key, "unknown configuration key")
-            values[key] = raw
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError("config", f"line {lineno}: expected key = value")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key not in KNOWN_KEYS:
+            raise ConfigError(key, "unknown configuration key")
+        values[key] = raw
     return values
 
 
@@ -112,10 +116,8 @@ def _validate(cfg: AppConfig) -> None:
         v = getattr(cfg, key)
         if not 0.0 < v < 1.0:
             raise ConfigError(key, f"must lie in (0, 1), got {v}")
-    for key in ("alpha1", "alpha2"):
-        v = getattr(cfg, key)
-        if v is not None and not 0.0 < v < 1.0:
-            raise ConfigError(key, f"must lie in (0, 1), got {v}")
+    if cfg.alpha1 is not None and not 0.0 < cfg.alpha1 < cfg.alpha_prod:
+        raise ConfigError("alpha1", f"must lie in (0, alpha_prod), got {cfg.alpha1}")
     if not 0.0 < cfg.fdp_max < 1.0:
         raise ConfigError("fdp_max", f"must lie in (0, 1), got {cfg.fdp_max}")
     if cfg.eps_tol < 0.0:
@@ -132,13 +134,14 @@ def _validate(cfg: AppConfig) -> None:
         raise ConfigError("onset", "must lie in [1, horizon]")
     if not 0.0 < cfg.ablation_fraction <= 1.0:
         raise ConfigError("ablation_fraction", "must lie in (0, 1]")
+    if cfg.seed < 0:
+        raise ConfigError("seed", "must be >= 0")
     if cfg.n_seeds < 1:
         raise ConfigError("n_seeds", "must be >= 1")
     if cfg.workers < 1:
         raise ConfigError("workers", "must be >= 1")
     for key in sorted(_LIST_KEYS):
-        values = getattr(cfg, key)
-        if values is not None and not values:
+        if not getattr(cfg, key):
             raise ConfigError(key, "must list at least one value")
     for key in ("source", "production"):
         path = getattr(cfg, key)

@@ -139,42 +139,51 @@ def read_chunks(path, where) -> Iterator[Dataset]:
 
     Every cell of a feature, ``error`` or ``score`` column in the header
     must be a finite number; otherwise IngestError names the line and the
-    column. Errors must also lie in [0, 1]. Blank lines are skipped."""
-    fh = sys.stdin if path == "-" else open(path, newline="")
-    try:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise IngestError(f"{where}: missing header row")
-        names = _feature_columns(header, where)
-        d = len(names)
-        has_error, has_score = "error" in header, "score" in header
-        names += [c for c in ("error", "score") if c in header]
-        cols = [(header.index(name), name) for name in names]
+    column. Errors must also lie in [0, 1]. Blank lines are skipped. A
+    file that cannot be opened, read or decoded is an IngestError too."""
+    reader = csv.reader(_lines(path, where))
+    header = next(reader, None)
+    if header is None:
+        raise IngestError(f"{where}: missing header row")
+    names = _feature_columns(header, where)
+    d = len(names)
+    has_error, has_score = "error" in header, "score" in header
+    names += [c for c in ("error", "score") if c in header]
+    cols = [(header.index(name), name) for name in names]
 
-        def chunk(rows) -> Dataset:
-            values = np.array(rows)
-            try:
-                return Dataset(
-                    values[:, :d],
-                    values[:, d] if has_error else None,
-                    values[:, -1] if has_score else None,
-                )
-            except InvalidInput as exc:
-                raise IngestError(f"{where}: {exc}")
+    def chunk(rows) -> Dataset:
+        values = np.array(rows)
+        try:
+            return Dataset(
+                values[:, :d],
+                values[:, d] if has_error else None,
+                values[:, -1] if has_score else None,
+            )
+        except InvalidInput as exc:
+            raise IngestError(f"{where}: {exc}")
 
-        rows = []
-        for row in reader:
-            if row:
-                rows.append([_cell(row, i, name, reader.line_num, where) for i, name in cols])
-            if len(rows) == CHUNK_ROWS:
-                yield chunk(rows)
-                rows = []
-        if rows:
+    rows = []
+    for row in reader:
+        if row:
+            rows.append([_cell(row, i, name, reader.line_num, where) for i, name in cols])
+        if len(rows) == CHUNK_ROWS:
             yield chunk(rows)
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
+            rows = []
+    if rows:
+        yield chunk(rows)
+
+
+def _lines(path, where) -> Iterator[str]:
+    """The lines of the file at ``path``, or of stdin for '-'; the file is
+    closed when the lines are exhausted or abandoned."""
+    try:
+        if path == "-":
+            yield from sys.stdin
+        else:
+            with open(path, newline="") as fh:
+                yield from fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestError(f"{where}: cannot read: {exc}")
 
 
 def _cell(row, i, name, line, where) -> float:

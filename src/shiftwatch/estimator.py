@@ -35,7 +35,7 @@ class KnnModel:
     feature_stds: np.ndarray
 
 
-def fit_knn(train: Dataset, k: int = DEFAULT_K) -> KnnModel:
+def fit_knn(train: Dataset, k: int) -> KnnModel:
     if train.errors is None:
         raise InvalidInput("k-NN training data must carry true errors")
     if k < 1 or k > train.n:

@@ -21,7 +21,7 @@ import numpy as np
 from .calibration import GridSpec, calibrate
 from .core import Dataset, Selector
 from .errors import CalibrationInfeasible, InvalidInput
-from .estimator import fit_knn, predict_many, r_squared, score_dataset, split_half
+from .estimator import DEFAULT_K, fit_knn, predict_many, r_squared, score_dataset, split_half
 from .monitor import (
     MonitorConfig,
     delta_diagnostic,
@@ -37,6 +37,10 @@ from .shiftsim import Schedule, ShiftScenario, build_stream, split_pools
 SCHEMA_VERSION = 1
 
 PLUGIN_DETECTORS = ("phi_q", "phi_q2", "mean")
+# Shares of the retained pool for training and production test; the rest calibrates.
+TRAIN_FRAC = 0.6
+TEST_FRAC = 0.2
+R2_BINS = 10
 _ORACLE_KEY = {"phi_q": "oracle_q", "phi_q2": "oracle_q2", "mean": "oracle_mean"}
 _PLUGIN_KEY = {"phi_q": "plugin_q", "phi_q2": "plugin_q2", "mean": "plugin_mean"}
 
@@ -45,12 +49,9 @@ _PLUGIN_KEY = {"phi_q": "plugin_q", "phi_q2": "plugin_q2", "mean": "plugin_mean"
 class ExperimentConfig:
     """Knobs shared by every run in a suite."""
 
-    k: int = 10
+    k: int = DEFAULT_K
     grid: GridSpec = field(default_factory=GridSpec)
     monitor: MonitorConfig = field(default_factory=MonitorConfig)
-    horizon: int = 2000
-    train_frac: float = 0.6
-    test_frac: float = 0.2
 
 
 @dataclass(frozen=True)
@@ -133,11 +134,11 @@ def _sub_seeds(seed: int, scenario: ShiftScenario) -> Tuple[int, int, int]:
     return tuple(int(c.generate_state(1)[0]) for c in ss.spawn(3))
 
 
-def _partition(data: Dataset, train_frac: float, test_frac: float, seed: int):
+def _partition(data: Dataset, seed: int):
     rng = np.random.default_rng(seed)
     perm = rng.permutation(data.n)
-    n_train = int(train_frac * data.n)
-    n_test = int(test_frac * data.n)
+    n_train = int(TRAIN_FRAC * data.n)
+    n_test = int(TEST_FRAC * data.n)
     train = data.subset(perm[:n_train])
     test = data.subset(perm[n_train : n_train + n_test])
     calib = data.subset(perm[n_train + n_test :])
@@ -166,7 +167,7 @@ def run_experiment(
     ablate_seed, part_seed, stream_seed = _sub_seeds(seed, scenario)
     scenario = dataclasses.replace(scenario, seed=ablate_seed)
     retained, excluded = split_pools(source, scenario)
-    _, test, calib = _partition(retained, config.train_frac, config.test_frac, part_seed)
+    _, test, calib = _partition(retained, part_seed)
 
     report = RunReport(
         scenario_id=scenario.scenario_id,
@@ -292,7 +293,7 @@ def suite_metrics(
 
 
 def suite_metrics_by_r2(
-    reports: Sequence[RunReport], detector: str, eps_harm: float, n_bins: int = 10
+    reports: Sequence[RunReport], detector: str, eps_harm: float
 ) -> List[dict]:
     """Suite metrics grouped by estimator-R^2 decile; bins partition the
     usable reports exactly."""
@@ -300,10 +301,10 @@ def suite_metrics_by_r2(
     if not usable:
         return []
     r2s = np.array([r.r2 for r in usable])
-    edges = np.quantile(r2s, np.linspace(0.0, 1.0, n_bins + 1))
-    bins = np.clip(np.searchsorted(edges, r2s, side="right") - 1, 0, n_bins - 1)
+    edges = np.quantile(r2s, np.linspace(0.0, 1.0, R2_BINS + 1))
+    bins = np.clip(np.searchsorted(edges, r2s, side="right") - 1, 0, R2_BINS - 1)
     out = []
-    for b in range(n_bins):
+    for b in range(R2_BINS):
         members = [r for r, k in zip(usable, bins) if k == b]
         if not members:
             continue

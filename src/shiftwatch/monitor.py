@@ -32,33 +32,36 @@ class MonitorConfig:
     """Miscoverage budget and tolerances.
 
     ``alpha_prod`` is split between the production confidence sequence
-    (alpha1) and the source false-discovery interval (alpha2); by default
-    50/50. ``delta_corr`` is the additive lower-bound correction covering
-    violations of the source-to-production false-discovery assumption.
+    (``alpha1``, by default half of it) and the source false-discovery
+    interval, which gets the rest (``alpha2``). ``delta_corr`` is the
+    additive lower-bound correction covering violations of the
+    source-to-production false-discovery assumption.
     """
 
     alpha_source: float = 0.05
     alpha_prod: float = 0.05
     alpha1: Optional[float] = None
-    alpha2: Optional[float] = None
     eps_tol: float = 0.0
     delta_corr: float = 0.0
 
     def __post_init__(self):
-        if self.alpha1 is None:
-            object.__setattr__(self, "alpha1", self.alpha_prod / 2.0)
-        if self.alpha2 is None:
-            object.__setattr__(self, "alpha2", self.alpha_prod / 2.0)
-        for name in ("alpha_source", "alpha_prod", "alpha1", "alpha2"):
+        for name in ("alpha_source", "alpha_prod"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise InvalidInput(f"{name} must lie in (0, 1), got {v}")
-        if abs(self.alpha1 + self.alpha2 - self.alpha_prod) > 1e-12:
-            raise InvalidInput("alpha1 + alpha2 must equal alpha_prod")
+        if self.alpha1 is None:
+            object.__setattr__(self, "alpha1", self.alpha_prod / 2.0)
+        if not 0.0 < self.alpha1 < self.alpha_prod:
+            raise InvalidInput(f"alpha1 must lie in (0, alpha_prod), got {self.alpha1}")
         if self.eps_tol < 0.0:
             raise InvalidInput("eps_tol must be >= 0")
         if self.delta_corr < 0.0:
             raise InvalidInput("delta_corr must be >= 0")
+
+    @property
+    def alpha2(self) -> float:
+        """The rest of alpha_prod, for the source false-discovery interval."""
+        return self.alpha_prod - self.alpha1
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ subgroup-failure dataset generator is included for experiments and tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -22,6 +21,7 @@ CATEGORICAL = "categorical"
 
 DEFAULT_ABLATION_FRACTION = 0.8
 MIN_SUBGROUP = 10
+IMMUNE_BAND = 0.05
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,8 @@ class ShiftScenario:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Production schedule: none, sudden(T), or sigmoid(t0)."""
+    """Production schedule: none, sudden(T), or sigmoid(t0). A shifting
+    schedule without an onset shifts at half the horizon (at least 1)."""
 
     kind: str  # none | sudden | sigmoid
     horizon: int
@@ -63,14 +64,18 @@ class Schedule:
         if self.horizon < 1:
             raise InvalidInput("horizon must be >= 1")
         if self.kind != "none":
-            if self.onset is None or not 1 <= self.onset <= self.horizon:
+            if self.onset is None:
+                object.__setattr__(self, "onset", max(1, self.horizon // 2))
+            if not 1 <= self.onset <= self.horizon:
                 raise InvalidInput("onset must lie in [1, horizon]")
 
 
-def sigmoid_mixture(t: int, t0: int) -> float:
-    """Probability of drawing a shifted observation at time t: the logistic
-    1 / (1 + exp(-(t - t0)))."""
-    return 1.0 / (1.0 + math.exp(-(t - t0)))
+def sigmoid_mixture(t, t0):
+    """Probability of drawing a shifted observation at time t (scalar or
+    array): the logistic 1 / (1 + exp(-(t - t0))), exponent clipped to
+    [-700, 700] so that far-off times give 0 or 1, not an overflow."""
+    z = np.clip(np.asarray(t - t0, dtype=float), -700.0, 700.0)
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 def enumerate_scenarios(
@@ -78,11 +83,10 @@ def enumerate_scenarios(
     feature_kinds: Sequence[str],
     ablation_fraction: float = DEFAULT_ABLATION_FRACTION,
     base_seed: int = 0,
-    min_subgroup: int = MIN_SUBGROUP,
 ) -> List[ShiftScenario]:
     """All feature-split scenarios for a dataset: two per continuous feature
     (above/below median), one per category of each categorical feature.
-    Scenarios whose excluded subgroup would hold fewer than ``min_subgroup``
+    Scenarios whose excluded subgroup would hold fewer than ``MIN_SUBGROUP``
     observations, or more than half the dataset, are dropped: an ablated
     majority is not a subgroup shift."""
     if len(feature_kinds) != data.d:
@@ -97,7 +101,7 @@ def enumerate_scenarios(
                 ("below_median", int((col <= median).sum())),
             ):
                 n_excl = int(ablation_fraction * side)
-                if min_subgroup <= n_excl <= data.n // 2:
+                if MIN_SUBGROUP <= n_excl <= data.n // 2:
                     scenarios.append(
                         ShiftScenario(
                             feature_index=j,
@@ -108,7 +112,7 @@ def enumerate_scenarios(
                     )
         elif kind == CATEGORICAL:
             for value in np.unique(col):
-                if min_subgroup <= int((col == value).sum()) <= data.n // 2:
+                if MIN_SUBGROUP <= int((col == value).sum()) <= data.n // 2:
                     scenarios.append(
                         ShiftScenario(
                             feature_index=j,
@@ -188,8 +192,7 @@ def build_stream(
     elif schedule.kind == "sudden":
         from_excluded = t >= schedule.onset
     else:
-        z = np.clip((t - schedule.onset).astype(float), -700.0, 700.0)
-        beta = 1.0 / (1.0 + np.exp(-z))
+        beta = sigmoid_mixture(t, schedule.onset)
         from_excluded = (t >= schedule.onset) & (rng.random(horizon) < beta)
 
     idx_r = rng.integers(0, retained_test.n, size=horizon)
@@ -219,7 +222,6 @@ def make_subgroup_dataset(
     grade_coef: float = 0.0,
     echo_mix: float = 0.0,
     immune_frac: float = 0.0,
-    immune_band: float = 0.05,
     immune_anchor: str = "zone",
     immune_error: Optional[float] = None,
     masked_frac: float = 0.0,
@@ -255,7 +257,7 @@ def make_subgroup_dataset(
     categorical marker feature when it is "second". With
     ``immune_frac`` > 0 a categorical segment is added that shares the
     feature neighborhood of a failure zone (the primary zone's boundary
-    band of width ``immune_band`` under the "zone" anchor, the second
+    band of width ``IMMUNE_BAND`` under the "zone" anchor, the second
     zone's categorical marker under "second") yet keeps the base error
     rate: a model segment that looks like a failure zone but is immune
     to it (its error level is ``immune_error``, defaulting to the base). With ``masked_frac`` > 0 the opposite segment is added: a
@@ -284,7 +286,7 @@ def make_subgroup_dataset(
             immune = seg < immune_frac
             if immune_anchor == "zone":
                 edge = 1.0 - subgroup_frac
-                driver = np.where(immune, edge - immune_band * placement, driver)
+                driver = np.where(immune, edge - IMMUNE_BAND * placement, driver)
             else:
                 # keep immune members out of the primary zone; they share
                 # the second zone's marker instead of a driver band

@@ -89,7 +89,7 @@ def _verdict(name: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def shift_suite():
     """The feature-split shift suite: 7 datasets x 17 scenarios x 2 seeds."""
-    config = ExperimentConfig(horizon=SUITE_HORIZON, k=10)
+    config = ExperimentConfig(k=10)
     schedule = Schedule(kind="sudden", horizon=SUITE_HORIZON, onset=SUITE_ONSET)
     reports = []
     start = time.time()

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from shiftwatch import Dataset, core
+from shiftwatch import Dataset, cli, core
 from shiftwatch.cli import main
+from shiftwatch.confidence import hoeffding_halfwidth
 from shiftwatch.core import write_dataset
 
 
@@ -27,6 +28,15 @@ def _scored_source(path, n=200, seed=0):
     scores = errors + rng.normal(0.0, 0.02, n)
     write_dataset(path, Dataset(rng.random((n, 2)), errors, scores))
     return path
+
+
+def _assert_one_line_error(result, *fragments):
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # no uncaught traceback
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+    for fragment in fragments:
+        assert fragment in lines[0]
 
 
 class TestCalibrateCommand:
@@ -103,6 +113,30 @@ class TestMonitorCommand:
         assert summary["phi_q2_alarm_time"] is not None
         assert "ALARM" in result.output
 
+    def test_alpha1_alone_in_config_file(self, runner, tmp_path, monkeypatch):
+        """The interval gets the rest of alpha_prod: alpha2 = 0.05 - 0.01."""
+        src = _scored_source(tmp_path / "src.csv")
+        config = tmp_path / "c.cfg"
+        config.write_text("alpha1 = 0.01\n")
+        seen, real = [], cli.source_statistics
+
+        def recorded(data, selector, mon_cfg):
+            stats = real(data, selector, mon_cfg)
+            seen.append((data.n, mon_cfg, stats))
+            return stats
+
+        monkeypatch.setattr(cli, "source_statistics", recorded)
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["monitor", "--config", str(config), "--source", str(src), "--production", str(src), "--out-dir", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "monitor.json").read_text())["events"] == 200
+        (n, mon_cfg, stats), = seen
+        assert (mon_cfg.alpha1, mon_cfg.alpha2) == (0.01, 0.04)
+        assert stats.w_fd == hoeffding_halfwidth(n, 0.04)
+
     def test_monitor_requires_production(self, runner, tmp_path):
         src = _scored_source(tmp_path / "src.csv")
         result = runner.invoke(main, ["monitor", "--source", str(src)])
@@ -136,33 +170,25 @@ class TestMonitorCommand:
             ["monitor", "--source", str(src), "--production", str(prod), "--out-dir", str(tmp_path / "out")],
         )
 
-    def _assert_one_line_error(self, result, *fragments):
-        assert result.exit_code == 1, result.output
-        assert isinstance(result.exception, SystemExit)  # no uncaught traceback
-        lines = result.output.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
-        for fragment in fragments:
-            assert fragment in lines[0]
-
     def test_non_numeric_cell_is_ingest_error(self, runner, tmp_path):
         result = self._monitor_rows(runner, tmp_path, ["f0,f1,score", "0.1,abc,0.2"])
-        self._assert_one_line_error(result, "line 2", "column f1", "'abc'")
+        _assert_one_line_error(result, "line 2", "column f1", "'abc'")
         result = self._monitor_rows(runner, tmp_path, ["f0,f1,score", "0.1,0.2,0.3", "0.1,,0.2"])
-        self._assert_one_line_error(result, "line 3", "column f1")
+        _assert_one_line_error(result, "line 3", "column f1")
         result = self._monitor_rows(runner, tmp_path, ["f0,f1,score", "0.1,0.2,high"])
-        self._assert_one_line_error(result, "line 2", "column score")
+        _assert_one_line_error(result, "line 2", "column score")
         result = self._monitor_rows(runner, tmp_path, ["f0,f1,error,score", "0.1,0.2,x,0.3"])
-        self._assert_one_line_error(result, "line 2", "column error")
+        _assert_one_line_error(result, "line 2", "column error")
 
     def test_nan_scores_are_rejected(self, runner, tmp_path):
         result = self._monitor_rows(runner, tmp_path, ["f0,f1,score"] + ["0.5,0.5,nan"] * 50)
-        self._assert_one_line_error(result, "line 2", "column score", "'nan'")
+        _assert_one_line_error(result, "line 2", "column score", "'nan'")
         result = self._monitor_rows(runner, tmp_path, ["f0,f1,score", "0.5,0.5,0.1", "0.5,0.5,-inf"])
-        self._assert_one_line_error(result, "line 3", "column score")
+        _assert_one_line_error(result, "line 3", "column score")
 
     def test_non_finite_feature_is_rejected(self, runner, tmp_path):
         result = self._monitor_rows(runner, tmp_path, ["f0,f1,score", "inf,0.5,0.2"])
-        self._assert_one_line_error(result, "line 2", "column f0", "'inf'")
+        _assert_one_line_error(result, "line 2", "column f0", "'inf'")
 
     def test_finite_scores_outside_unit_interval_are_legal(self, runner, tmp_path):
         result = self._monitor_rows(runner, tmp_path, ["f0,f1,score"] + ["0.5,0.5,-3.0", "0.5,0.5,7.5"] * 10)
@@ -184,7 +210,7 @@ class TestMonitorCommand:
 
     def test_feature_columns_out_of_order_are_rejected(self, runner, tmp_path):
         result = self._monitor_knn_rows(runner, tmp_path, ["f3", "f2", "f1", "f0"])
-        self._assert_one_line_error(
+        _assert_one_line_error(
             result, "production stream", "f0..f{d-1} in order", "['f3', 'f2', 'f1', 'f0']"
         )
         result = self._monitor_knn_rows(runner, tmp_path, ["f0", "f1", "f2", "f3"])
@@ -192,7 +218,7 @@ class TestMonitorCommand:
 
     def test_feature_column_gap_is_rejected(self, runner, tmp_path):
         result = self._monitor_knn_rows(runner, tmp_path, ["f0", "f1", "f3"])
-        self._assert_one_line_error(
+        _assert_one_line_error(
             result, "production stream", "f0..f{d-1} in order", "['f0', 'f1', 'f3']"
         )
 
@@ -201,11 +227,11 @@ class TestMonitorCommand:
         # the production scores would be compared with a q_hat calibrated
         # on k-NN scores
         result = self._monitor_knn_rows(runner, tmp_path, ["f0", "f1", "f2", "f3", "score"])
-        self._assert_one_line_error(result, "production stream", "'score' column")
+        _assert_one_line_error(result, "production stream", "'score' column")
 
     def test_scored_source_needs_production_scores(self, runner, tmp_path):
         result = self._monitor_rows(runner, tmp_path, ["f0,f1", "0.5,0.5"])
-        self._assert_one_line_error(result, "production stream", "'score' column")
+        _assert_one_line_error(result, "production stream", "'score' column")
 
     def test_failed_run_leaves_no_summary(self, runner, tmp_path, monkeypatch):
         src = _scored_source(tmp_path / "src.csv")
@@ -216,7 +242,7 @@ class TestMonitorCommand:
         prod = tmp_path / "prod.csv"
         prod.write_text("\n".join(["f0,f1,score"] + ["0.5,0.5,0.2"] * 5 + ["0.5,0.5,x"]) + "\n")
         monkeypatch.setattr(core, "CHUNK_ROWS", 2)
-        self._assert_one_line_error(runner.invoke(main, args + [str(prod)]), "line 7")
+        _assert_one_line_error(runner.invoke(main, args + [str(prod)]), "line 7")
         assert not (out / "monitor.json").exists()
         assert len((out / "trajectory.csv").read_text().splitlines()) == 5  # header + 2 chunks
 
@@ -237,6 +263,41 @@ class TestMonitorCommand:
         for name in ("trajectory.csv", "monitor.json"):
             assert (tmp_path / "o1" / name).read_bytes() == (tmp_path / "o2" / name).read_bytes()
         assert len((tmp_path / "o1" / "trajectory.csv").read_text().splitlines()) == 501
+
+
+class TestUnreadableFiles:
+    """A directory, or a file that is not UTF-8, given as an input is an
+    error of one line."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        src = _scored_source(tmp_path / "src.csv")
+        undecodable = tmp_path / "bad.csv"
+        undecodable.write_bytes(src.read_bytes() + b"0.5,0.5,0.2\xff\n")
+        bad_config = tmp_path / "bad.cfg"
+        bad_config.write_bytes(b"k = 5\xff\n")
+        (tmp_path / "dir").mkdir()
+        return src, undecodable, bad_config, tmp_path / "dir"
+
+    def test_source(self, runner, tmp_path, inputs):
+        _, undecodable, _, directory = inputs
+        for path in (directory, undecodable):
+            result = runner.invoke(main, ["calibrate", "--source", str(path), "--out-dir", str(tmp_path / "o")])
+            _assert_one_line_error(result, "cannot read")
+
+    def test_production(self, runner, tmp_path, inputs):
+        src, undecodable, _, directory = inputs
+        for path in (directory, undecodable):
+            result = runner.invoke(
+                main, ["monitor", "--source", str(src), "--production", str(path), "--out-dir", str(tmp_path / "o")]
+            )
+            _assert_one_line_error(result, "production stream", "cannot read")
+
+    def test_config(self, runner, tmp_path, inputs):
+        src, _, bad_config, directory = inputs
+        for path in (directory, bad_config):
+            result = runner.invoke(main, ["calibrate", "--config", str(path), "--source", str(src)])
+            _assert_one_line_error(result, "config", "cannot read")
 
 
 class TestPackageErrors:
@@ -344,3 +405,18 @@ class TestEvaluateCommand:
         payload = json.loads(m1)
         assert set(payload["detectors"]) == {"phi_q", "phi_q2", "mean"}
 
+
+    def test_horizon_one_without_onset(self, runner, tmp_path):
+        # a shifting schedule without an onset shifts at half the horizon,
+        # and at least at t = 1
+        from shiftwatch.shiftsim import make_subgroup_dataset
+
+        src = tmp_path / "src.csv"
+        write_dataset(src, make_subgroup_dataset(500, seed=9))
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["evaluate", "--source", str(src), "--out-dir", str(out), "--horizon", "1"]
+        )
+        assert result.exit_code == 0, result.output
+        runs = json.loads((out / "runs.json").read_text())["runs"]
+        assert runs and all(run["horizon"] == 1 for run in runs)

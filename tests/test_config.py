@@ -1,8 +1,11 @@
 """Configuration parsing: defaults, file values, flag precedence."""
 
+import ast
+import pathlib
+
 import pytest
 
-from shiftwatch.config import AppConfig, parse_config
+from shiftwatch.config import KNOWN_KEYS, AppConfig, parse_config
 from shiftwatch.errors import ConfigError
 
 
@@ -60,6 +63,28 @@ class TestValidation:
                 parse_config(*args, **flags)
             assert exc.value.key == key
 
+    def test_alpha2_key_is_unknown(self, tmp_path):
+        # alpha2 is the rest of alpha_prod once alpha1 is taken
+        path = tmp_path / "c.cfg"
+        path.write_text("alpha2 = 0.025\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(str(path))
+        assert exc.value.key == "alpha2"
+
+    @pytest.mark.parametrize("alpha1", [0.0, 0.05, 0.5])
+    def test_alpha1_must_lie_below_alpha_prod(self, alpha1):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(alpha_prod=0.05, alpha1=alpha1)
+        assert exc.value.key == "alpha1"
+
+    def test_negative_seed(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("seed = -1\n")
+        for args, flags in (((str(path),), {}), ((), {"seed": -1})):
+            with pytest.raises(ConfigError) as exc:
+                parse_config(*args, **flags)
+            assert exc.value.key == "seed"
+
     def test_missing_config_file(self):
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/path.cfg")
@@ -111,3 +136,15 @@ class TestPrecedence:
         path = tmp_path / "c.cfg"
         path.write_text("eps_harm_grid = 0, 0.05, 0.1\n")
         assert parse_config(str(path)).eps_harm_grid == (0.0, 0.05, 0.1)
+
+
+def test_every_key_is_read_by_the_cli():
+    """A configuration key that no command reads as ``cfg.<key>`` exists
+    for nobody."""
+    cli = pathlib.Path(__file__).resolve().parent.parent / "src" / "shiftwatch" / "cli.py"
+    read = {
+        node.attr
+        for node in ast.walk(ast.parse(cli.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "cfg"
+    }
+    assert sorted(KNOWN_KEYS - read) == []

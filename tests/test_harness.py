@@ -94,7 +94,7 @@ def small_run():
     )
     scenario = ShiftScenario(0, "above_median")
     schedule = Schedule("sudden", 400, onset=100)
-    config = ExperimentConfig(horizon=400)
+    config = ExperimentConfig()
     return data, scenario, schedule, config
 
 
@@ -131,7 +131,7 @@ class TestRunExperiment:
         )
         scenario = ShiftScenario(2, "above_median")  # noise feature
         schedule = Schedule("sudden", 400, onset=100)
-        config = ExperimentConfig(horizon=400)
+        config = ExperimentConfig()
         fired = 0
         for seed in range(5):
             report = run_experiment(data, scenario, schedule, config, seed=seed)
@@ -184,3 +184,15 @@ class TestRunExperiment:
         assert payload == reports_to_json(
             run_suite(data, scenarios, schedule, config, seeds=[0, 1])
         )
+
+    def test_parallel_suite_matches_serial(self, small_run):
+        data, scenario, schedule, config = small_run
+        scenarios = [scenario, ShiftScenario(1, "below_median")]
+        serial, parallel = (
+            reports_to_json(
+                run_suite(data, scenarios, schedule, config, seeds=[0, 1], workers=workers),
+                include_margins=True,
+            )
+            for workers in (1, 2)
+        )
+        assert serial == parallel

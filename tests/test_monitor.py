@@ -34,9 +34,11 @@ class TestMonitorConfig:
         cfg = MonitorConfig()
         assert cfg.alpha1 == cfg.alpha2 == 0.025
 
-    def test_split_must_sum(self):
-        with pytest.raises(InvalidInput):
-            MonitorConfig(alpha_prod=0.05, alpha1=0.04, alpha2=0.02)
+    def test_alpha2_is_the_rest_of_alpha_prod(self):
+        assert MonitorConfig(alpha_prod=0.05, alpha1=0.01).alpha2 == 0.05 - 0.01
+        for alpha1 in (0.0, 0.05, 0.2):
+            with pytest.raises(InvalidInput):
+                MonitorConfig(alpha_prod=0.05, alpha1=alpha1)
 
     def test_range_checks(self):
         with pytest.raises(InvalidInput):

@@ -125,6 +125,15 @@ class TestSigmoid:
         for t in (30, 42, 49, 61):
             assert sigmoid_mixture(t, t0) + sigmoid_mixture(2 * t0 - t, t0) == pytest.approx(1.0)
 
+    def test_far_off_times_and_arrays(self):
+        # the exponent is clipped: a far-off t gives a probability, not an
+        # OverflowError
+        for t, t0 in ((0, 1000), (10**6, 0), (-(10**9), 10**9)):
+            value = sigmoid_mixture(t, t0)
+            assert math.isfinite(value) and 0.0 <= value <= 1.0
+        t = np.arange(1, 2001)
+        assert np.array_equal(sigmoid_mixture(t, 1000), [sigmoid_mixture(int(x), 1000) for x in t])
+
 
 class TestBuildStream:
     @pytest.fixture
@@ -176,6 +185,12 @@ class TestBuildStream:
             Schedule("sudden", 100, onset=0)
         with pytest.raises(InvalidInput):
             Schedule("sudden", 100, onset=101)
+
+    def test_onset_defaults_to_half_the_horizon(self):
+        assert Schedule("sudden", 100).onset == 50
+        assert Schedule("sigmoid", 101).onset == 50
+        assert Schedule("sudden", 1).onset == 1
+        assert Schedule("none", 100).onset is None
 
 
 class TestSubgroupGenerator:
