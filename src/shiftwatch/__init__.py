@@ -7,7 +7,7 @@ raises a latched alarm when the estimated proportion of high-error
 observations provably exceeds the source rate.
 """
 
-from .calibration import CalibrationResult, GridSpec, calibrate, selector_metrics
+from .calibration import CalibrationResult, GridSpec, calibrate
 from .confidence import (
     PmEbState,
     hoeffding_halfwidth,

@@ -50,14 +50,7 @@ class GridCell:
     q_hat: float
     power: float
     fdp: float
-    n_positive: int  # {E > q}
-    n_selected: int  # {score > q_hat}
     qualifying: bool
-
-    @property
-    def degenerate(self) -> bool:
-        """A 0/0 convention fired: no positives or no selections."""
-        return self.n_positive == 0 or self.n_selected == 0
 
 
 @dataclass(frozen=True)
@@ -69,7 +62,7 @@ class CalibrationResult:
 
 
 def _power_fdp(selector: Selector, errors, scores) -> Tuple[float, float, int, int]:
-    """(power, fdp, n_positive, n_selected) of the high-error flag against
+    """(power, fdp, n_pos, n_sel) of the high-error flag against
     the true-error flag 1{E > q}.
 
     Conventions: power := 1 when nothing exceeds q; fdp := 0 when nothing
@@ -84,20 +77,12 @@ def _power_fdp(selector: Selector, errors, scores) -> Tuple[float, float, int, i
     return power, fdp, n_pos, n_sel
 
 
-def selector_metrics(selector: Selector, data: Dataset):
-    """(power, fdp) of the high-error flag against true errors, with the
-    0/0 conventions of ``_power_fdp``."""
-    if data.errors is None or data.scores is None:
-        raise InvalidInput("selector metrics need both true errors and scores")
-    power, fdp, _, _ = _power_fdp(selector, data.errors, data.scores)
-    return power, fdp
-
-
 def calibrate(grid: GridSpec, data: Dataset) -> CalibrationResult:
     """Evaluate every grid cell and return the best qualifying selector.
 
-    Qualifying = FDP strictly under the cap and not degenerate (cells where
-    a 0/0 convention decided the value are reported but never chosen).
+    Qualifying = FDP strictly under the cap, with at least one positive and
+    one selection (cells where a 0/0 convention decided the value are
+    reported but never chosen).
     Ties break toward lowest FDP, then largest p, then smallest p_hat.
     """
     if data.errors is None or data.scores is None:
@@ -118,8 +103,6 @@ def calibrate(grid: GridSpec, data: Dataset) -> CalibrationResult:
                     q_hat=q_hat,
                     power=power,
                     fdp=fdp,
-                    n_positive=n_pos,
-                    n_selected=n_sel,
                     qualifying=fdp < grid.fdp_max and n_pos > 0 and n_sel > 0,
                 )
             )
@@ -127,7 +110,7 @@ def calibrate(grid: GridSpec, data: Dataset) -> CalibrationResult:
     eligible = [c for c in report if c.qualifying]
     if not eligible:
         best = min(report, key=lambda c: (c.fdp, -c.power))
-        raise CalibrationInfeasible(best.fdp, best)
+        raise CalibrationInfeasible(best.fdp)
     chosen = max(eligible, key=lambda c: (c.power, -c.fdp, c.p, -c.p_hat))
     return CalibrationResult(
         selector=Selector(q=chosen.q, q_hat=chosen.q_hat, p=chosen.p, p_hat=chosen.p_hat),

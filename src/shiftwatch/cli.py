@@ -122,8 +122,8 @@ def main():
 def cmd_calibrate(config_file, **flags):
     """Calibrate the threshold pair and emit the grid report."""
     cfg = parse_config(config_file, **flags)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     model, cal_scored, calres, r2 = _calibration_pipeline(cfg)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     write_grid_report(os.path.join(cfg.out_dir, "grid_report.csv"), calres.grid_report)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -160,11 +160,11 @@ def cmd_monitor(config_file, **flags):
     cfg = parse_config(config_file, **flags)
     if cfg.production is None:
         raise ConfigError("production", "a production CSV (or '-') is required")
-    os.makedirs(cfg.out_dir, exist_ok=True)
     model, cal_scored, calres, r2 = _calibration_pipeline(cfg)
     mon_cfg = _monitor_config(cfg)
     stats = source_statistics(cal_scored, calres.selector, mon_cfg)
     state = MonitorState(calres.selector, stats, mon_cfg)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     summary_path = os.path.join(cfg.out_dir, "monitor.json")
     # A run stopped by an error leaves the trajectory rows read so far;
     # an earlier run's summary must not sit beside them.
@@ -209,8 +209,8 @@ def cmd_monitor(config_file, **flags):
 def cmd_simulate(config_file, **flags):
     """Enumerate feature-split scenarios and write replayable streams."""
     cfg = parse_config(config_file, **flags)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     source, scenarios, schedule = _scenarios(cfg)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     index = []
     for scenario in scenarios:
         retained, excluded = split_pools(source, scenario)
@@ -254,8 +254,8 @@ def _run_suite_from_config(cfg: AppConfig):
 def cmd_evaluate(config_file, **flags):
     """Run the full shift suite and emit per-detector metrics JSON."""
     cfg = parse_config(config_file, **flags)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     reports = _run_suite_from_config(cfg)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "n_runs": len(reports),
@@ -289,8 +289,8 @@ def cmd_evaluate(config_file, **flags):
 def cmd_sweep(config_file, **flags):
     """Sweep harmfulness-threshold and tolerance grids over one suite run."""
     cfg = parse_config(config_file, **flags)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     reports = _run_suite_from_config(cfg)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     rows = []
     for eps_tol in cfg.eps_tol_grid:
         for eps_harm in cfg.eps_harm_grid:

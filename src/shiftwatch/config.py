@@ -4,6 +4,7 @@ overrides. Flags win over file values, which win over defaults."""
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -26,6 +27,9 @@ _INT_KEYS = {"k", "horizon", "onset", "seed", "n_seeds", "workers"}
 _STR_KEYS = {"source", "production", "out_dir", "schedule", "feature_kinds"}
 _LIST_KEYS = {"p_values", "p_hat_values", "eps_harm_grid", "eps_tol_grid"}
 KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _LIST_KEYS
+# A '#' starts a comment at the start of a line or after whitespace, so a
+# value such as "results#2" is kept whole.
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 @dataclass
@@ -55,16 +59,14 @@ class AppConfig:
 
 
 def _coerce(key: str, raw):
-    if raw is None:
-        return None
+    """Parse a file value (a string) or a flag value (a string or a
+    click-typed scalar) into the type of ``key``."""
     try:
         if key in _FLOAT_KEYS:
             return float(raw)
         if key in _INT_KEYS:
             return int(raw)
         if key in _LIST_KEYS:
-            if isinstance(raw, (tuple, list)):
-                return tuple(float(x) for x in raw)
             return tuple(float(x) for x in str(raw).split(",") if x.strip())
         return str(raw)
     except (TypeError, ValueError):
@@ -79,7 +81,7 @@ def _read_config_file(path: str) -> dict:
         raise ConfigError("config", f"cannot read {path}: {exc}")
     values = {}
     for lineno, line in enumerate(text.split("\n"), 1):
-        line = line.split("#", 1)[0].strip()
+        line = _COMMENT.split(line, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:

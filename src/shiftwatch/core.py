@@ -88,9 +88,6 @@ class Dataset:
     def d(self) -> int:
         return self.features.shape[1]
 
-    def __len__(self) -> int:
-        return self.n
-
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
         return Dataset(

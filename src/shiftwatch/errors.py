@@ -31,13 +31,12 @@ class DegenerateError(ShiftwatchError, ValueError):
 class CalibrationInfeasible(ShiftwatchError):
     """No grid cell satisfied the FDP cap.
 
-    Attributes carry the best achievable cell so callers can report how
-    far calibration fell short.
+    ``best_fdp`` is the lowest FDP any cell reached, so callers can report
+    how far calibration fell short.
     """
 
-    def __init__(self, best_fdp: float, best_cell):
+    def __init__(self, best_fdp: float):
         self.best_fdp = best_fdp
-        self.best_cell = best_cell
         super().__init__(
             f"no threshold pair reached the FDP cap; best achievable FDP={best_fdp:.4f}"
         )

@@ -54,25 +54,13 @@ class ExperimentConfig:
     monitor: MonitorConfig = field(default_factory=MonitorConfig)
 
 
-@dataclass(frozen=True)
-class DetectorTrace:
-    """Margin trajectory of one detector: margin_t = lower_t - upper.
-
-    The detector at tolerance eps alarms iff some margin exceeds eps, so
-    one trajectory answers every tolerance sweep."""
-
-    margins: np.ndarray
-
-    @property
-    def max_margin(self) -> float:
-        return float(self.margins.max()) if self.margins.size else float("-inf")
-
-    def first_alarm(self, eps_tol: float) -> Optional[int]:
-        return first_alarm_time(self.margins, eps_tol)
-
-
 @dataclass
 class RunReport:
+    """Outcome of one run. ``traces`` maps each detector key to its margin
+    trajectory, margin_t = lower_t - upper; the detector at tolerance eps
+    alarms iff some margin exceeds eps, so one trajectory answers every
+    tolerance sweep."""
+
     scenario_id: str
     seed: int
     horizon: int
@@ -84,11 +72,15 @@ class RunReport:
     selector: Optional[Selector] = None
     delta: Optional[float] = None
     n_clipped: int = 0
-    traces: Dict[str, DetectorTrace] = field(default_factory=dict)
+    traces: Dict[str, np.ndarray] = field(default_factory=dict)
 
     def first_alarm(self, key: str, eps_tol: Optional[float] = None) -> Optional[int]:
         eps = self.eps_tol if eps_tol is None else eps_tol
-        return self.traces[key].first_alarm(eps)
+        return first_alarm_time(self.traces[key], eps)
+
+    def max_margin(self, key: str) -> float:
+        margins = self.traces[key]
+        return float(margins.max()) if margins.size else float("-inf")
 
     def to_dict(self, include_margins: bool = False) -> dict:
         out = {
@@ -108,15 +100,15 @@ class RunReport:
             "n_clipped": self.n_clipped,
             "detectors": {
                 key: {
-                    "first_alarm": trace.first_alarm(self.eps_tol),
-                    "max_margin": trace.max_margin,
+                    "first_alarm": self.first_alarm(key),
+                    "max_margin": self.max_margin(key),
                 }
-                for key, trace in sorted(self.traces.items())
+                for key in sorted(self.traces)
             },
         }
         if include_margins:
-            for key, trace in self.traces.items():
-                out["detectors"][key]["margins"] = trace.margins.tolist()
+            for key, margins in self.traces.items():
+                out["detectors"][key]["margins"] = margins.tolist()
         return out
 
 
@@ -212,12 +204,12 @@ def run_experiment(
     low_mean_oracle = mean_lower_path(stream.errors, mon_cfg)
 
     report.traces = {
-        "plugin_q": DetectorTrace(l_plugin - stats.u_q),
-        "plugin_q2": DetectorTrace(l_plugin - stats.u_q2),
-        "oracle_q": DetectorTrace(l_oracle - oracle_stats.u_q),
-        "oracle_q2": DetectorTrace(l_oracle - oracle_stats.u_q2),
-        "plugin_mean": DetectorTrace(low_mean_plugin - upper_mean),
-        "oracle_mean": DetectorTrace(low_mean_oracle - upper_mean),
+        "plugin_q": l_plugin - stats.u_q,
+        "plugin_q2": l_plugin - stats.u_q2,
+        "oracle_q": l_oracle - oracle_stats.u_q,
+        "oracle_q2": l_oracle - oracle_stats.u_q2,
+        "plugin_mean": low_mean_plugin - upper_mean,
+        "oracle_mean": low_mean_oracle - upper_mean,
     }
     report.delta = delta_diagnostic(
         Dataset(stream.features, stream.errors, stream_scores), selector, stats
@@ -263,7 +255,7 @@ def suite_metrics(
     usable = [r for r in reports if not r.uncalibratable]
     harmful, alarmed, det_times, gaps = [], [], [], []
     for r in usable:
-        is_harmful = r.traces[oracle_key].max_margin > eps_harm
+        is_harmful = r.max_margin(oracle_key) > eps_harm
         t_plugin = r.first_alarm(plugin_key, eps_tol)
         harmful.append(is_harmful)
         alarmed.append(t_plugin is not None)

@@ -89,18 +89,6 @@ class SourceStats:
     def u_q2(self) -> float:
         return self.rate_true_discovery + self.w_source
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "rate_above_q": self.rate_above_q,
-            "rate_true_discovery": self.rate_true_discovery,
-            "rate_false_discovery": self.rate_false_discovery,
-            "w_source": self.w_source,
-            "w_fd": self.w_fd,
-            "u_q": self.u_q,
-            "u_q2": self.u_q2,
-        }
-
 
 def source_statistics(source: Dataset, selector: Selector, config: MonitorConfig) -> SourceStats:
     """Compute the source-side rates feeding every quantile-detector bound.

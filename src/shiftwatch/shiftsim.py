@@ -220,7 +220,6 @@ def make_subgroup_dataset(
     coin_prob: float = 0.0,
     coin_boost: float = 0.45,
     grade_coef: float = 0.0,
-    echo_mix: float = 0.0,
     immune_frac: float = 0.0,
     immune_anchor: str = "zone",
     immune_error: Optional[float] = None,
@@ -247,14 +246,12 @@ def make_subgroup_dataset(
     giving feature splits of marginal harmfulness. Error noise is bounded
     uniform (plus or minus the scale), so the error distribution forms
     separated bands when boosts and noise scales are small.
-    With ``echo_mix`` > 0 a feature echo_mix * f0 + (1 - echo_mix) * u is
-    added: its splits enrich the failure zone only mildly, producing
-    shifts near the edge of harmfulness. With ``second_zone_frac`` > 0 a
-    second zone with error level ``second_zone_error`` (defaults to the
-    primary zone level) is added, modeling a milder but still
-    predictable failure mode: it is driven by its own continuous feature
-    (top ``second_zone_frac``) when ``immune_anchor`` is "zone" and by a
-    categorical marker feature when it is "second". With
+    With ``second_zone_frac`` > 0 a second zone with error level
+    ``second_zone_error`` (defaults to the primary zone level) is added,
+    modeling a milder but still predictable failure mode: it is driven
+    by its own continuous feature (top ``second_zone_frac``) when
+    ``immune_anchor`` is "zone" and by a categorical marker feature when
+    it is "second". With
     ``immune_frac`` > 0 a categorical segment is added that shares the
     feature neighborhood of a failure zone (the primary zone's boundary
     band of width ``IMMUNE_BAND`` under the "zone" anchor, the second
@@ -335,8 +332,6 @@ def make_subgroup_dataset(
         graded = rng.random(n)
         errors = errors + grade_coef * graded * boostable
         cols.append(graded)
-    if echo_mix > 0.0:
-        cols.append(echo_mix * driver + (1.0 - echo_mix) * rng.random(n))
     if immune is not None:
         cols.append(immune.astype(float))
     if masked is not None:
@@ -361,7 +356,6 @@ def subgroup_feature_kinds(
     n_noise_features: int = 3,
     hidden_prob: float = 0.0,
     grade_coef: float = 0.0,
-    echo_mix: float = 0.0,
     immune_frac: float = 0.0,
     immune_anchor: str = "zone",
     masked_frac: float = 0.0,
@@ -373,8 +367,6 @@ def subgroup_feature_kinds(
     if hidden_prob > 0.0:
         kinds.append(CONTINUOUS)
     if grade_coef > 0.0:
-        kinds.append(CONTINUOUS)
-    if echo_mix > 0.0:
         kinds.append(CONTINUOUS)
     if immune_frac > 0.0:
         kinds.append(CATEGORICAL)

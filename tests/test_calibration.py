@@ -9,8 +9,8 @@ from shiftwatch import (
     GridSpec,
     Selector,
     calibrate,
-    selector_metrics,
 )
+from shiftwatch.calibration import _power_fdp
 from shiftwatch.errors import InvalidInput
 
 
@@ -32,27 +32,27 @@ class TestGridSpec:
             GridSpec(fdp_max=1.5)
 
 
+def _metrics(selector, data):
+    """(power, fdp) of ``selector`` on ``data``."""
+    return _power_fdp(selector, data.errors, data.scores)[:2]
+
+
 class TestSelectorMetrics:
     def test_five_point_hand_count(self, five_point):
         sel = Selector(q=0.3, q_hat=0.45, p=0.6, p_hat=0.6)
-        power, fdp = selector_metrics(sel, five_point)
+        power, fdp = _metrics(sel, five_point)
         assert power == 1.0
         assert fdp == pytest.approx(1.0 / 3.0)
 
     def test_empty_selection_conventions(self, five_point):
         sel = Selector(q=0.3, q_hat=10.0, p=0.6, p_hat=0.9)
-        power, fdp = selector_metrics(sel, five_point)
+        power, fdp = _metrics(sel, five_point)
         assert power == 0.0 and fdp == 0.0
 
     def test_no_positives_all_selected(self, five_point):
         sel = Selector(q=0.9, q_hat=-1.0, p=0.95, p_hat=0.1)
-        power, fdp = selector_metrics(sel, five_point)
+        power, fdp = _metrics(sel, five_point)
         assert power == 1.0 and fdp == 1.0
-
-    def test_requires_scores_and_errors(self):
-        sel = Selector(q=0.5, q_hat=0.5, p=0.6, p_hat=0.5)
-        with pytest.raises(InvalidInput):
-            selector_metrics(sel, Dataset([[1.0]], [0.5]))
 
 
 class TestCalibrate:
@@ -103,7 +103,7 @@ class TestCalibrate:
         for cells in by_p.values():
             cells.sort(key=lambda c: c.p_hat)
             powers = [c.power for c in cells]
-            selected = [c.n_selected for c in cells]
+            selected = [int((correlated_dataset.scores > c.q_hat).sum()) for c in cells]
             assert powers == sorted(powers, reverse=True)
             assert selected == sorted(selected, reverse=True)
 

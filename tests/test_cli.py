@@ -320,6 +320,18 @@ class TestPackageErrors:
             assert isinstance(result.exception, SystemExit), args
             lines = result.output.strip().splitlines()
             assert lines == ["Error: R^2 is undefined for a constant target"], args
+            assert not (tmp_path / "out").exists(), args
+
+    @pytest.mark.parametrize("command", ["calibrate", "monitor", "simulate", "evaluate", "sweep"])
+    def test_missing_source_leaves_no_out_dir(self, runner, tmp_path, command):
+        """Every command reads and checks its inputs before it creates
+        --out-dir, so a run that fails on its input leaves nothing behind."""
+        out = tmp_path / "out"
+        args = [command, "--out-dir", str(out)]
+        if command == "monitor":
+            args += ["--production", str(_scored_source(tmp_path / "prod.csv"))]
+        _assert_one_line_error(runner.invoke(main, args), "source")
+        assert not out.exists()
 
     def test_empty_sweep_grid_is_config_error(self, runner, tmp_path):
         src = _scored_source(tmp_path / "src.csv")

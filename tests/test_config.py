@@ -132,6 +132,17 @@ class TestPrecedence:
         path.write_text("# a comment\n\nk = 7  # trailing\n")
         assert parse_config(str(path)).k == 7
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        # '#' starts a comment only at the start of a line or after whitespace
+        source = tmp_path / "run#1" / "src.csv"
+        source.parent.mkdir()
+        source.write_text("f0,error\n0.5,0.1\n")
+        path = tmp_path / "c.cfg"
+        path.write_text(f"out_dir = results#2\nsource = {source}  # trailing\n\t# indented comment\n")
+        cfg = parse_config(str(path))
+        assert cfg.out_dir == "results#2"
+        assert cfg.source == str(source)
+
     def test_list_values(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("eps_harm_grid = 0, 0.05, 0.1\n")

@@ -16,7 +16,7 @@ from shiftwatch import (
 from shiftwatch import harness as harness_module
 from shiftwatch.errors import InvalidInput
 from shiftwatch.estimator import predict_many
-from shiftwatch.harness import DetectorTrace, reports_to_json, suite_metrics_by_r2
+from shiftwatch.harness import reports_to_json, suite_metrics_by_r2
 from shiftwatch.monitor import MonitorConfig
 from shiftwatch.shiftsim import ShiftScenario, enumerate_scenarios
 
@@ -27,7 +27,7 @@ def _report(i, oracle_max, plugin_max, r2=0.5):
     traces = {}
     for key in ("plugin_q", "plugin_q2", "oracle_q", "oracle_q2", "plugin_mean", "oracle_mean"):
         m = oracle_max if key.startswith("oracle") else plugin_max
-        traces[key] = DetectorTrace(margins(m))
+        traces[key] = margins(m)
     return RunReport(
         scenario_id=f"s{i}", seed=i, horizon=2, eps_tol=0.0, r2=r2, traces=traces
     )
@@ -106,7 +106,7 @@ class TestRunExperiment:
         assert r1.selector == r2.selector
         assert r1.r2 == r2.r2 and r1.delta == r2.delta
         for key in r1.traces:
-            assert np.array_equal(r1.traces[key].margins, r2.traces[key].margins)
+            assert np.array_equal(r1.traces[key], r2.traces[key])
 
     def test_report_is_complete(self, small_run):
         data, scenario, schedule, config = small_run
@@ -120,7 +120,7 @@ class TestRunExperiment:
             "plugin_mean",
             "oracle_mean",
         }
-        assert all(t.margins.shape == (400,) for t in report.traces.values())
+        assert all(m.shape == (400,) for m in report.traces.values())
         assert report.calib_fdp < 0.2
 
     def test_benign_ablation_rarely_alarms(self):
@@ -139,7 +139,7 @@ class TestRunExperiment:
                 continue
             if report.first_alarm("plugin_q2") is not None:
                 fired += 1
-            assert report.traces["oracle_q2"].max_margin <= 0.0
+            assert report.max_margin("oracle_q2") <= 0.0
         assert fired == 0
 
     def test_out_of_range_scores_are_clipped_and_counted(self, small_run, monkeypatch):
@@ -162,7 +162,7 @@ class TestRunExperiment:
         assert clipped.n_clipped == 0
         assert report.selector == clipped.selector
         for key in report.traces:
-            assert np.array_equal(report.traces[key].margins, clipped.traces[key].margins)
+            assert np.array_equal(report.traces[key], clipped.traces[key])
 
     def test_requires_labels(self, small_run):
         _, scenario, schedule, config = small_run

@@ -1,4 +1,5 @@
-"""Every module of the package uses what it imports.
+"""Every module of the package uses what it imports, and every top-level
+function and class of the package has a reader.
 
 The package re-exports its API from ``__init__.py``, so that file is
 skipped; ``from __future__ import annotations`` is never a use.
@@ -6,10 +7,12 @@ skipped; ``from __future__ import annotations`` is never a use.
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "shiftwatch"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "shiftwatch"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -49,3 +52,45 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = [f"line {line}: {name}" for name, line in _imported(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _is_click_command(node):
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr in ("command", "group")
+        for d in node.decorator_list
+    )
+
+
+def _named(node):
+    """Identifiers a statement names: variables, attributes, and string
+    constants that are identifiers (``getattr(cli, "predict")``)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
+            names.add(sub.value)
+    return names
+
+
+def test_every_definition_has_a_reader():
+    """A top-level function or class that no module of the package (other
+    than its own definition and ``__init__.py``), no benchmark script and
+    no README line names exists for nobody; tests do not count."""
+    readers = [(p, ast.parse(p.read_text())) for p in MODULES]
+    readers += [(p, ast.parse(p.read_text())) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    defined = []
+    named = set()
+    for path, tree in readers:
+        for stmt in tree.body:
+            if path.parent == PACKAGE and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                if not _is_click_command(stmt):
+                    defined.append((path.name, stmt.name))
+            # a definition that names itself (recursion) is not its own reader
+            own = {stmt.name} if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else set()
+            named |= _named(stmt) - own
+    unread = [f"{module}: {name}" for module, name in defined if name not in named | readme]
+    assert not unread, f"definitions that nothing reads: {unread}"

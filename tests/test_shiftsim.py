@@ -213,7 +213,7 @@ class TestSubgroupGenerator:
         for kwargs in (
             {},
             {"hidden_prob": 0.2},
-            {"grade_coef": 0.05, "echo_mix": 0.5},
+            {"grade_coef": 0.05},
             {"second_zone_frac": 0.1},
             {
                 "second_zone_frac": 0.1,
