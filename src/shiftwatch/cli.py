@@ -87,18 +87,36 @@ def _calibration_pipeline(cfg: AppConfig):
     return model, cal_scored, calres, r2
 
 
-def _config_flags(fn):
-    fn = click.option("--config", "config_file", type=str, default=None, help="Flat key = value config file.")(fn)
-    fn = click.option("--source", type=str, default=None, help="Labeled source CSV (f0..fD, error[, score]).")(fn)
-    fn = click.option("--out-dir", type=str, default=None, help="Output directory.")(fn)
-    fn = click.option("--seed", type=int, default=None)(fn)
-    fn = click.option("-k", "k", type=int, default=None, help="k-NN neighbor count.")(fn)
-    fn = click.option("--fdp-max", type=float, default=None)(fn)
-    fn = click.option("--alpha-source", type=float, default=None)(fn)
-    fn = click.option("--alpha-prod", type=float, default=None)(fn)
-    fn = click.option("--eps-tol", type=float, default=None)(fn)
-    fn = click.option("--delta-corr", type=float, default=None)(fn)
-    return fn
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("out_dir", f"cannot create directory {path}: {exc.strerror}")
+
+
+_HELP = {
+    "config_file": "Flat key = value config file.",
+    "source": "Labeled source CSV (f0..fD, error[, score]).",
+    "production": "Production CSV path, or '-' for stdin (one event per line).",
+    "out_dir": "Output directory.",
+    "k": "k-NN neighbor count.",
+    "eps_harm_grid": "Comma-separated harmfulness thresholds.",
+    "eps_tol_grid": "Comma-separated detector tolerances.",
+}
+
+
+def _flags(*keys):
+    """``--config`` plus one flag per configuration key the command reads
+    (``--key-name``, or ``-k``). Flag values stay strings: parse_config
+    parses them as it parses file values."""
+
+    def decorate(fn):
+        for key in reversed(("config_file",) + keys):
+            name = {"config_file": "--config", "k": "-k"}.get(key, "--" + key.replace("_", "-"))
+            fn = click.option(name, key, default=None, metavar=key.upper(), help=_HELP.get(key))(fn)
+        return fn
+
+    return decorate
 
 
 class _Group(click.Group):
@@ -118,12 +136,12 @@ def main():
 
 
 @main.command("calibrate")
-@_config_flags
+@_flags("source", "out_dir", "seed", "k", "fdp_max")
 def cmd_calibrate(config_file, **flags):
     """Calibrate the threshold pair and emit the grid report."""
     cfg = parse_config(config_file, **flags)
     model, cal_scored, calres, r2 = _calibration_pipeline(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     write_grid_report(os.path.join(cfg.out_dir, "grid_report.csv"), calres.grid_report)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -148,8 +166,7 @@ def cmd_calibrate(config_file, **flags):
 
 
 @main.command("monitor")
-@_config_flags
-@click.option("--production", type=str, default=None, help="Production CSV path, or '-' for stdin (one event per line).")
+@_flags("source", "production", "out_dir", "seed", "k", "fdp_max", "alpha_source", "alpha_prod", "eps_tol", "delta_corr")
 def cmd_monitor(config_file, **flags):
     """Stream a production file (or stdin) through the quantile detectors.
 
@@ -164,7 +181,7 @@ def cmd_monitor(config_file, **flags):
     mon_cfg = _monitor_config(cfg)
     stats = source_statistics(cal_scored, calres.selector, mon_cfg)
     state = MonitorState(calres.selector, stats, mon_cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     summary_path = os.path.join(cfg.out_dir, "monitor.json")
     # A run stopped by an error leaves the trajectory rows read so far;
     # an earlier run's summary must not sit beside them.
@@ -200,17 +217,12 @@ def cmd_monitor(config_file, **flags):
 
 
 @main.command("simulate")
-@_config_flags
-@click.option("--schedule", "schedule", type=str, default=None)
-@click.option("--horizon", type=int, default=None)
-@click.option("--onset", type=int, default=None)
-@click.option("--feature-kinds", "feature_kinds", type=str, default=None)
-@click.option("--ablation-fraction", "ablation_fraction", type=float, default=None)
+@_flags("source", "out_dir", "seed", "schedule", "horizon", "onset", "feature_kinds", "ablation_fraction")
 def cmd_simulate(config_file, **flags):
     """Enumerate feature-split scenarios and write replayable streams."""
     cfg = parse_config(config_file, **flags)
     source, scenarios, schedule = _scenarios(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     index = []
     for scenario in scenarios:
         retained, excluded = split_pools(source, scenario)
@@ -244,18 +256,15 @@ def _run_suite_from_config(cfg: AppConfig):
 
 
 @main.command("evaluate")
-@_config_flags
-@click.option("--schedule", "schedule", type=str, default=None)
-@click.option("--horizon", type=int, default=None)
-@click.option("--onset", type=int, default=None)
-@click.option("--feature-kinds", "feature_kinds", type=str, default=None)
-@click.option("--n-seeds", "n_seeds", type=int, default=None)
-@click.option("--workers", type=int, default=None)
+@_flags(
+    "source", "out_dir", "seed", "k", "fdp_max", "alpha_source", "alpha_prod", "eps_tol", "delta_corr",
+    "schedule", "horizon", "onset", "feature_kinds", "n_seeds", "workers",
+)
 def cmd_evaluate(config_file, **flags):
     """Run the full shift suite and emit per-detector metrics JSON."""
     cfg = parse_config(config_file, **flags)
     reports = _run_suite_from_config(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "n_runs": len(reports),
@@ -277,20 +286,16 @@ def cmd_evaluate(config_file, **flags):
 
 
 @main.command("sweep")
-@_config_flags
-@click.option("--schedule", "schedule", type=str, default=None)
-@click.option("--horizon", type=int, default=None)
-@click.option("--onset", type=int, default=None)
-@click.option("--feature-kinds", "feature_kinds", type=str, default=None)
-@click.option("--n-seeds", "n_seeds", type=int, default=None)
-@click.option("--workers", type=int, default=None)
-@click.option("--eps-harm-grid", "eps_harm_grid", type=str, default=None, help="Comma-separated harmfulness thresholds.")
-@click.option("--eps-tol-grid", "eps_tol_grid", type=str, default=None, help="Comma-separated detector tolerances.")
+# no --eps-tol: each row's tolerance comes from --eps-tol-grid
+@_flags(
+    "source", "out_dir", "seed", "k", "fdp_max", "alpha_source", "alpha_prod", "delta_corr",
+    "schedule", "horizon", "onset", "feature_kinds", "n_seeds", "workers", "eps_harm_grid", "eps_tol_grid",
+)
 def cmd_sweep(config_file, **flags):
     """Sweep harmfulness-threshold and tolerance grids over one suite run."""
     cfg = parse_config(config_file, **flags)
     reports = _run_suite_from_config(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     rows = []
     for eps_tol in cfg.eps_tol_grid:
         for eps_harm in cfg.eps_harm_grid:

@@ -59,8 +59,7 @@ class AppConfig:
 
 
 def _coerce(key: str, raw):
-    """Parse a file value (a string) or a flag value (a string or a
-    click-typed scalar) into the type of ``key``."""
+    """Parse a file or flag value (a string) into the type of ``key``."""
     try:
         if key in _FLOAT_KEYS:
             return float(raw)

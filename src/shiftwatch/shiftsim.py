@@ -8,6 +8,7 @@ subgroup-failure dataset generator is included for experiments and tests.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -352,27 +353,25 @@ def make_subgroup_dataset(
     return Dataset(np.column_stack(cols), errors)
 
 
-def subgroup_feature_kinds(
-    n_noise_features: int = 3,
-    hidden_prob: float = 0.0,
-    grade_coef: float = 0.0,
-    immune_frac: float = 0.0,
-    immune_anchor: str = "zone",
-    masked_frac: float = 0.0,
-    second_zone_frac: float = 0.0,
-    **_ignored,
-) -> List[str]:
-    """Feature kind declarations matching make_subgroup_dataset's columns."""
+def subgroup_feature_kinds(**keywords) -> List[str]:
+    """Feature kind declarations matching the columns make_subgroup_dataset
+    builds from the same keywords; a keyword it does not take is an error."""
+    try:
+        bound = inspect.signature(make_subgroup_dataset).bind_partial(**keywords)
+    except TypeError as exc:
+        raise InvalidInput(f"make_subgroup_dataset: {exc}")
+    bound.apply_defaults()
+    args = bound.arguments
     kinds = [CONTINUOUS]
-    if hidden_prob > 0.0:
+    if args["hidden_prob"] > 0.0:
         kinds.append(CONTINUOUS)
-    if grade_coef > 0.0:
+    if args["grade_coef"] > 0.0:
         kinds.append(CONTINUOUS)
-    if immune_frac > 0.0:
+    if args["immune_frac"] > 0.0:
         kinds.append(CATEGORICAL)
-    if masked_frac > 0.0:
+    if args["masked_frac"] > 0.0:
         kinds.append(CATEGORICAL)
-    if second_zone_frac > 0.0:
-        kinds.append(CATEGORICAL if immune_anchor == "second" else CONTINUOUS)
-    kinds.extend([CONTINUOUS] * n_noise_features)
+    if args["second_zone_frac"] > 0.0:
+        kinds.append(CATEGORICAL if args["immune_anchor"] == "second" else CONTINUOUS)
+    kinds.extend([CONTINUOUS] * args["n_noise_features"])
     return kinds

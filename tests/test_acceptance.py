@@ -14,35 +14,26 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from shiftwatch import (
-    CalibrationInfeasible,
-    Dataset,
-    ExperimentConfig,
-    GridSpec,
-    MonitorConfig,
-    Schedule,
-    build_stream,
-    calibrate,
-    empirical_quantile,
-    enumerate_scenarios,
-    fit_knn,
-    hoeffding_halfwidth,
-    make_subgroup_dataset,
-    run_suite,
-    sigmoid_mixture,
-    source_statistics,
-    subgroup_feature_kinds,
-    suite_metrics,
-)
+from shiftwatch import Dataset, GridSpec, MonitorConfig, calibrate, fit_knn, source_statistics
 from shiftwatch.calibration import _power_fdp
 from shiftwatch.cli import main as cli_main
-from shiftwatch.confidence import pmeb_best_lower_path
-from shiftwatch.core import Selector, write_dataset
+from shiftwatch.confidence import hoeffding_halfwidth, pmeb_best_lower_path
+from shiftwatch.core import Selector, empirical_quantile, write_dataset
+from shiftwatch.errors import CalibrationInfeasible
 from shiftwatch.estimator import predict_many, score_dataset, split_half
+from shiftwatch.harness import ExperimentConfig, run_suite, suite_metrics
 from shiftwatch.monitor import (
     first_alarm_time,
     oracle_source_statistics,
     quantile_lower_path,
+)
+from shiftwatch.shiftsim import (
+    Schedule,
+    build_stream,
+    enumerate_scenarios,
+    make_subgroup_dataset,
+    sigmoid_mixture,
+    subgroup_feature_kinds,
 )
 
 # Generator settings for the feature-split shift suite shared by the

@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from shiftwatch import (
-    CalibrationInfeasible,
-    Dataset,
-    GridSpec,
-    Selector,
-    calibrate,
-)
+from shiftwatch import Dataset, GridSpec, calibrate
 from shiftwatch.calibration import _power_fdp
-from shiftwatch.errors import InvalidInput
+from shiftwatch.core import Selector
+from shiftwatch.errors import CalibrationInfeasible, InvalidInput
 
 
 class TestGridSpec:

@@ -57,14 +57,6 @@ class TestCalibrateCommand:
         result = runner.invoke(main, ["calibrate", "--out-dir", str(tmp_path / "o")])
         assert result.exit_code == 1
 
-    def test_bad_alpha_errors(self, runner, tmp_path):
-        src = _scored_source(tmp_path / "src.csv")
-        result = runner.invoke(
-            main, ["calibrate", "--source", str(src), "--alpha-prod", "1.5"]
-        )
-        assert result.exit_code == 1
-        assert "alpha_prod" in result.output
-
 
 class TestMonitorCommand:
     def test_no_shift_replay_exits_zero(self, runner, tmp_path):
@@ -136,6 +128,14 @@ class TestMonitorCommand:
         (n, mon_cfg, stats), = seen
         assert (mon_cfg.alpha1, mon_cfg.alpha2) == (0.01, 0.04)
         assert stats.w_fd == hoeffding_halfwidth(n, 0.04)
+
+    def test_bad_alpha_errors(self, runner, tmp_path):
+        src = _scored_source(tmp_path / "src.csv")
+        result = runner.invoke(
+            main, ["monitor", "--source", str(src), "--production", str(src), "--alpha-prod", "1.5"]
+        )
+        assert result.exit_code == 1
+        assert "alpha_prod" in result.output
 
     def test_monitor_requires_production(self, runner, tmp_path):
         src = _scored_source(tmp_path / "src.csv")
@@ -333,6 +333,18 @@ class TestPackageErrors:
         _assert_one_line_error(runner.invoke(main, args), "source")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["calibrate", "monitor", "simulate", "evaluate", "sweep"])
+    def test_out_dir_that_is_a_file(self, runner, tmp_path, command):
+        src = _scored_source(tmp_path / "src.csv")
+        out = tmp_path / "out"
+        out.write_text("")
+        args = [command, "--source", str(src), "--out-dir", str(out)]
+        if command == "monitor":
+            args += ["--production", str(src)]
+        elif command != "calibrate":
+            args += ["--horizon", "50", "--onset", "10"]
+        _assert_one_line_error(runner.invoke(main, args), "out_dir", "cannot create directory")
+
     def test_empty_sweep_grid_is_config_error(self, runner, tmp_path):
         src = _scored_source(tmp_path / "src.csv")
         result = runner.invoke(
@@ -340,6 +352,33 @@ class TestPackageErrors:
         )
         assert result.exit_code == 1, result.output
         assert result.output.strip().splitlines() == ["Error: eps_tol_grid: must list at least one value"]
+
+
+class TestFlags:
+    """Each command takes flags only for the configuration keys it reads,
+    and parses their values as it parses config file values."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["calibrate", "--eps-tol", "0.1"],
+            ["calibrate", "--alpha-prod", "0.3"],
+            ["simulate", "-k", "3"],
+            ["simulate", "--fdp-max", "0.1"],
+            ["sweep", "--eps-tol", "0.1"],
+        ],
+        ids=" ".join,
+    )
+    def test_unread_flag_is_no_option(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "No such option" in result.output
+
+    def test_malformed_value_is_one_line(self, runner, tmp_path):
+        src = _scored_source(tmp_path / "src.csv")
+        result = runner.invoke(main, ["calibrate", "--source", str(src), "--seed", "abc"])
+        _assert_one_line_error(result, "seed: cannot parse value 'abc'")
+        assert not (tmp_path / "out").exists()
 
 
 def test_tracer_finds_every_name_it_wraps(tmp_path):

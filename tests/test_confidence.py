@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftwatch import (
+from shiftwatch.confidence import (
     hoeffding_halfwidth,
+    pmeb_best_lower_path,
     pmeb_fresh,
     pmeb_lower_path,
     pmeb_update,
 )
-from shiftwatch.confidence import pmeb_best_lower_path
 from shiftwatch.errors import InvalidInput
 
 REL = 1e-12

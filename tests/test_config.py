@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from shiftwatch import cli
 from shiftwatch.config import KNOWN_KEYS, AppConfig, parse_config
 from shiftwatch.errors import ConfigError
 
@@ -149,13 +150,40 @@ class TestPrecedence:
         assert parse_config(str(path)).eps_harm_grid == (0.0, 0.05, 0.1)
 
 
+CLI_TREE = ast.parse((pathlib.Path(__file__).resolve().parent.parent / "src" / "shiftwatch" / "cli.py").read_text())
+
+
+def _cfg_reads(node):
+    return {
+        sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) and sub.value.id == "cfg"
+    }
+
+
 def test_every_key_is_read_by_the_cli():
     """A configuration key that no command reads as ``cfg.<key>`` exists
     for nobody."""
-    cli = pathlib.Path(__file__).resolve().parent.parent / "src" / "shiftwatch" / "cli.py"
-    read = {
-        node.attr
-        for node in ast.walk(ast.parse(cli.read_text()))
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "cfg"
+    assert sorted(KNOWN_KEYS - _cfg_reads(CLI_TREE)) == []
+
+
+def test_every_flag_is_read_by_its_command():
+    """A flag that its command never reads as ``cfg.<key>``, in its own body
+    or in a cli.py helper it calls, would be accepted and then ignored."""
+    functions = {node.name: node for node in CLI_TREE.body if isinstance(node, ast.FunctionDef)}
+
+    def reads(name, seen):
+        seen.add(name)
+        keys = _cfg_reads(functions[name])
+        for sub in ast.walk(functions[name]):
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name):
+                callee = sub.func.id
+                if callee in functions and callee not in seen:
+                    keys |= reads(callee, seen)
+        return keys
+
+    unread = {
+        name: sorted({p.name for p in command.params} - {"config_file"} - reads(command.callback.__name__, set()))
+        for name, command in cli.main.commands.items()
     }
-    assert sorted(KNOWN_KEYS - read) == []
+    assert unread == {name: [] for name in cli.main.commands}

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from shiftwatch import Dataset, Selector, empirical_quantile
-from shiftwatch import core
-from shiftwatch.core import read_chunks, read_dataset, write_dataset
+from shiftwatch import Dataset, core
+from shiftwatch.core import Selector, empirical_quantile, read_chunks, read_dataset, write_dataset
 from shiftwatch.errors import IngestError, InvalidInput
 
 

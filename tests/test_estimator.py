@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from shiftwatch import Dataset, fit_knn, predict, r_squared
+from shiftwatch import Dataset, fit_knn
 from shiftwatch.errors import DegenerateError, InvalidInput
-from shiftwatch.estimator import predict_many, score_dataset, split_half
+from shiftwatch.estimator import predict, predict_many, r_squared, score_dataset, split_half
 
 
 def one_d(values, errors) -> Dataset:
@@ -52,6 +52,19 @@ class TestKnn:
         data = one_d([0.0, 2.0, 5.0], [0.1, 0.9, 0.5])
         model = fit_knn(data, k=1)
         assert predict(model, [1.0]) == 0.1
+
+    def test_per_row_scores_equal_chunked_scores(self):
+        # 1,500 queries cross predict_many's distance chunks (2e6 // 3,000 =
+        # 666 rows) twice; integer features and duplicate train rows force
+        # exact distance ties, which only the stable argsort resolves
+        rng = np.random.default_rng(11)
+        features = rng.integers(0, 4, size=(3000, 3)).astype(float)
+        features[1500:] = features[:1500]
+        model = fit_knn(Dataset(features, rng.random(3000)), k=10)
+        queries = rng.integers(0, 4, size=(1500, 3)).astype(float)
+        batch = predict_many(model, queries)
+        rows = np.array([predict(model, x) for x in queries])
+        assert np.array_equal(rows, batch)
 
     def test_constant_column_guard(self):
         feats = np.column_stack([np.ones(4), [0.0, 1.0, 2.0, 3.0]])

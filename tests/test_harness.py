@@ -3,22 +3,20 @@
 import numpy as np
 import pytest
 
-from shiftwatch import (
-    Dataset,
-    ExperimentConfig,
-    RunReport,
-    Schedule,
-    make_subgroup_dataset,
-    run_experiment,
-    run_suite,
-    suite_metrics,
-)
+from shiftwatch import Dataset
 from shiftwatch import harness as harness_module
 from shiftwatch.errors import InvalidInput
 from shiftwatch.estimator import predict_many
-from shiftwatch.harness import reports_to_json, suite_metrics_by_r2
-from shiftwatch.monitor import MonitorConfig
-from shiftwatch.shiftsim import ShiftScenario, enumerate_scenarios
+from shiftwatch.harness import (
+    ExperimentConfig,
+    RunReport,
+    reports_to_json,
+    run_experiment,
+    run_suite,
+    suite_metrics,
+    suite_metrics_by_r2,
+)
+from shiftwatch.shiftsim import Schedule, ShiftScenario, make_subgroup_dataset
 
 
 def _report(i, oracle_max, plugin_max, r2=0.5):

@@ -1,8 +1,9 @@
-"""Every module of the package uses what it imports, and every top-level
-function and class of the package has a reader.
+"""Every module of the package uses what it imports, every top-level
+function and class of the package has a reader, and the package root
+exports only names the README uses.
 
-The package re-exports its API from ``__init__.py``, so that file is
-skipped; ``from __future__ import annotations`` is never a use.
+``__init__.py`` only re-exports, so the first two checks skip it;
+``from __future__ import annotations`` is never a use.
 """
 
 import ast
@@ -73,6 +74,14 @@ def _named(node):
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
             names.add(sub.value)
     return names
+
+
+def test_package_root_is_the_documented_api():
+    """``__init__.py`` re-exports only names that README.md uses."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    undocumented = sorted(name for name, _ in _imported(tree) if name not in readme)
+    assert not undocumented, f"the package root exports names README.md never uses: {undocumented}"
 
 
 def test_every_definition_has_a_reader():

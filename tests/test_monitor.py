@@ -5,21 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from shiftwatch import (
-    Dataset,
-    MonitorConfig,
-    MonitorState,
-    Selector,
-    delta_diagnostic,
-    pmeb_fresh,
-    pmeb_update,
-    source_statistics,
-)
-from shiftwatch.confidence import pmeb_best_lower_path
+from shiftwatch import Dataset, MonitorConfig, MonitorState, source_statistics
+from shiftwatch.confidence import pmeb_best_lower_path, pmeb_fresh, pmeb_update
+from shiftwatch.core import Selector
 from shiftwatch.errors import InvalidInput
 from shiftwatch.monitor import (
     TRAJECTORY_COLUMNS,
     SourceStats,
+    delta_diagnostic,
     first_alarm_time,
     mean_lower_path,
     oracle_source_statistics,

@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from shiftwatch import (
-    Dataset,
-    ProductionStream,
+from shiftwatch import Dataset
+from shiftwatch.shiftsim import (
     Schedule,
     ShiftScenario,
     build_stream,
@@ -225,6 +224,11 @@ class TestSubgroupGenerator:
             data = make_subgroup_dataset(300, seed=0, **kwargs)
             kinds = subgroup_feature_kinds(**kwargs)
             assert len(kinds) == data.d
+
+    def test_feature_kinds_reject_an_unknown_key(self):
+        # make_subgroup_dataset takes grade_coef; a misspelt key used to be dropped
+        with pytest.raises(InvalidInput, match="grade_coeff"):
+            subgroup_feature_kinds(grade_coeff=0.1)
 
     def test_immune_anchor_validation(self):
         with pytest.raises(InvalidInput):
