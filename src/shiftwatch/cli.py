@@ -252,7 +252,21 @@ def _run_suite_from_config(cfg: AppConfig):
         monitor=_monitor_config(cfg),
     )
     seeds = list(range(cfg.seed, cfg.seed + cfg.n_seeds))
-    return run_suite(source, scenarios, schedule, exp, seeds, workers=cfg.workers)
+    # an unusable --out-dir fails before the suite runs, not after it;
+    # a suite that fails on its input still leaves no directory behind
+    missing = []
+    path = os.path.abspath(cfg.out_dir)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    _make_out_dir(cfg.out_dir)
+    try:
+        return run_suite(source, scenarios, schedule, exp, seeds, workers=cfg.workers)
+    except BaseException:
+        for made in missing:  # deepest first; rmdir never removes a file
+            with contextlib.suppress(OSError):
+                os.rmdir(made)
+        raise
 
 
 @main.command("evaluate")
@@ -264,7 +278,6 @@ def cmd_evaluate(config_file, **flags):
     """Run the full shift suite and emit per-detector metrics JSON."""
     cfg = parse_config(config_file, **flags)
     reports = _run_suite_from_config(cfg)
-    _make_out_dir(cfg.out_dir)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "n_runs": len(reports),
@@ -295,7 +308,6 @@ def cmd_sweep(config_file, **flags):
     """Sweep harmfulness-threshold and tolerance grids over one suite run."""
     cfg = parse_config(config_file, **flags)
     reports = _run_suite_from_config(cfg)
-    _make_out_dir(cfg.out_dir)
     rows = []
     for eps_tol in cfg.eps_tol_grid:
         for eps_harm in cfg.eps_harm_grid:

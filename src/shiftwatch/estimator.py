@@ -25,7 +25,13 @@ class KnnModel:
 
     Constant columns get std 1 so standardization never divides by zero.
     Distance ties are broken by lower training index, which makes
-    prediction fully deterministic.
+    prediction fully deterministic. Prediction picks each row's k nearest
+    by a partition, orders them by (distance, training index), and falls
+    back to a stable sort of the whole row only when more than k training
+    rows lie at or below the k-th distance; the neighbours, their order
+    and so the summed score are those of a stable sort of every distance.
+    The training rows' squared norms are computed once, here, and reused
+    by every prediction.
     """
 
     k: int
@@ -33,6 +39,7 @@ class KnnModel:
     train_errors: np.ndarray  # (n,)
     feature_means: np.ndarray
     feature_stds: np.ndarray
+    train_sq_norms: np.ndarray  # (train_features * train_features).sum(axis=1), (n,)
 
 
 def fit_knn(train: Dataset, k: int) -> KnnModel:
@@ -43,13 +50,29 @@ def fit_knn(train: Dataset, k: int) -> KnnModel:
     means = train.features.mean(axis=0)
     stds = train.features.std(axis=0)
     stds = np.where(stds > 0.0, stds, 1.0)
+    z = (train.features - means) / stds
     return KnnModel(
         k=int(k),
-        train_features=(train.features - means) / stds,
+        train_features=z,
         train_errors=train.errors.copy(),
         feature_means=means,
         feature_stds=stds,
+        train_sq_norms=(z * z).sum(axis=1),
     )
+
+
+def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries of each row of ``d2``,
+    ordered by (value, column): the first k columns of a stable argsort."""
+    idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    dist = np.take_along_axis(d2, idx, axis=1)
+    idx = np.take_along_axis(idx, np.lexsort((idx, dist), axis=1), axis=1)
+    # the candidates are the only choice when exactly k entries lie at or
+    # below the k-th distance (a NaN k-th distance counts none)
+    tied = np.count_nonzero(d2 <= dist.max(axis=1)[:, None], axis=1) != k
+    if tied.any():
+        idx[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    return idx
 
 
 def predict_many(model: KnnModel, x) -> np.ndarray:
@@ -69,10 +92,9 @@ def predict_many(model: KnnModel, x) -> np.ndarray:
         d2 = (
             (zc * zc).sum(axis=1)[:, None]
             - 2.0 * zc @ model.train_features.T
-            + (model.train_features * model.train_features).sum(axis=1)[None, :]
+            + model.train_sq_norms[None, :]
         )
-        # stable sort -> equal distances resolve to the lower training index
-        idx = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
+        idx = _nearest(d2, model.k)
         out[lo : lo + chunk] = model.train_errors[idx].mean(axis=1)
     return out
 

@@ -6,7 +6,6 @@ to see the lines as they complete). The suites are sized so the whole
 file runs in a few minutes on one core.
 """
 
-import json
 import math
 import time
 

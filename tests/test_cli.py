@@ -14,6 +14,7 @@ from shiftwatch import Dataset, cli, core
 from shiftwatch.cli import main
 from shiftwatch.confidence import hoeffding_halfwidth
 from shiftwatch.core import write_dataset
+from shiftwatch.errors import DegenerateError
 
 
 @pytest.fixture
@@ -344,6 +345,33 @@ class TestPackageErrors:
         elif command != "calibrate":
             args += ["--horizon", "50", "--onset", "10"]
         _assert_one_line_error(runner.invoke(main, args), "out_dir", "cannot create directory")
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_out_dir_is_checked_before_the_suite_runs(self, runner, tmp_path, monkeypatch, command):
+        calls = []
+        monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "out"
+        out.write_text("")
+        args = [command, "--source", str(_scored_source(tmp_path / "src.csv")), "--out-dir", str(out)]
+        _assert_one_line_error(runner.invoke(main, args), "out_dir", "cannot create directory")
+        assert calls == []
+
+    def test_failed_suite_removes_only_the_directories_it_made(self, runner, tmp_path, monkeypatch):
+        existed = []
+
+        def failing_suite(*args, **kwargs):
+            existed.append(out.is_dir())
+            raise DegenerateError("suite failed")
+
+        monkeypatch.setattr(cli, "run_suite", failing_suite)
+        src = str(_scored_source(tmp_path / "src.csv"))
+        (tmp_path / "kept").mkdir()
+        for out in (tmp_path / "made" / "out", tmp_path / "kept"):
+            result = runner.invoke(main, ["evaluate", "--source", src, "--out-dir", str(out)])
+            _assert_one_line_error(result, "suite failed")
+        assert existed == [True, True]
+        assert not (tmp_path / "made").exists()
+        assert (tmp_path / "kept").is_dir()
 
     def test_empty_sweep_grid_is_config_error(self, runner, tmp_path):
         src = _scored_source(tmp_path / "src.csv")

@@ -1,7 +1,5 @@
 """Domain types, the empirical-quantile primitive, and CSV ingestion."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st

@@ -12,6 +12,24 @@ def one_d(values, errors) -> Dataset:
     return Dataset(np.asarray(values, dtype=float).reshape(-1, 1), errors)
 
 
+def _stable_argsort_scores(model, x):
+    """The scorer predict_many replaced: a stable argsort of every distance
+    row. Returns the scores and, per query row, how many train rows lie at
+    or below its k-th distance."""
+    z = (np.asarray(x, dtype=float) - model.feature_means) / model.feature_stds
+    train = model.train_features
+    chunk = max(1, int(2_000_000 // train.shape[0]))
+    scores, at_or_below = [], []
+    for lo in range(0, z.shape[0], chunk):
+        zc = z[lo : lo + chunk]
+        d2 = (zc * zc).sum(axis=1)[:, None] - 2.0 * zc @ train.T + (train * train).sum(axis=1)[None, :]
+        order = np.argsort(d2, axis=1, kind="stable")
+        kth = np.take_along_axis(d2, order[:, model.k - 1 : model.k], axis=1)
+        scores.append(model.train_errors[order[:, : model.k]].mean(axis=1))
+        at_or_below.append((d2 <= kth).sum(axis=1))
+    return np.concatenate(scores), np.concatenate(at_or_below)
+
+
 class TestKnn:
     def test_k1_recovers_training_point(self):
         data = one_d([0.0, 1.0, 2.0], [0.0, 0.5, 1.0])
@@ -65,6 +83,26 @@ class TestKnn:
         batch = predict_many(model, queries)
         rows = np.array([predict(model, x) for x in queries])
         assert np.array_equal(rows, batch)
+
+    @pytest.mark.parametrize("k", [1, 10, 2000])
+    def test_partition_top_k_equals_stable_argsort(self, k):
+        # 1,000 unique continuous train rows far from 500 distinct integer
+        # lattice points, each present twice; lattice queries tie at the k-th
+        # distance, which only the stable fallback resolves, continuous ones
+        # do not. 2,100 queries cross the 1,000-row distance chunks
+        # (2e6 // 2,000) twice.
+        rng = np.random.default_rng(12)
+        grid = np.indices((10, 10, 10)).reshape(3, -1).T.astype(float)
+        lattice = grid[rng.choice(len(grid), 500, replace=False)]
+        features = np.vstack([rng.uniform(20.0, 24.0, size=(1000, 3)), lattice, lattice])
+        model = fit_knn(Dataset(features, rng.random(2000)), k=k)
+        queries = np.empty((2100, 3))
+        queries[0::2] = rng.integers(0, 10, size=(1050, 3))
+        queries[1::2] = rng.uniform(20.0, 24.0, size=(1050, 3))
+        expected, at_or_below = _stable_argsort_scores(model, queries)
+        assert np.array_equal(predict_many(model, queries).view(np.int64), expected.view(np.int64))
+        if k < 2000:  # both the tied and the untied branch ran
+            assert (at_or_below > k).any() and (at_or_below == k).any()
 
     def test_constant_column_guard(self):
         feats = np.column_stack([np.ones(4), [0.0, 1.0, 2.0, 3.0]])

@@ -1,6 +1,6 @@
-"""Every module of the package uses what it imports, every top-level
-function and class of the package has a reader, and the package root
-exports only names the README uses.
+"""Every module of the package and every test file uses what it
+imports, every top-level function and class of the package has a reader,
+and the package root exports only names the README uses.
 
 ``__init__.py`` only re-exports, so the first two checks skip it;
 ``from __future__ import annotations`` is never a use.
@@ -15,6 +15,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "shiftwatch"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported(tree):
@@ -47,7 +48,7 @@ def _used(tree):
     return names
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: str(p.relative_to(PACKAGE if p.parent == PACKAGE else ROOT)))
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _used(tree)
