@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from .core import Dataset, Selector, empirical_quantile
-from .errors import CalibrationInfeasible, InvalidInput
+from .errors import CalibrationInfeasible, ConfigError, InvalidInput
 
 DEFAULT_P_VALUES = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))  # 0.50..0.95
 DEFAULT_P_HAT_VALUES = tuple(round(0.1 * i, 1) for i in range(1, 10))  # 0.1..0.9
@@ -28,18 +28,20 @@ class GridSpec:
     def __post_init__(self):
         object.__setattr__(self, "p_values", tuple(self.p_values))
         object.__setattr__(self, "p_hat_values", tuple(self.p_hat_values))
-        if not self.p_values or not self.p_hat_values:
-            raise InvalidInput("grid value lists must be nonempty")
+        if not self.p_values:
+            raise ConfigError("p_values", "must list at least one value")
         if list(self.p_values) != sorted(set(self.p_values)):
-            raise InvalidInput("p_values must be strictly increasing")
-        if list(self.p_hat_values) != sorted(set(self.p_hat_values)):
-            raise InvalidInput("p_hat_values must be strictly increasing")
+            raise ConfigError("p_values", "must be strictly increasing")
         if any(not 0.5 <= p < 1.0 for p in self.p_values):
-            raise InvalidInput("p values must lie in [0.5, 1)")
+            raise ConfigError("p_values", "must lie in [0.5, 1)")
+        if not self.p_hat_values:
+            raise ConfigError("p_hat_values", "must list at least one value")
+        if list(self.p_hat_values) != sorted(set(self.p_hat_values)):
+            raise ConfigError("p_hat_values", "must be strictly increasing")
         if any(not 0.0 < p < 1.0 for p in self.p_hat_values):
-            raise InvalidInput("p_hat values must lie in (0, 1)")
+            raise ConfigError("p_hat_values", "must lie in (0, 1)")
         if not 0.0 < self.fdp_max < 1.0:
-            raise InvalidInput("fdp_max must lie in (0, 1)")
+            raise ConfigError("fdp_max", f"must lie in (0, 1), got {self.fdp_max}")
 
 
 @dataclass(frozen=True)

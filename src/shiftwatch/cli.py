@@ -51,12 +51,16 @@ def _monitor_config(cfg: AppConfig) -> MonitorConfig:
     )
 
 
+def _read_source(cfg: AppConfig):
+    if cfg.source is None:
+        raise ConfigError("source", "a source CSV is required")
+    return read_dataset(cfg.source)
+
+
 def _scenarios(cfg: AppConfig):
     """The source, its feature-split scenarios and the production schedule
     of simulate, evaluate and sweep."""
-    if cfg.source is None:
-        raise ConfigError("source", "a source CSV is required")
-    source = read_dataset(cfg.source)
+    source = _read_source(cfg)
     kinds = ["continuous"] * source.d
     if cfg.feature_kinds is not None:
         kinds = [k.strip() for k in cfg.feature_kinds.split(",")]
@@ -73,9 +77,7 @@ def _calibration_pipeline(cfg: AppConfig):
     estimator R^2). When the source file already carries a score column it
     is used directly and no estimator is fitted.
     """
-    if cfg.source is None:
-        raise ConfigError("source", "a source CSV is required")
-    source = read_dataset(cfg.source)
+    source = _read_source(cfg)
     if source.scores is not None:
         model, cal_scored = None, source
     else:
@@ -85,6 +87,11 @@ def _calibration_pipeline(cfg: AppConfig):
     r2 = r_squared(cal_scored.scores, cal_scored.errors)
     calres = calibrate(GridSpec(cfg.p_values, cfg.p_hat_values, cfg.fdp_max), cal_scored)
     return model, cal_scored, calres, r2
+
+
+def _write_json(path: str, payload) -> None:
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2))
 
 
 def _make_out_dir(path: str) -> None:
@@ -157,8 +164,7 @@ def cmd_calibrate(config_file, **flags):
         "estimator": "external_scores" if model is None else f"knn(k={model.k})",
         "grid_cells": len(calres.grid_report),
     }
-    with open(os.path.join(cfg.out_dir, "selector.json"), "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+    _write_json(os.path.join(cfg.out_dir, "selector.json"), payload)
     click.echo(
         f"selector: q={calres.selector.q:.6g} q_hat={calres.selector.q_hat:.6g} "
         f"power={calres.power:.3f} fdp={calres.fdp:.3f} (r2={r2:.3f})"
@@ -206,8 +212,7 @@ def cmd_monitor(config_file, **flags):
         "phi_q_alarm_time": state.phi_q_time,
         "phi_q2_alarm_time": state.phi_q2_time,
     }
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
+    _write_json(summary_path, summary)
     if state.phi_q or state.phi_q2:
         click.echo(
             f"ALARM: phi_q at t={state.phi_q_time}, phi_q2 at t={state.phi_q2_time}"
@@ -239,8 +244,8 @@ def cmd_simulate(config_file, **flags):
                 "stream_file": os.path.basename(path),
             }
         )
-    with open(os.path.join(cfg.out_dir, "scenarios.json"), "w") as fh:
-        json.dump({"schema_version": SCHEMA_VERSION, "scenarios": index}, fh, sort_keys=True, indent=2)
+    payload = {"schema_version": SCHEMA_VERSION, "scenarios": index}
+    _write_json(os.path.join(cfg.out_dir, "scenarios.json"), payload)
     click.echo(f"wrote {len(index)} scenario streams to {cfg.out_dir}")
 
 
@@ -291,8 +296,7 @@ def cmd_evaluate(config_file, **flags):
             for det in ("phi_q2", "mean")
         },
     }
-    with open(os.path.join(cfg.out_dir, "metrics.json"), "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2))
+    _write_json(os.path.join(cfg.out_dir, "metrics.json"), payload)
     with open(os.path.join(cfg.out_dir, "runs.json"), "w") as fh:
         fh.write(reports_to_json(reports))
     click.echo(json.dumps(payload["detectors"], sort_keys=True))
@@ -315,8 +319,7 @@ def cmd_sweep(config_file, **flags):
                 m = suite_metrics(reports, det, eps_harm=eps_harm, eps_tol=eps_tol)
                 rows.append({"eps_tol": eps_tol, **m.to_dict()})
     payload = {"schema_version": SCHEMA_VERSION, "sweep": rows}
-    with open(os.path.join(cfg.out_dir, "sweep.json"), "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2))
+    _write_json(os.path.join(cfg.out_dir, "sweep.json"), payload)
     with open(os.path.join(cfg.out_dir, "sweep.csv"), "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=sorted(rows[0].keys()))
         writer.writeheader()

@@ -6,27 +6,14 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
-from .calibration import DEFAULT_FDP_MAX, DEFAULT_P_HAT_VALUES, DEFAULT_P_VALUES
+from .calibration import DEFAULT_FDP_MAX, DEFAULT_P_HAT_VALUES, DEFAULT_P_VALUES, GridSpec
 from .errors import ConfigError
 from .estimator import DEFAULT_K
 from .monitor import MonitorConfig
-from .shiftsim import DEFAULT_ABLATION_FRACTION
+from .shiftsim import DEFAULT_ABLATION_FRACTION, Schedule
 
-_FLOAT_KEYS = {
-    "alpha_source",
-    "alpha_prod",
-    "alpha1",
-    "eps_tol",
-    "delta_corr",
-    "fdp_max",
-    "ablation_fraction",
-}
-_INT_KEYS = {"k", "horizon", "onset", "seed", "n_seeds", "workers"}
-_STR_KEYS = {"source", "production", "out_dir", "schedule", "feature_kinds"}
-_LIST_KEYS = {"p_values", "p_hat_values", "eps_harm_grid", "eps_tol_grid"}
-KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _LIST_KEYS
 # A '#' starts a comment at the start of a line or after whitespace, so a
 # value such as "results#2" is kept whole.
 _COMMENT = re.compile(r"(?:^|\s)#")
@@ -58,16 +45,22 @@ class AppConfig:
     eps_tol_grid: Tuple[float, ...] = (0.0,)
 
 
+# Each key's type is the annotation of its AppConfig field.
+_KEY_TYPES = get_type_hints(AppConfig)
+KNOWN_KEYS = frozenset(_KEY_TYPES)
+
+
 def _coerce(key: str, raw):
-    """Parse a file or flag value (a string) into the type of ``key``."""
+    """Parse a file or flag value (a string) into the type of ``key``'s
+    AppConfig field: a comma-separated list for a tuple field."""
+    kind = _KEY_TYPES[key]
+    if get_origin(kind) is Union:  # Optional[X]
+        kind = get_args(kind)[0]
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _LIST_KEYS:
-            return tuple(float(x) for x in str(raw).split(",") if x.strip())
-        return str(raw)
+        if get_origin(kind) is tuple:
+            item = get_args(kind)[0]
+            return tuple(item(x) for x in str(raw).split(",") if x.strip())
+        return kind(raw)
     except (TypeError, ValueError):
         raise ConfigError(key, f"cannot parse value {raw!r}")
 
@@ -113,37 +106,28 @@ def parse_config(file: Optional[str] = None, **flags) -> AppConfig:
 
 
 def _validate(cfg: AppConfig) -> None:
-    for key in ("alpha_source", "alpha_prod"):
-        v = getattr(cfg, key)
-        if not 0.0 < v < 1.0:
-            raise ConfigError(key, f"must lie in (0, 1), got {v}")
-    if cfg.alpha1 is not None and not 0.0 < cfg.alpha1 < cfg.alpha_prod:
-        raise ConfigError("alpha1", f"must lie in (0, alpha_prod), got {cfg.alpha1}")
-    if not 0.0 < cfg.fdp_max < 1.0:
-        raise ConfigError("fdp_max", f"must lie in (0, 1), got {cfg.fdp_max}")
-    if cfg.eps_tol < 0.0:
-        raise ConfigError("eps_tol", "must be >= 0")
-    if cfg.delta_corr < 0.0:
-        raise ConfigError("delta_corr", "must be >= 0")
+    """Check every key before any command reads an input. The range rules
+    of the monitor, grid and schedule keys belong to MonitorConfig, GridSpec
+    and Schedule, built here from the parsed values; each raises ConfigError
+    under the key at fault. The keys no library type owns are checked here,
+    then the input paths."""
+    MonitorConfig(cfg.alpha_source, cfg.alpha_prod, cfg.alpha1, cfg.eps_tol, cfg.delta_corr)
+    GridSpec(cfg.p_values, cfg.p_hat_values, cfg.fdp_max)
+    Schedule(cfg.schedule, cfg.horizon, cfg.onset)
     if cfg.k < 1:
         raise ConfigError("k", "must be >= 1")
-    if cfg.horizon < 1:
-        raise ConfigError("horizon", "must be >= 1")
-    if cfg.schedule not in ("none", "sudden", "sigmoid"):
-        raise ConfigError("schedule", f"unknown schedule {cfg.schedule!r}")
-    if cfg.onset is not None and not 1 <= cfg.onset <= cfg.horizon:
-        raise ConfigError("onset", "must lie in [1, horizon]")
-    if not 0.0 < cfg.ablation_fraction <= 1.0:
-        raise ConfigError("ablation_fraction", "must lie in (0, 1]")
     if cfg.seed < 0:
         raise ConfigError("seed", "must be >= 0")
     if cfg.n_seeds < 1:
         raise ConfigError("n_seeds", "must be >= 1")
     if cfg.workers < 1:
         raise ConfigError("workers", "must be >= 1")
-    for key in sorted(_LIST_KEYS):
-        if not getattr(cfg, key):
-            raise ConfigError(key, "must list at least one value")
+    if not cfg.eps_harm_grid:
+        raise ConfigError("eps_harm_grid", "must list at least one value")
+    if not cfg.eps_tol_grid:
+        raise ConfigError("eps_tol_grid", "must list at least one value")
+    if not 0.0 < cfg.ablation_fraction <= 1.0:
+        raise ConfigError("ablation_fraction", "must lie in (0, 1]")
     for key in ("source", "production"):
         path = getattr(cfg, key)
         if path is not None and path != "-" and not os.path.exists(path):

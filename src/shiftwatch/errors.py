@@ -13,10 +13,11 @@ class IngestError(ShiftwatchError):
     """A data file could not be parsed against the expected schema."""
 
 
-class ConfigError(ShiftwatchError):
-    """A configuration key is unknown, out of range, or points nowhere.
+class ConfigError(InvalidInput):
+    """A setting is unknown, out of range, or points nowhere.
 
-    Carries the offending key name so callers can report it.
+    Carries the offending configuration key so callers can report it;
+    MonitorConfig, GridSpec and Schedule raise it for their range rules.
     """
 
     def __init__(self, key: str, message: str = ""):

@@ -37,7 +37,8 @@ from .shiftsim import Schedule, ShiftScenario, build_stream, split_pools
 SCHEMA_VERSION = 1
 
 PLUGIN_DETECTORS = ("phi_q", "phi_q2", "mean")
-# Shares of the retained pool for training and production test; the rest calibrates.
+# Shares of the shuffled retained pool: the first TRAIN_FRAC is left unused,
+# the next TEST_FRAC feeds the production stream and the rest calibrates.
 TRAIN_FRAC = 0.6
 TEST_FRAC = 0.2
 R2_BINS = 10
@@ -131,10 +132,9 @@ def _partition(data: Dataset, seed: int):
     perm = rng.permutation(data.n)
     n_train = int(TRAIN_FRAC * data.n)
     n_test = int(TEST_FRAC * data.n)
-    train = data.subset(perm[:n_train])
     test = data.subset(perm[n_train : n_train + n_test])
     calib = data.subset(perm[n_train + n_test :])
-    return train, test, calib
+    return test, calib
 
 
 def run_experiment(
@@ -147,19 +147,18 @@ def run_experiment(
     """One full pipeline run; deterministic given (source, scenario,
     schedule, config, seed).
 
-    Pipeline: ablate pools, partition the retained pool into
-    train/test/calibration, fit the error estimator on half the
-    calibration set, calibrate the selector on the other half, compute
-    source statistics, simulate the production stream, and run all six
-    detectors (plug-in and oracle variants of the two quantile statistics
-    and the mean statistic).
+    Pipeline: ablate pools, draw the test and calibration shares of the
+    retained pool, fit the error estimator on half the calibration set,
+    calibrate the selector on the other half, compute source statistics,
+    simulate the production stream, and run all six detectors (plug-in and
+    oracle variants of the two quantile statistics and the mean statistic).
     """
     if source.errors is None:
         raise InvalidInput("experiments need a labeled source dataset")
     ablate_seed, part_seed, stream_seed = _sub_seeds(seed, scenario)
     scenario = dataclasses.replace(scenario, seed=ablate_seed)
     retained, excluded = split_pools(source, scenario)
-    _, test, calib = _partition(retained, part_seed)
+    test, calib = _partition(retained, part_seed)
 
     report = RunReport(
         scenario_id=scenario.scenario_id,

@@ -24,7 +24,7 @@ from .confidence import (
     pmeb_update,
 )
 from .core import Dataset, Selector
-from .errors import InvalidInput
+from .errors import ConfigError, InvalidInput
 
 
 @dataclass(frozen=True)
@@ -45,18 +45,18 @@ class MonitorConfig:
     delta_corr: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha_source", "alpha_prod"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise InvalidInput(f"{name} must lie in (0, 1), got {v}")
+        if not 0.0 < self.alpha_source < 1.0:
+            raise ConfigError("alpha_source", f"must lie in (0, 1), got {self.alpha_source}")
+        if not 0.0 < self.alpha_prod < 1.0:
+            raise ConfigError("alpha_prod", f"must lie in (0, 1), got {self.alpha_prod}")
         if self.alpha1 is None:
             object.__setattr__(self, "alpha1", self.alpha_prod / 2.0)
         if not 0.0 < self.alpha1 < self.alpha_prod:
-            raise InvalidInput(f"alpha1 must lie in (0, alpha_prod), got {self.alpha1}")
+            raise ConfigError("alpha1", f"must lie in (0, alpha_prod), got {self.alpha1}")
         if self.eps_tol < 0.0:
-            raise InvalidInput("eps_tol must be >= 0")
+            raise ConfigError("eps_tol", "must be >= 0")
         if self.delta_corr < 0.0:
-            raise InvalidInput("delta_corr must be >= 0")
+            raise ConfigError("delta_corr", "must be >= 0")
 
     @property
     def alpha2(self) -> float:

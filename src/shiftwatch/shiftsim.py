@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .core import Dataset, empirical_quantile
-from .errors import InvalidInput
+from .errors import ConfigError, InvalidInput
 
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical"
@@ -52,8 +52,9 @@ class ShiftScenario:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Production schedule: none, sudden(T), or sigmoid(t0). A shifting
-    schedule without an onset shifts at half the horizon (at least 1)."""
+    """Production schedule: none, sudden(T), or sigmoid(t0). A given onset
+    lies in [1, horizon] whatever the kind; a shifting schedule without
+    one shifts at half the horizon (at least 1)."""
 
     kind: str  # none | sudden | sigmoid
     horizon: int
@@ -61,14 +62,13 @@ class Schedule:
 
     def __post_init__(self):
         if self.kind not in ("none", "sudden", "sigmoid"):
-            raise InvalidInput(f"unknown schedule kind {self.kind!r}")
+            raise ConfigError("schedule", f"unknown schedule {self.kind!r}")
         if self.horizon < 1:
-            raise InvalidInput("horizon must be >= 1")
-        if self.kind != "none":
-            if self.onset is None:
-                object.__setattr__(self, "onset", max(1, self.horizon // 2))
-            if not 1 <= self.onset <= self.horizon:
-                raise InvalidInput("onset must lie in [1, horizon]")
+            raise ConfigError("horizon", "must be >= 1")
+        if self.onset is not None and not 1 <= self.onset <= self.horizon:
+            raise ConfigError("onset", "must lie in [1, horizon]")
+        if self.kind != "none" and self.onset is None:
+            object.__setattr__(self, "onset", max(1, self.horizon // 2))
 
 
 def sigmoid_mixture(t, t0):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, output artifacts."""
 
+import ast
 import json
 import os
 import pathlib
@@ -409,18 +410,55 @@ class TestFlags:
         assert not (tmp_path / "out").exists()
 
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _trace_cli(spans_path, args):
+    """Run perfbench/trace_cli.py on the package in src/ in a child process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "trace_cli.py"), str(spans_path)] + args,
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def test_tracer_finds_every_name_it_wraps(tmp_path):
     """perfbench/trace_cli.py wraps package functions by name; renaming
     one of them breaks its start-up, which ``--help`` exercises."""
-    root = pathlib.Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "trace_cli.py"), str(tmp_path / "spans.json"), "--help"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _trace_cli(tmp_path / "spans.json", ["--help"])
     assert proc.returncode == 0, proc.stderr
     assert "monitor" in proc.stdout
+
+
+@pytest.mark.parametrize("command, expected", [("monitor", 2), ("evaluate", 0)])
+def test_tracer_spans_are_benchmark_layers(tmp_path, command, expected):
+    """perfbench/trace_cli.py runs each benchmarked command to its own exit
+    code (2: the monitor's 200 highest-error rows raise an alarm) and writes
+    only spans that perfbench/run.py files under a layer."""
+    from shiftwatch.shiftsim import make_subgroup_dataset
+
+    bench = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    (layer_times,) = (
+        ast.literal_eval(node.value)
+        for node in bench.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYER_TIMES"]
+    )
+    layers = {name for names in layer_times.values() for name in names}
+
+    source = make_subgroup_dataset(500, seed=9)
+    write_dataset(tmp_path / "src.csv", source)
+    args = [command, "--source", str(tmp_path / "src.csv"), "--out-dir", str(tmp_path / "out")]
+    if command == "monitor":
+        write_dataset(tmp_path / "prod.csv", Dataset(source.features[np.argsort(-source.errors)[:200]]))
+        args += ["--production", str(tmp_path / "prod.csv")]
+    else:
+        args += ["--horizon", "100", "--onset", "50"]
+    spans_path = tmp_path / "spans.json"
+    proc = _trace_cli(spans_path, args)
+    assert proc.returncode == expected, proc.stderr
+    names = {span[0] for span in json.loads(spans_path.read_text())["spans"]}
+    assert names and names <= layers, sorted(names - layers)
 
 
 class TestSimulateCommand:
@@ -450,6 +488,15 @@ class TestSimulateCommand:
         assert len(index["scenarios"]) == 4  # two continuous features
         for entry in index["scenarios"]:
             assert (out / entry["stream_file"]).exists()
+
+    def test_grid_keys_are_checked_though_simulate_does_not_calibrate(self, runner, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("p_values = 0.9, 0.5\n")
+        out = tmp_path / "out"
+        args = ["simulate", "--config", str(path), "--source", str(_scored_source(tmp_path / "src.csv")),
+                "--out-dir", str(out), "--horizon", "50", "--onset", "10"]
+        _assert_one_line_error(runner.invoke(main, args), "Error: p_values: must be strictly increasing")
+        assert not out.exists()
 
 
 class TestEvaluateCommand:

@@ -78,6 +78,34 @@ class TestValidation:
             parse_config(alpha_prod=0.05, alpha1=alpha1)
         assert exc.value.key == "alpha1"
 
+    @pytest.mark.parametrize(
+        "values, key",
+        [
+            ({"alpha_source": "0"}, "alpha_source"),
+            ({"eps_tol": "-0.1"}, "eps_tol"),
+            ({"delta_corr": "-0.1"}, "delta_corr"),
+            ({"p_values": "0.9,0.5"}, "p_values"),
+            ({"p_values": "0.4,0.6"}, "p_values"),
+            ({"p_hat_values": "0,0.5"}, "p_hat_values"),
+            ({"p_hat_values": "0.5,1"}, "p_hat_values"),
+            ({"fdp_max": "1"}, "fdp_max"),
+            ({"horizon": "0"}, "horizon"),
+            ({"schedule": "sometimes"}, "schedule"),
+            ({"schedule": "none", "horizon": "100", "onset": "101"}, "onset"),
+            ({"schedule": "none", "onset": "0"}, "onset"),
+        ],
+        ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else None,
+    )
+    def test_out_of_range_value_names_its_key(self, tmp_path, values, key):
+        # the range rules of MonitorConfig, GridSpec and Schedule hold when
+        # the configuration is parsed, whichever command will read it
+        path = tmp_path / "c.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        for args, flags in (((str(path),), {}), ((), values)):
+            with pytest.raises(ConfigError) as exc:
+                parse_config(*args, **flags)
+            assert exc.value.key == key
+
     def test_negative_seed(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("seed = -1\n")
