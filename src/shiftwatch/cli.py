@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -38,7 +39,7 @@ from .monitor import (
     source_statistics,
     write_trajectory_csv,
 )
-from .shiftsim import Schedule, build_stream, enumerate_scenarios, split_pools
+from .shiftsim import CONTINUOUS, Schedule, build_stream, enumerate_scenarios, split_pools
 
 
 def _monitor_config(cfg: AppConfig) -> MonitorConfig:
@@ -61,12 +62,8 @@ def _scenarios(cfg: AppConfig):
     """The source, its feature-split scenarios and the production schedule
     of simulate, evaluate and sweep."""
     source = _read_source(cfg)
-    kinds = ["continuous"] * source.d
-    if cfg.feature_kinds is not None:
-        kinds = [k.strip() for k in cfg.feature_kinds.split(",")]
-    if len(kinds) != source.d:
-        raise ConfigError("feature_kinds", f"expected {source.d} kinds, got {len(kinds)}")
-    scenarios = enumerate_scenarios(source, kinds, cfg.ablation_fraction, base_seed=cfg.seed)
+    kinds = (CONTINUOUS,) * source.d if cfg.feature_kinds is None else cfg.feature_kinds
+    scenarios = enumerate_scenarios(source, kinds, cfg.ablation_fraction)
     return source, scenarios, Schedule(kind=cfg.schedule, horizon=cfg.horizon, onset=cfg.onset)
 
 
@@ -152,12 +149,7 @@ def cmd_calibrate(config_file, **flags):
     write_grid_report(os.path.join(cfg.out_dir, "grid_report.csv"), calres.grid_report)
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "selector": {
-            "q": calres.selector.q,
-            "q_hat": calres.selector.q_hat,
-            "p": calres.selector.p,
-            "p_hat": calres.selector.p_hat,
-        },
+        "selector": dataclasses.asdict(calres.selector),
         "power": calres.power,
         "fdp": calres.fdp,
         "estimator_r2": r2,
@@ -229,8 +221,8 @@ def cmd_simulate(config_file, **flags):
     source, scenarios, schedule = _scenarios(cfg)
     _make_out_dir(cfg.out_dir)
     index = []
-    for scenario in scenarios:
-        retained, excluded = split_pools(source, scenario)
+    for i, scenario in enumerate(scenarios):
+        retained, excluded = split_pools(source, scenario, cfg.seed + i)
         stream = build_stream(retained, excluded, schedule, cfg.seed)
         path = os.path.join(cfg.out_dir, f"stream_{scenario.scenario_id}.csv")
         write_dataset(path, stream.to_dataset())

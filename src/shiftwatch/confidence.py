@@ -3,11 +3,12 @@
 The PM-EB arithmetic is ``pmeb_update``, which advances the confidence
 sequence over a chunk of observations with numpy running sums that
 resume from the carried accumulators. The streaming monitor calls it once
-per chunk; ``pmeb_lower_path`` is one call on a fresh state. It keeps the
-order of operations of the one-observation-at-a-time recurrence and
-routes both logarithms through libm ``math.log`` (numpy's vectorized
-``np.log`` can differ in the last bit), so its bounds equal that
-recurrence's bit for bit; the tests hold them to a scalar reference.
+per chunk; ``pmeb_best_lower_path`` is one call on a fresh state. It
+keeps the order of operations of the one-observation-at-a-time
+recurrence and routes both logarithms through libm ``math.log``
+(numpy's vectorized ``np.log`` can differ in the last bit), so its
+bounds equal that recurrence's bit for bit; the tests hold them to a
+scalar reference.
 """
 
 from __future__ import annotations
@@ -53,11 +54,9 @@ class PmEbState:
     sum_dev: float = 0.0
     best_lower: float = 0.0
 
-
-def pmeb_fresh(alpha: float) -> PmEbState:
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInput(f"miscoverage level must lie in (0, 1), got {alpha}")
-    return PmEbState(alpha=alpha)
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise InvalidInput(f"miscoverage level must lie in (0, 1), got {self.alpha}")
 
 
 def _running(carry: float, values: np.ndarray) -> np.ndarray:
@@ -116,11 +115,6 @@ def pmeb_update(state: PmEbState, xs) -> Tuple[np.ndarray, PmEbState]:
     )
 
 
-def pmeb_lower_path(xs, alpha: float) -> np.ndarray:
-    """Per-step clipped lower bounds over a whole stream (no running max)."""
-    return pmeb_update(pmeb_fresh(alpha), xs)[0]
-
-
 def pmeb_best_lower_path(xs, alpha: float) -> np.ndarray:
-    """Running-maximum (intersected) lower-bound trajectory."""
-    return np.maximum.accumulate(pmeb_lower_path(xs, alpha))
+    """Running-maximum (intersected) lower-bound trajectory of a whole stream."""
+    return np.maximum.accumulate(pmeb_update(PmEbState(alpha), xs)[0])

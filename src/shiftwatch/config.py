@@ -3,6 +3,8 @@ overrides. Flags win over file values, which win over defaults."""
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -39,7 +41,7 @@ class AppConfig:
     seed: int = 0
     n_seeds: int = 1
     workers: int = 1
-    feature_kinds: Optional[str] = None
+    feature_kinds: Optional[Tuple[str, ...]] = None
     ablation_fraction: float = DEFAULT_ABLATION_FRACTION
     eps_harm_grid: Tuple[float, ...] = (0.0, 0.02, 0.05, 0.1)
     eps_tol_grid: Tuple[float, ...] = (0.0,)
@@ -59,7 +61,7 @@ def _coerce(key: str, raw):
     try:
         if get_origin(kind) is tuple:
             item = get_args(kind)[0]
-            return tuple(item(x) for x in str(raw).split(",") if x.strip())
+            return tuple(item(x.strip()) for x in str(raw).split(",") if x.strip())
         return kind(raw)
     except (TypeError, ValueError):
         raise ConfigError(key, f"cannot parse value {raw!r}")
@@ -109,9 +111,11 @@ def _validate(cfg: AppConfig) -> None:
     """Check every key before any command reads an input. The range rules
     of the monitor, grid and schedule keys belong to MonitorConfig, GridSpec
     and Schedule, built here from the parsed values; each raises ConfigError
-    under the key at fault. The keys no library type owns are checked here,
-    then the input paths."""
-    MonitorConfig(cfg.alpha_source, cfg.alpha_prod, cfg.alpha1, cfg.eps_tol, cfg.delta_corr)
+    under the key at fault; each eps_tol_grid value must pass MonitorConfig's
+    eps_tol rule. The keys no library type owns are checked here, then the
+    input paths; the feature kinds, which need the source's feature count,
+    are enumerate_scenarios' to check."""
+    monitor = MonitorConfig(cfg.alpha_source, cfg.alpha_prod, cfg.alpha1, cfg.eps_tol, cfg.delta_corr)
     GridSpec(cfg.p_values, cfg.p_hat_values, cfg.fdp_max)
     Schedule(cfg.schedule, cfg.horizon, cfg.onset)
     if cfg.k < 1:
@@ -124,8 +128,15 @@ def _validate(cfg: AppConfig) -> None:
         raise ConfigError("workers", "must be >= 1")
     if not cfg.eps_harm_grid:
         raise ConfigError("eps_harm_grid", "must list at least one value")
+    if not all(math.isfinite(eps) for eps in cfg.eps_harm_grid):
+        raise ConfigError("eps_harm_grid", "must hold finite values")
     if not cfg.eps_tol_grid:
         raise ConfigError("eps_tol_grid", "must list at least one value")
+    for eps in cfg.eps_tol_grid:  # each is some sweep row's eps_tol
+        try:
+            dataclasses.replace(monitor, eps_tol=eps)
+        except ConfigError as exc:
+            raise ConfigError("eps_tol_grid", exc.message) from None
     if not 0.0 < cfg.ablation_fraction <= 1.0:
         raise ConfigError("ablation_fraction", "must lie in (0, 1]")
     for key in ("source", "production"):

@@ -213,17 +213,13 @@ def read_dataset(path) -> Dataset:
 def write_dataset(path, data: Dataset) -> None:
     """Write a dataset back out in the same CSV schema."""
     header = [f"f{i}" for i in range(data.d)]
-    if data.errors is not None:
-        header.append("error")
-    if data.scores is not None:
-        header.append("score")
+    columns = list(data.features.T)
+    for name, column in (("error", data.errors), ("score", data.scores)):
+        if column is not None:
+            header.append(name)
+            columns.append(column)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(data.n):
-            row = [repr(float(x)) for x in data.features[i]]
-            if data.errors is not None:
-                row.append(repr(float(data.errors[i])))
-            if data.scores is not None:
-                row.append(repr(float(data.scores[i])))
-            writer.writerow(row)
+        # csv writes a Python float as str(x), which equals repr(x)
+        writer.writerows(zip(*(column.tolist() for column in columns)))

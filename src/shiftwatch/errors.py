@@ -16,12 +16,14 @@ class IngestError(ShiftwatchError):
 class ConfigError(InvalidInput):
     """A setting is unknown, out of range, or points nowhere.
 
-    Carries the offending configuration key so callers can report it;
+    Carries the offending configuration key and the message that follows
+    it, so callers can report the key or re-raise the rule under another;
     MonitorConfig, GridSpec and Schedule raise it for their range rules.
     """
 
     def __init__(self, key: str, message: str = ""):
         self.key = key
+        self.message = message
         super().__init__(f"{key}: {message}" if message else key)
 
 

@@ -156,8 +156,7 @@ def run_experiment(
     if source.errors is None:
         raise InvalidInput("experiments need a labeled source dataset")
     ablate_seed, part_seed, stream_seed = _sub_seeds(seed, scenario)
-    scenario = dataclasses.replace(scenario, seed=ablate_seed)
-    retained, excluded = split_pools(source, scenario)
+    retained, excluded = split_pools(source, scenario, ablate_seed)
     test, calib = _partition(retained, part_seed)
 
     report = RunReport(

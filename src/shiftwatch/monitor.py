@@ -20,7 +20,6 @@ from .confidence import (
     PmEbState,
     hoeffding_halfwidth,
     pmeb_best_lower_path,
-    pmeb_fresh,
     pmeb_update,
 )
 from .core import Dataset, Selector
@@ -53,10 +52,11 @@ class MonitorConfig:
             object.__setattr__(self, "alpha1", self.alpha_prod / 2.0)
         if not 0.0 < self.alpha1 < self.alpha_prod:
             raise ConfigError("alpha1", f"must lie in (0, alpha_prod), got {self.alpha1}")
-        if self.eps_tol < 0.0:
-            raise ConfigError("eps_tol", "must be >= 0")
-        if self.delta_corr < 0.0:
-            raise ConfigError("delta_corr", "must be >= 0")
+        # written as "not >=" so that NaN, which compares false, fails too
+        if not self.eps_tol >= 0.0:
+            raise ConfigError("eps_tol", f"must be >= 0, got {self.eps_tol}")
+        if not self.delta_corr >= 0.0:
+            raise ConfigError("delta_corr", f"must be >= 0, got {self.delta_corr}")
 
     @property
     def alpha2(self) -> float:
@@ -138,7 +138,7 @@ class MonitorState:
         self.source = source
         self.config = config
         self.t = 0
-        self.selection_cs: PmEbState = pmeb_fresh(config.alpha1)
+        self.selection_cs = PmEbState(config.alpha1)
         self.n_selected = 0
         self.phi_q_time: Optional[int] = None
         self.phi_q2_time: Optional[int] = None

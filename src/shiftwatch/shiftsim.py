@@ -27,13 +27,13 @@ IMMUNE_BAND = 0.05
 
 @dataclass(frozen=True)
 class ShiftScenario:
-    """Recipe for one feature-split ablation."""
+    """Recipe for one feature-split ablation. It carries no seed: the
+    caller of ``split_pools`` owns the seed of each ablation."""
 
     feature_index: int
     split_kind: str  # above_median | below_median | category
     category_value: Optional[float] = None
     ablation_fraction: float = DEFAULT_ABLATION_FRACTION
-    seed: int = 0
 
     def __post_init__(self):
         if self.split_kind not in ("above_median", "below_median", "category"):
@@ -83,15 +83,16 @@ def enumerate_scenarios(
     data: Dataset,
     feature_kinds: Sequence[str],
     ablation_fraction: float = DEFAULT_ABLATION_FRACTION,
-    base_seed: int = 0,
 ) -> List[ShiftScenario]:
     """All feature-split scenarios for a dataset: two per continuous feature
     (above/below median), one per category of each categorical feature.
     Scenarios whose excluded subgroup would hold fewer than ``MIN_SUBGROUP``
     observations, or more than half the dataset, are dropped: an ablated
-    majority is not a subgroup shift."""
+    majority is not a subgroup shift. ``feature_kinds`` declares one kind
+    per feature column; a wrong count or an unknown kind raises
+    ``ConfigError`` under ``feature_kinds``."""
     if len(feature_kinds) != data.d:
-        raise InvalidInput("feature kinds must be declared for every feature")
+        raise ConfigError("feature_kinds", f"expected {data.d} kinds, got {len(feature_kinds)}")
     scenarios: List[ShiftScenario] = []
     for j, kind in enumerate(feature_kinds):
         col = data.features[:, j]
@@ -108,7 +109,6 @@ def enumerate_scenarios(
                             feature_index=j,
                             split_kind=split,
                             ablation_fraction=ablation_fraction,
-                            seed=base_seed + len(scenarios),
                         )
                     )
         elif kind == CATEGORICAL:
@@ -120,20 +120,21 @@ def enumerate_scenarios(
                             split_kind="category",
                             category_value=float(value),
                             ablation_fraction=1.0,
-                            seed=base_seed + len(scenarios),
                         )
                     )
         else:
-            raise InvalidInput(f"unknown feature kind {kind!r} for feature {j}")
+            raise ConfigError("feature_kinds", f"unknown kind {kind!r} for feature {j}")
     return scenarios
 
 
-def split_pools(data: Dataset, scenario: ShiftScenario):
+def split_pools(data: Dataset, scenario: ShiftScenario, seed: int):
     """Partition a dataset into (retained, excluded) pools.
 
-    Continuous splits move a seeded uniform ``ablation_fraction`` of the
-    chosen median side into the excluded pool; category splits move the
-    whole category. Ties at the median count as the below side.
+    Continuous splits move a uniform ``ablation_fraction`` of the chosen
+    median side, drawn with ``seed``, into the excluded pool; category
+    splits move the whole category and draw nothing. The caller owns the
+    seed, as for ``build_stream``. Ties at the median count as the below
+    side.
     """
     col = data.features[:, scenario.feature_index]
     if scenario.split_kind == "category":
@@ -146,7 +147,7 @@ def split_pools(data: Dataset, scenario: ShiftScenario):
         else:
             side = np.nonzero(col <= median)[0]
         n_excl = int(scenario.ablation_fraction * side.size)
-        rng = np.random.default_rng(scenario.seed)
+        rng = np.random.default_rng(seed)
         excluded_idx = np.sort(rng.choice(side, size=n_excl, replace=False))
     mask = np.zeros(data.n, dtype=bool)
     mask[excluded_idx] = True

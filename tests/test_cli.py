@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output artifacts."""
 
 import ast
+import csv
 import json
 import os
 import pathlib
@@ -497,6 +498,52 @@ class TestSimulateCommand:
                 "--out-dir", str(out), "--horizon", "50", "--onset", "10"]
         _assert_one_line_error(runner.invoke(main, args), "Error: p_values: must be strictly increasing")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kinds, message",
+        [
+            ("continuous,continuous", "expected 4 kinds, got 2"),
+            ("continuous, ordinal, continuous, continuous", "unknown kind 'ordinal'"),
+        ],
+        ids=["count", "unknown"],
+    )
+    def test_bad_feature_kinds_are_one_line(self, runner, tmp_path, kinds, message):
+        from shiftwatch.shiftsim import make_subgroup_dataset
+
+        write_dataset(tmp_path / "src.csv", make_subgroup_dataset(200, seed=9))
+        out = tmp_path / "out"
+        args = ["simulate", "--source", str(tmp_path / "src.csv"), "--out-dir", str(out), "--feature-kinds", kinds]
+        _assert_one_line_error(runner.invoke(main, args), f"Error: feature_kinds: {message}")
+        assert not out.exists()
+
+
+class TestSweepCommand:
+    def test_rows_and_evaluate_agreement(self, runner, tmp_path):
+        """2 tolerances x 2 harm thresholds x 3 detectors; the rows at
+        eps_tol = eps_harm = 0 are evaluate's detectors for the same flags."""
+        from shiftwatch.shiftsim import make_subgroup_dataset
+
+        write_dataset(tmp_path / "src.csv", make_subgroup_dataset(500, seed=9))
+        common = ["--source", str(tmp_path / "src.csv"), "--horizon", "300", "--onset", "80"]
+        grids = ["--eps-tol-grid", "0,0.05", "--eps-harm-grid", "0,0.1"]
+        result = runner.invoke(main, ["sweep", "--out-dir", str(tmp_path / "s")] + common + grids)
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["evaluate", "--out-dir", str(tmp_path / "e")] + common)
+        assert result.exit_code == 0, result.output
+
+        rows = json.loads((tmp_path / "s" / "sweep.json").read_text())["sweep"]
+        with open(tmp_path / "s" / "sweep.csv", newline="") as fh:
+            csv_rows = list(csv.DictReader(fh))
+        assert len(rows) == len(csv_rows) == 12
+        assert [(r["eps_tol"], r["eps_harm"], r["detector"]) for r in rows] == [
+            (t, h, d) for t in (0.0, 0.05) for h in (0.0, 0.1) for d in ("phi_q", "phi_q2", "mean")
+        ]
+        assert [(float(r["eps_tol"]), float(r["eps_harm"]), r["detector"]) for r in csv_rows] == [
+            (r["eps_tol"], r["eps_harm"], r["detector"]) for r in rows
+        ]
+        detectors = json.loads((tmp_path / "e" / "metrics.json").read_text())["detectors"]
+        at_zero = {r["detector"]: r for r in rows if r["eps_tol"] == 0.0 and r["eps_harm"] == 0.0}
+        assert {d: {k: v for k, v in r.items() if k != "eps_tol"} for d, r in at_zero.items()} == detectors
 
 
 class TestEvaluateCommand:

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftwatch.confidence import (
+    PmEbState,
     hoeffding_halfwidth,
     pmeb_best_lower_path,
-    pmeb_fresh,
-    pmeb_lower_path,
     pmeb_update,
 )
 from shiftwatch.errors import InvalidInput
@@ -49,18 +48,18 @@ class TestHoeffding:
 
 class TestPmEb:
     def test_fresh_state_vacuous(self):
-        state = pmeb_fresh(0.05)
+        state = PmEbState(0.05)
         assert state.best_lower == 0.0
         assert state.t == 0
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(InvalidInput):
-            pmeb_fresh(0.0)
+            PmEbState(0.0)
         with pytest.raises(InvalidInput):
-            pmeb_fresh(1.0)
+            PmEbState(1.0)
 
     def test_rejects_out_of_range_observation(self):
-        state = pmeb_fresh(0.05)
+        state = PmEbState(0.05)
         for bad in (1.5, -0.1, math.nan):
             with pytest.raises(InvalidInput):
                 pmeb_update(state, [0.5, bad])
@@ -70,7 +69,7 @@ class TestPmEb:
         # lambda_1 = min(sqrt(2 ln20 / (0.25 * 1 * ln2)), 1/2) = 1/2,
         # psi_E(1/2) = (-ln(1/2) - 1/2) / 4, and the raw bound
         # (0.5 - ln20 - psi) / 0.5 is deeply negative, clipping to 0.
-        lowers, state = pmeb_update(pmeb_fresh(0.05), [1.0])
+        lowers, state = pmeb_update(PmEbState(0.05), [1.0])
         psi = (-math.log(0.5) - 0.5) / 4.0
         assert state.t == 1
         assert state.sum_l == pytest.approx(0.5, rel=REL)
@@ -82,7 +81,7 @@ class TestPmEb:
         assert state.best_lower == 0.0
 
     def test_all_zeros_stream(self):
-        state = pmeb_fresh(0.05)
+        state = PmEbState(0.05)
         for _ in range(100):
             lowers, state = pmeb_update(state, [0.0])
             assert lowers.tolist() == [0.0]
@@ -97,7 +96,7 @@ class TestPmEb:
     def test_streaming_matches_batch_path(self):
         rng = np.random.default_rng(0)
         xs = rng.random(300)
-        state = pmeb_fresh(0.1)
+        state = PmEbState(0.1)
         best = []
         for x in xs:
             _, state = pmeb_update(state, [x])
@@ -107,7 +106,7 @@ class TestPmEb:
     def test_best_lower_is_running_max_of_path(self):
         rng = np.random.default_rng(1)
         xs = rng.random(200)
-        path = pmeb_lower_path(xs, 0.05)
+        path = pmeb_update(PmEbState(0.05), xs)[0]
         assert np.array_equal(
             pmeb_best_lower_path(xs, 0.05), np.maximum.accumulate(path)
         )
@@ -120,11 +119,11 @@ class TestPmEb:
 
     def test_path_rejects_bad_input(self):
         with pytest.raises(InvalidInput):
-            pmeb_lower_path([0.5, 1.2], 0.05)
+            pmeb_update(PmEbState(0.05), [0.5, 1.2])[0]
         with pytest.raises(InvalidInput):
-            pmeb_lower_path([[0.5]], 0.05)
+            pmeb_update(PmEbState(0.05), [[0.5]])[0]
         with pytest.raises(InvalidInput):
-            pmeb_lower_path([0.5], 0.0)
+            pmeb_update(PmEbState(0.0), [0.5])[0]
 
     @settings(max_examples=50)
     @given(
@@ -202,7 +201,7 @@ class TestBatchPathBitIdentity:
         rng = np.random.default_rng(7)
         for n in (0, 1, 2, 1000):
             xs = _stream(kind, n, rng)
-            assert pmeb_lower_path(xs, alpha).tobytes() == _scalar_run(xs, alpha)[0].tobytes()
+            assert pmeb_update(PmEbState(alpha), xs)[0].tobytes() == _scalar_run(xs, alpha)[0].tobytes()
 
     @pytest.mark.parametrize("kind", ["uniform", "bernoulli"])
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.25])
@@ -211,7 +210,7 @@ class TestBatchPathBitIdentity:
         xs = _stream(kind, 3000, rng)
         lowers_ref, acc_ref = _scalar_run(xs, alpha)
         for _ in range(5):
-            state, parts = pmeb_fresh(alpha), []
+            state, parts = PmEbState(alpha), []
             for chunk in np.split(xs, _random_cuts(xs.size, rng)):
                 lowers, state = pmeb_update(state, chunk)
                 parts.append(lowers)
@@ -226,4 +225,4 @@ class TestBatchPathBitIdentity:
         # log(t + 1) or log(1 - lambda) to np.log changes bounds from step
         # 9,637 and 14,559 of this stream respectively.
         xs = np.random.default_rng(103).random(15_000)
-        assert pmeb_lower_path(xs, 0.05).tobytes() == _scalar_run(xs, 0.05)[0].tobytes()
+        assert pmeb_update(PmEbState(0.05), xs)[0].tobytes() == _scalar_run(xs, 0.05)[0].tobytes()

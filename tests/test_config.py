@@ -2,12 +2,22 @@
 
 import ast
 import pathlib
+from typing import get_args, get_type_hints
 
 import pytest
 
 from shiftwatch import cli
 from shiftwatch.config import KNOWN_KEYS, AppConfig, parse_config
 from shiftwatch.errors import ConfigError
+
+
+def _is_numeric(kind) -> bool:
+    """True for int, float and Optional or tuple forms of them."""
+    return kind in (int, float) or any(_is_numeric(arg) for arg in get_args(kind))
+
+
+# Every numeric AppConfig key, read from the annotations so a new key is covered.
+_NUMERIC_KEYS = sorted(key for key, kind in get_type_hints(AppConfig).items() if _is_numeric(kind))
 
 
 class TestDefaults:
@@ -84,6 +94,7 @@ class TestValidation:
             ({"alpha_source": "0"}, "alpha_source"),
             ({"eps_tol": "-0.1"}, "eps_tol"),
             ({"delta_corr": "-0.1"}, "delta_corr"),
+            ({"eps_tol_grid": "0,-5"}, "eps_tol_grid"),
             ({"p_values": "0.9,0.5"}, "p_values"),
             ({"p_values": "0.4,0.6"}, "p_values"),
             ({"p_hat_values": "0,0.5"}, "p_hat_values"),
@@ -105,6 +116,14 @@ class TestValidation:
             with pytest.raises(ConfigError) as exc:
                 parse_config(*args, **flags)
             assert exc.value.key == key
+
+    @pytest.mark.parametrize("key", _NUMERIC_KEYS)
+    def test_nan_is_rejected(self, key):
+        # NaN fails every comparison, so a rule written as "x < 0 is an
+        # error" lets it through; every numeric key must refuse it
+        with pytest.raises(ConfigError) as exc:
+            parse_config(**{key: "nan"})
+        assert exc.value.key == key
 
     def test_negative_seed(self, tmp_path):
         path = tmp_path / "c.cfg"

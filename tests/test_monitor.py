@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shiftwatch import Dataset, MonitorConfig, MonitorState, source_statistics
-from shiftwatch.confidence import pmeb_best_lower_path, pmeb_fresh, pmeb_update
+from shiftwatch.confidence import PmEbState, pmeb_best_lower_path, pmeb_update
 from shiftwatch.core import Selector
 from shiftwatch.errors import InvalidInput
 from shiftwatch.monitor import (
@@ -246,7 +246,7 @@ class TestMeanDetector:
         rng = np.random.default_rng(3)
         xs = rng.random(200)
         cfg = MonitorConfig()
-        state = pmeb_fresh(cfg.alpha_prod)
+        state = PmEbState(cfg.alpha_prod)
         lowers = []
         for x in xs:
             _, state = pmeb_update(state, [x])

@@ -68,8 +68,8 @@ class TestSplitPools:
     def test_continuous_hand_count(self):
         values = np.arange(1.0, 11.0)  # 1..10, median = 5
         data = Dataset(values.reshape(-1, 1), np.full(10, 0.5))
-        scenario = ShiftScenario(0, "above_median", ablation_fraction=0.8, seed=3)
-        retained, excluded = split_pools(data, scenario)
+        scenario = ShiftScenario(0, "above_median", ablation_fraction=0.8)
+        retained, excluded = split_pools(data, scenario, seed=3)
         # side {6..10} has 5 rows; floor(0.8 * 5) = 4 go to excluded
         assert excluded.n == 4
         assert np.all(excluded.features[:, 0] > 5)
@@ -79,7 +79,7 @@ class TestSplitPools:
         col = np.array([0.0] * 12 + [1.0] * 20)
         data = Dataset(col.reshape(-1, 1), np.full(32, 0.5))
         scenario = ShiftScenario(0, "category", category_value=0.0)
-        retained, excluded = split_pools(data, scenario)
+        retained, excluded = split_pools(data, scenario, seed=0)
         assert excluded.n == 12
         assert np.all(excluded.features[:, 0] == 0.0)
 
@@ -87,7 +87,7 @@ class TestSplitPools:
         rng = np.random.default_rng(6)
         data = Dataset(rng.random((60, 2)), rng.random(60))
         for kind in ("above_median", "below_median"):
-            retained, excluded = split_pools(data, ShiftScenario(1, kind, seed=9))
+            retained, excluded = split_pools(data, ShiftScenario(1, kind), seed=9)
             assert retained.n + excluded.n == data.n
             merged = np.vstack([retained.features, excluded.features])
             assert np.array_equal(
@@ -97,9 +97,9 @@ class TestSplitPools:
     def test_seeded_and_deterministic(self):
         rng = np.random.default_rng(7)
         data = Dataset(rng.random((60, 1)), rng.random(60))
-        s = ShiftScenario(0, "above_median", seed=11)
-        _, e1 = split_pools(data, s)
-        _, e2 = split_pools(data, s)
+        s = ShiftScenario(0, "above_median")
+        _, e1 = split_pools(data, s, seed=11)
+        _, e2 = split_pools(data, s, seed=11)
         assert np.array_equal(e1.features, e2.features)
 
     def test_scenario_validation(self):
