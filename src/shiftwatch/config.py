@@ -14,7 +14,7 @@ from .calibration import DEFAULT_FDP_MAX, DEFAULT_P_HAT_VALUES, DEFAULT_P_VALUES
 from .errors import ConfigError
 from .estimator import DEFAULT_K
 from .monitor import MonitorConfig
-from .shiftsim import DEFAULT_ABLATION_FRACTION, Schedule
+from .shiftsim import DEFAULT_ABLATION_FRACTION, Schedule, ShiftScenario
 
 # A '#' starts a comment at the start of a line or after whitespace, so a
 # value such as "results#2" is kept whole.
@@ -109,15 +109,16 @@ def parse_config(file: Optional[str] = None, **flags) -> AppConfig:
 
 def _validate(cfg: AppConfig) -> None:
     """Check every key before any command reads an input. The range rules
-    of the monitor, grid and schedule keys belong to MonitorConfig, GridSpec
-    and Schedule, built here from the parsed values; each raises ConfigError
-    under the key at fault; each eps_tol_grid value must pass MonitorConfig's
-    eps_tol rule. The keys no library type owns are checked here, then the
+    of the monitor, grid, schedule and ablation_fraction keys belong to
+    MonitorConfig, GridSpec, Schedule and ShiftScenario, built here from the
+    parsed values; each raises ConfigError under the key at fault; each
+    eps_tol_grid value must pass MonitorConfig's eps_tol rule. The keys no library type owns are checked here, then the
     input paths; the feature kinds, which need the source's feature count,
     are enumerate_scenarios' to check."""
     monitor = MonitorConfig(cfg.alpha_source, cfg.alpha_prod, cfg.alpha1, cfg.eps_tol, cfg.delta_corr)
     GridSpec(cfg.p_values, cfg.p_hat_values, cfg.fdp_max)
     Schedule(cfg.schedule, cfg.horizon, cfg.onset)
+    ShiftScenario(0, "above_median", ablation_fraction=cfg.ablation_fraction)
     if cfg.k < 1:
         raise ConfigError("k", "must be >= 1")
     if cfg.seed < 0:
@@ -137,8 +138,6 @@ def _validate(cfg: AppConfig) -> None:
             dataclasses.replace(monitor, eps_tol=eps)
         except ConfigError as exc:
             raise ConfigError("eps_tol_grid", exc.message) from None
-    if not 0.0 < cfg.ablation_fraction <= 1.0:
-        raise ConfigError("ablation_fraction", "must lie in (0, 1]")
     for key in ("source", "production"):
         path = getattr(cfg, key)
         if path is not None and path != "-" and not os.path.exists(path):

@@ -31,7 +31,12 @@ class KnnModel:
     rows lie at or below the k-th distance; the neighbours, their order
     and so the summed score are those of a stable sort of every distance.
     The training rows' squared norms are computed once, here, and reused
-    by every prediction.
+    by every prediction. A row's score depends on that row alone, not on
+    the rest of its batch, so callers may score each distinct row once.
+    Fitting rejects a feature whose mean or std is not finite, and
+    prediction a query row whose squared standardized norm is not finite:
+    either would turn every distance to NaN and the score into the mean
+    of the first k training rows.
     """
 
     k: int
@@ -47,8 +52,16 @@ def fit_knn(train: Dataset, k: int) -> KnnModel:
         raise InvalidInput("k-NN training data must carry true errors")
     if k < 1 or k > train.n:
         raise InvalidInput(f"k must satisfy 1 <= k <= n, got k={k}, n={train.n}")
-    means = train.features.mean(axis=0)
-    stds = train.features.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = train.features.mean(axis=0)
+        stds = train.features.std(axis=0)
+    bad = ~(np.isfinite(means) & np.isfinite(stds))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise InvalidInput(
+            f"k-NN feature f{j}: its mean or standard deviation is not finite; "
+            "the values are too large to standardize"
+        )
     stds = np.where(stds > 0.0, stds, 1.0)
     z = (train.features - means) / stds
     return KnnModel(
@@ -76,24 +89,34 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
 
 
 def predict_many(model: KnnModel, x) -> np.ndarray:
-    """Scores for a batch of query rows (m, d)."""
+    """Scores for a batch of query rows (m, d). The distances
+    |z|^2 - 2 z.t + |t|^2 are built in the buffer the matrix product
+    returns, in that order of operations."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.train_features.shape[1]:
         raise InvalidInput(
             f"query dimension {x.shape[1]} does not match model dimension "
             f"{model.train_features.shape[1]}"
         )
-    z = (x - model.feature_means) / model.feature_stds
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (x - model.feature_means) / model.feature_stds
+        zz = (z * z).sum(axis=1)
+    bad = ~np.isfinite(zz)
+    if bad.any():
+        i = int(np.argmax(bad))
+        j = int(np.argmax(np.abs(z[i])))
+        raise InvalidInput(
+            f"k-NN query row {i}: feature f{j} = {float(x[i, j])!r} is too far from the "
+            "training data (the squared standardized norm is not finite)"
+        )
     out = np.empty(z.shape[0])
     # chunked to bound the distance-matrix footprint
     chunk = max(1, int(2_000_000 // max(1, model.train_features.shape[0])))
     for lo in range(0, z.shape[0], chunk):
         zc = z[lo : lo + chunk]
-        d2 = (
-            (zc * zc).sum(axis=1)[:, None]
-            - 2.0 * zc @ model.train_features.T
-            + model.train_sq_norms[None, :]
-        )
+        d2 = 2.0 * zc @ model.train_features.T
+        np.subtract(zz[lo : lo + chunk, None], d2, out=d2)
+        d2 += model.train_sq_norms
         idx = _nearest(d2, model.k)
         out[lo : lo + chunk] = model.train_errors[idx].mean(axis=1)
     return out

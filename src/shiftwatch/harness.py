@@ -152,6 +152,8 @@ def run_experiment(
     calibrate the selector on the other half, compute source statistics,
     simulate the production stream, and run all six detectors (plug-in and
     oracle variants of the two quantile statistics and the mean statistic).
+    The estimator scores each distinct pool row of the stream once; every
+    event reads its row's score, bit for bit the score of the whole stream.
     """
     if source.errors is None:
         raise InvalidInput("experiments need a labeled source dataset")
@@ -187,7 +189,8 @@ def run_experiment(
     upper_mean = source_mean_upper(cal_scored.errors, mon_cfg.alpha_source)
 
     stream = build_stream(test, excluded, schedule, stream_seed)
-    stream_scores = predict_many(model, stream.features)
+    _, first, inverse = np.unique(stream.rows, return_index=True, return_inverse=True)
+    stream_scores = predict_many(model, stream.features[first])[inverse]
 
     # plug-in quantile detectors share one lower-bound trajectory
     sel_plugin = selector.select(stream_scores).astype(float)

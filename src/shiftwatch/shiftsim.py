@@ -28,7 +28,8 @@ IMMUNE_BAND = 0.05
 @dataclass(frozen=True)
 class ShiftScenario:
     """Recipe for one feature-split ablation. It carries no seed: the
-    caller of ``split_pools`` owns the seed of each ablation."""
+    caller of ``split_pools`` owns the seed of each ablation. It owns the
+    ``ablation_fraction`` range rule and raises it under that key."""
 
     feature_index: int
     split_kind: str  # above_median | below_median | category
@@ -41,7 +42,7 @@ class ShiftScenario:
         if self.split_kind == "category" and self.category_value is None:
             raise InvalidInput("category splits need a category value")
         if not 0.0 < self.ablation_fraction <= 1.0:
-            raise InvalidInput("ablation fraction must lie in (0, 1]")
+            raise ConfigError("ablation_fraction", "must lie in (0, 1]")
 
     @property
     def scenario_id(self) -> str:
@@ -158,10 +159,14 @@ def split_pools(data: Dataset, scenario: ShiftScenario, seed: int):
 
 @dataclass(frozen=True)
 class ProductionStream:
-    """A realized production stream; errors ride along for oracle evaluation."""
+    """A realized production stream; errors ride along for oracle evaluation.
+    ``rows`` names each event's pool row: an index into the retained test
+    pool, or an index into the excluded pool plus the test pool's size.
+    Events that share a row share its features and error."""
 
     features: np.ndarray  # (T, d)
     errors: Optional[np.ndarray]  # (T,) or None
+    rows: np.ndarray  # (T,) int
 
     @property
     def horizon(self) -> int:
@@ -197,15 +202,16 @@ def build_stream(
         beta = sigmoid_mixture(t, schedule.onset)
         from_excluded = (t >= schedule.onset) & (rng.random(horizon) < beta)
 
-    idx_r = rng.integers(0, retained_test.n, size=horizon)
-    features = retained_test.features[idx_r].copy()
-    errors = None if retained_test.errors is None else retained_test.errors[idx_r].copy()
+    rows = rng.integers(0, retained_test.n, size=horizon)
+    features = retained_test.features[rows].copy()
+    errors = None if retained_test.errors is None else retained_test.errors[rows].copy()
     if from_excluded.any():
         idx_e = rng.integers(0, excluded.n, size=horizon)
         features[from_excluded] = excluded.features[idx_e[from_excluded]]
         if errors is not None and excluded.errors is not None:
             errors[from_excluded] = excluded.errors[idx_e[from_excluded]]
-    return ProductionStream(features=features, errors=errors)
+        rows[from_excluded] = retained_test.n + idx_e[from_excluded]
+    return ProductionStream(features=features, errors=errors, rows=rows)
 
 
 def make_subgroup_dataset(

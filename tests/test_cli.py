@@ -225,6 +225,20 @@ class TestMonitorCommand:
             result, "production stream", "f0..f{d-1} in order", "['f0', 'f1', 'f3']"
         )
 
+    def test_feature_too_far_for_the_knn_is_one_line(self, runner, tmp_path):
+        # a finite 1e200 passes ingest; the k-NN scored it as the mean of
+        # its first k train rows
+        src = tmp_path / "src.csv"
+        features = np.random.default_rng(5).random((400, 2))
+        write_dataset(src, Dataset(features, 0.9 * features[:, 0]))
+        prod = tmp_path / "prod.csv"
+        prod.write_text("f0,f1\n0.5,0.5\n1e200,0.5\n")
+        result = runner.invoke(
+            main,
+            ["monitor", "--source", str(src), "--production", str(prod), "--out-dir", str(tmp_path / "out")],
+        )
+        _assert_one_line_error(result, "feature f0 = 1e+200", "not finite")
+
 
     def test_score_column_with_fitted_knn_is_rejected(self, runner, tmp_path):
         # the production scores would be compared with a q_hat calibrated

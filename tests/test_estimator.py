@@ -1,5 +1,7 @@
 """k-NN error estimator, R^2 diagnostic, and external score ingestion."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,32 @@ class TestKnn:
         assert np.array_equal(predict_many(model, queries).view(np.int64), expected.view(np.int64))
         if k < 2000:  # both the tied and the untied branch ran
             assert (at_or_below > k).any() and (at_or_below == k).any()
+
+    @pytest.mark.parametrize("value", [1e200, -1e200, 1e308, np.inf, np.nan])
+    def test_query_too_far_to_standardize_is_rejected(self, value):
+        # (z * z) overflowed to inf, every distance of the row became NaN,
+        # and the row scored as the mean of the first k train rows
+        rng = np.random.default_rng(13)
+        model = fit_knn(Dataset(rng.random((50, 2)), rng.random(50)), k=3)
+        queries = rng.random((4, 2))
+        queries[2, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="query row 2: feature f0"):
+                predict_many(model, queries)
+
+    @pytest.mark.parametrize("column", [[1e308, -1e308], [1e308, 1e308], [1e200, 0.0]])
+    def test_feature_too_large_to_standardize_is_rejected(self, column):
+        # a column whose mean or std overflows was silently standardized
+        # by inf, which zeroed it out of every distance
+        rng = np.random.default_rng(14)
+        features = rng.random((50, 2))
+        features[:2, 1] = column
+        features[2:, 1] = 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="feature f1"):
+                fit_knn(Dataset(features, rng.random(50)), k=3)
 
     def test_constant_column_guard(self):
         feats = np.column_stack([np.ones(4), [0.0, 1.0, 2.0, 3.0]])

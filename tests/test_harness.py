@@ -16,7 +16,13 @@ from shiftwatch.harness import (
     suite_metrics,
     suite_metrics_by_r2,
 )
-from shiftwatch.shiftsim import Schedule, ShiftScenario, make_subgroup_dataset
+from shiftwatch.shiftsim import (
+    Schedule,
+    ShiftScenario,
+    enumerate_scenarios,
+    make_subgroup_dataset,
+    subgroup_feature_kinds,
+)
 
 
 def _report(i, oracle_max, plugin_max, r2=0.5):
@@ -85,6 +91,23 @@ class TestSuiteMetrics:
         assert sum(g["count"] for g in groups) == 40
 
 
+def _record(monkeypatch, *names):
+    """Wrap each named harness function so that its latest call's arguments
+    and result are kept, as calls[name] = (args, result)."""
+    calls = {}
+
+    def recording(name, fn):
+        def recorded(*args):
+            calls[name] = (args, fn(*args))
+            return calls[name][1]
+
+        return recorded
+
+    for name in names:
+        monkeypatch.setattr(harness_module, name, recording(name, getattr(harness_module, name)))
+    return calls
+
+
 @pytest.fixture(scope="module")
 def small_run():
     data = make_subgroup_dataset(
@@ -145,22 +168,44 @@ class TestRunExperiment:
         report counts the clipped ones."""
         data, scenario, schedule, config = small_run
         stretched = lambda model, x: 3.0 * predict_many(model, x) - 1.0
-        counted = []
-
-        def out_of_range(model, x):
-            scores = stretched(model, x)
-            counted.append(int(((scores < 0.0) | (scores > 1.0)).sum()))
-            return scores
-
-        monkeypatch.setattr(harness_module, "predict_many", out_of_range)
+        monkeypatch.setattr(harness_module, "predict_many", stretched)
+        calls = _record(monkeypatch, "build_stream", "predict_many")
         report = run_experiment(data, scenario, schedule, config, seed=5)
+        # the report counts clipped events, whether or not they share a pool row
+        (model, _), _ = calls["predict_many"]
+        scores = stretched(model, calls["build_stream"][1].features)
         monkeypatch.setattr(harness_module, "predict_many", lambda m, x: np.clip(stretched(m, x), 0.0, 1.0))
         clipped = run_experiment(data, scenario, schedule, config, seed=5)
-        assert report.n_clipped == counted[0] > 0
+        assert report.n_clipped == int(((scores < 0.0) | (scores > 1.0)).sum()) > 0
         assert clipped.n_clipped == 0
         assert report.selector == clipped.selector
         for key in report.traces:
             assert np.array_equal(report.traces[key], clipped.traces[key])
+
+    @pytest.mark.parametrize("scenario_id", ["f3_above_median", "f1_category_1"])
+    def test_stream_scores_equal_whole_stream_scores(self, monkeypatch, scenario_id):
+        """Each distinct pool row of the stream is scored once; the scores
+        the detectors read equal predict_many over the whole stream, bit for
+        bit, and each event's features and error are its pool row's."""
+        keywords = dict(immune_frac=0.3)  # f1 is a 0/1 category
+        data = make_subgroup_dataset(800, seed=21, **keywords)
+        scenarios = enumerate_scenarios(data, subgroup_feature_kinds(**keywords))
+        scenario = next(s for s in scenarios if s.scenario_id == scenario_id)
+        calls = _record(monkeypatch, "build_stream", "predict_many", "delta_diagnostic")
+        report = run_experiment(data, scenario, Schedule("sudden", 400, onset=100), ExperimentConfig(), seed=3)
+        assert not report.uncalibratable
+        (test, excluded, _, _), stream = calls["build_stream"]
+        features = np.vstack([test.features, excluded.features])
+        errors = np.concatenate([test.errors, excluded.errors])
+        assert np.array_equal(stream.features, features[stream.rows])
+        assert np.array_equal(stream.errors, errors[stream.rows])
+        (model, scored_rows), _ = calls["predict_many"]
+        assert len(scored_rows) == np.unique(stream.rows).size < stream.horizon
+        (used, _, _), _ = calls["delta_diagnostic"]
+        assert np.array_equal(used.features, stream.features)
+        expected = predict_many(model, stream.features)
+        assert np.array_equal(used.scores.view(np.int64), expected.view(np.int64))
+        assert report.n_clipped == int((expected != np.clip(expected, 0.0, 1.0)).sum())
 
     def test_requires_labels(self, small_run):
         _, scenario, schedule, config = small_run
