@@ -18,10 +18,10 @@ import sys
 import click
 import numpy as np
 
-from .calibration import GridSpec, calibrate, write_grid_report
+from .calibration import calibrate, write_grid_report
 from .config import AppConfig, parse_config
 from .core import read_chunks, read_dataset, write_dataset
-from .errors import ConfigError, IngestError, ShiftwatchError
+from .errors import ConfigError, IngestError, InvalidInput, ShiftwatchError
 from .estimator import fit_knn, predict, r_squared, score_dataset, split_half
 from .harness import (
     PLUGIN_DETECTORS,
@@ -32,24 +32,8 @@ from .harness import (
     suite_metrics,
     suite_metrics_by_r2,
 )
-from .monitor import (
-    TRAJECTORY_COLUMNS,
-    MonitorConfig,
-    MonitorState,
-    source_statistics,
-    write_trajectory_csv,
-)
-from .shiftsim import CONTINUOUS, Schedule, build_stream, enumerate_scenarios, split_pools
-
-
-def _monitor_config(cfg: AppConfig) -> MonitorConfig:
-    return MonitorConfig(
-        alpha_source=cfg.alpha_source,
-        alpha_prod=cfg.alpha_prod,
-        alpha1=cfg.alpha1,
-        eps_tol=cfg.eps_tol,
-        delta_corr=cfg.delta_corr,
-    )
+from .monitor import TRAJECTORY_COLUMNS, MonitorState, source_statistics, write_trajectory_csv
+from .shiftsim import CONTINUOUS, build_stream, enumerate_scenarios, split_pools
 
 
 def _read_source(cfg: AppConfig):
@@ -59,12 +43,11 @@ def _read_source(cfg: AppConfig):
 
 
 def _scenarios(cfg: AppConfig):
-    """The source, its feature-split scenarios and the production schedule
-    of simulate, evaluate and sweep."""
+    """The source and its feature-split scenarios, for simulate, evaluate
+    and sweep."""
     source = _read_source(cfg)
     kinds = (CONTINUOUS,) * source.d if cfg.feature_kinds is None else cfg.feature_kinds
-    scenarios = enumerate_scenarios(source, kinds, cfg.ablation_fraction)
-    return source, scenarios, Schedule(kind=cfg.schedule, horizon=cfg.horizon, onset=cfg.onset)
+    return source, enumerate_scenarios(source, kinds, cfg.ablation_fraction)
 
 
 def _calibration_pipeline(cfg: AppConfig):
@@ -82,8 +65,20 @@ def _calibration_pipeline(cfg: AppConfig):
         model = fit_knn(fit_half, min(cfg.k, fit_half.n))
         cal_scored = score_dataset(model, cal_half)
     r2 = r_squared(cal_scored.scores, cal_scored.errors)
-    calres = calibrate(GridSpec(cfg.p_values, cfg.p_hat_values, cfg.fdp_max), cal_scored)
+    calres = calibrate(cfg.grid, cal_scored)
     return model, cal_scored, calres, r2
+
+
+def _knn_scores(model, features, t_before: int) -> np.ndarray:
+    """One ``predict`` call per production row; a row the k-NN refuses is
+    named by its event time t, as in trajectory.csv."""
+    scores = []
+    for t, x in enumerate(features, t_before + 1):
+        try:
+            scores.append(predict(model, x))
+        except InvalidInput as exc:
+            raise InvalidInput(f"production event t={t}: {exc}") from None
+    return np.array(scores)
 
 
 def _write_json(path: str, payload) -> None:
@@ -176,9 +171,8 @@ def cmd_monitor(config_file, **flags):
     if cfg.production is None:
         raise ConfigError("production", "a production CSV (or '-') is required")
     model, cal_scored, calres, r2 = _calibration_pipeline(cfg)
-    mon_cfg = _monitor_config(cfg)
-    stats = source_statistics(cal_scored, calres.selector, mon_cfg)
-    state = MonitorState(calres.selector, stats, mon_cfg)
+    stats = source_statistics(cal_scored, calres.selector, cfg.monitor)
+    state = MonitorState(calres.selector, stats, cfg.monitor)
     _make_out_dir(cfg.out_dir)
     summary_path = os.path.join(cfg.out_dir, "monitor.json")
     # A run stopped by an error leaves the trajectory rows read so far;
@@ -196,7 +190,7 @@ def cmd_monitor(config_file, **flags):
                     else "production stream: a 'score' column is not allowed when the "
                     "k-NN fitted on the source scores the rows"
                 )
-            scores = chunk.scores if model is None else np.array([predict(model, x) for x in chunk.features])
+            scores = chunk.scores if model is None else _knn_scores(model, chunk.features, state.t)
             write_trajectory_csv(fh, state.observe(scores))
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -218,12 +212,12 @@ def cmd_monitor(config_file, **flags):
 def cmd_simulate(config_file, **flags):
     """Enumerate feature-split scenarios and write replayable streams."""
     cfg = parse_config(config_file, **flags)
-    source, scenarios, schedule = _scenarios(cfg)
+    source, scenarios = _scenarios(cfg)
     _make_out_dir(cfg.out_dir)
     index = []
     for i, scenario in enumerate(scenarios):
         retained, excluded = split_pools(source, scenario, cfg.seed + i)
-        stream = build_stream(retained, excluded, schedule, cfg.seed)
+        stream = build_stream(retained, excluded, cfg.shift_schedule, cfg.seed)
         path = os.path.join(cfg.out_dir, f"stream_{scenario.scenario_id}.csv")
         write_dataset(path, stream.to_dataset())
         index.append(
@@ -242,12 +236,8 @@ def cmd_simulate(config_file, **flags):
 
 
 def _run_suite_from_config(cfg: AppConfig):
-    source, scenarios, schedule = _scenarios(cfg)
-    exp = ExperimentConfig(
-        k=cfg.k,
-        grid=GridSpec(cfg.p_values, cfg.p_hat_values, cfg.fdp_max),
-        monitor=_monitor_config(cfg),
-    )
+    source, scenarios = _scenarios(cfg)
+    exp = ExperimentConfig(k=cfg.k, grid=cfg.grid, monitor=cfg.monitor)
     seeds = list(range(cfg.seed, cfg.seed + cfg.n_seeds))
     # an unusable --out-dir fails before the suite runs, not after it;
     # a suite that fails on its input still leaves no directory behind
@@ -258,7 +248,7 @@ def _run_suite_from_config(cfg: AppConfig):
         path = os.path.dirname(path)
     _make_out_dir(cfg.out_dir)
     try:
-        return run_suite(source, scenarios, schedule, exp, seeds, workers=cfg.workers)
+        return run_suite(source, scenarios, cfg.shift_schedule, exp, seeds, workers=cfg.workers)
     except BaseException:
         for made in missing:  # deepest first; rmdir never removes a file
             with contextlib.suppress(OSError):

@@ -7,7 +7,7 @@ import dataclasses
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 from .calibration import DEFAULT_FDP_MAX, DEFAULT_P_HAT_VALUES, DEFAULT_P_VALUES, GridSpec
@@ -45,10 +45,20 @@ class AppConfig:
     ablation_fraction: float = DEFAULT_ABLATION_FRACTION
     eps_harm_grid: Tuple[float, ...] = (0.0, 0.02, 0.05, 0.1)
     eps_tol_grid: Tuple[float, ...] = (0.0,)
+    # Settings parse_config builds from the keys BUILT names; not keys.
+    monitor: MonitorConfig = field(init=False, repr=False, compare=False)
+    grid: GridSpec = field(init=False, repr=False, compare=False)
+    shift_schedule: Schedule = field(init=False, repr=False, compare=False)
 
 
+# By AppConfig attribute: the settings type and the keys passed to it.
+BUILT = {
+    "monitor": (MonitorConfig, ("alpha_source", "alpha_prod", "alpha1", "eps_tol", "delta_corr")),
+    "grid": (GridSpec, ("p_values", "p_hat_values", "fdp_max")),
+    "shift_schedule": (Schedule, ("schedule", "horizon", "onset")),
+}
 # Each key's type is the annotation of its AppConfig field.
-_KEY_TYPES = get_type_hints(AppConfig)
+_KEY_TYPES = {key: kind for key, kind in get_type_hints(AppConfig).items() if key not in BUILT}
 KNOWN_KEYS = frozenset(_KEY_TYPES)
 
 
@@ -110,14 +120,14 @@ def parse_config(file: Optional[str] = None, **flags) -> AppConfig:
 def _validate(cfg: AppConfig) -> None:
     """Check every key before any command reads an input. The range rules
     of the monitor, grid, schedule and ablation_fraction keys belong to
-    MonitorConfig, GridSpec, Schedule and ShiftScenario, built here from the
-    parsed values; each raises ConfigError under the key at fault; each
-    eps_tol_grid value must pass MonitorConfig's eps_tol rule. The keys no library type owns are checked here, then the
-    input paths; the feature kinds, which need the source's feature count,
-    are enumerate_scenarios' to check."""
-    monitor = MonitorConfig(cfg.alpha_source, cfg.alpha_prod, cfg.alpha1, cfg.eps_tol, cfg.delta_corr)
-    GridSpec(cfg.p_values, cfg.p_hat_values, cfg.fdp_max)
-    Schedule(cfg.schedule, cfg.horizon, cfg.onset)
+    MonitorConfig, GridSpec, Schedule and ShiftScenario, built here from
+    the parsed values, the first three kept on ``cfg`` (see BUILT); each
+    raises ConfigError under the key at fault; each eps_tol_grid value must
+    pass MonitorConfig's eps_tol rule. The other keys are checked here,
+    then the input paths; the feature kinds, which need the source's
+    feature count, are enumerate_scenarios' to check."""
+    for name, (build, keys) in BUILT.items():
+        setattr(cfg, name, build(*(getattr(cfg, key) for key in keys)))
     ShiftScenario(0, "above_median", ablation_fraction=cfg.ablation_fraction)
     if cfg.k < 1:
         raise ConfigError("k", "must be >= 1")
@@ -135,7 +145,7 @@ def _validate(cfg: AppConfig) -> None:
         raise ConfigError("eps_tol_grid", "must list at least one value")
     for eps in cfg.eps_tol_grid:  # each is some sweep row's eps_tol
         try:
-            dataclasses.replace(monitor, eps_tol=eps)
+            dataclasses.replace(cfg.monitor, eps_tol=eps)
         except ConfigError as exc:
             raise ConfigError("eps_tol_grid", exc.message) from None
     for key in ("source", "production"):

@@ -105,8 +105,9 @@ def predict_many(model: KnnModel, x) -> np.ndarray:
     if bad.any():
         i = int(np.argmax(bad))
         j = int(np.argmax(np.abs(z[i])))
+        row = f" row {i}" if x.shape[0] > 1 else ""
         raise InvalidInput(
-            f"k-NN query row {i}: feature f{j} = {float(x[i, j])!r} is too far from the "
+            f"k-NN query{row}: feature f{j} = {float(x[i, j])!r} is too far from the "
             "training data (the squared standardized norm is not finite)"
         )
     out = np.empty(z.shape[0])

@@ -19,8 +19,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .calibration import GridSpec, calibrate
+from .confidence import PmEbState
 from .core import Dataset, Selector
-from .errors import CalibrationInfeasible, InvalidInput
+from .errors import CalibrationInfeasible, DegenerateError, InvalidInput
 from .estimator import DEFAULT_K, fit_knn, predict_many, r_squared, score_dataset, split_half
 from .monitor import (
     MonitorConfig,
@@ -28,7 +29,7 @@ from .monitor import (
     first_alarm_time,
     mean_lower_path,
     oracle_source_statistics,
-    quantile_lower_path,
+    quantile_lower,
     source_mean_upper,
     source_statistics,
 )
@@ -154,6 +155,8 @@ def run_experiment(
     oracle variants of the two quantile statistics and the mean statistic).
     The estimator scores each distinct pool row of the stream once; every
     event reads its row's score, bit for bit the score of the whole stream.
+    The quantile detectors' L_q comes from ``monitor.quantile_lower``, the
+    function the streaming monitor calls per chunk, here once per stream.
     """
     if source.errors is None:
         raise InvalidInput("experiments need a labeled source dataset")
@@ -171,11 +174,11 @@ def run_experiment(
     fit_half, cal_half = split_half(calib, part_seed + 1)
     model = fit_knn(fit_half, min(config.k, fit_half.n))
     cal_scored = score_dataset(model, cal_half)
-    report.r2 = r_squared(cal_scored.scores, cal_half.errors)
-
     try:
+        report.r2 = r_squared(cal_scored.scores, cal_half.errors)
         calres = calibrate(config.grid, cal_scored)
-    except CalibrationInfeasible:
+    except (CalibrationInfeasible, DegenerateError):
+        # all-equal errors have no R^2, and no error exceeds q to qualify
         report.uncalibratable = True
         return report
     selector = calres.selector
@@ -192,12 +195,11 @@ def run_experiment(
     _, first, inverse = np.unique(stream.rows, return_index=True, return_inverse=True)
     stream_scores = predict_many(model, stream.features[first])[inverse]
 
-    # plug-in quantile detectors share one lower-bound trajectory
-    sel_plugin = selector.select(stream_scores).astype(float)
-    l_plugin = quantile_lower_path(sel_plugin, stats, mon_cfg)
-    # oracle: selection is the true-error flag, false discoveries impossible
-    sel_oracle = (stream.errors > selector.q).astype(float)
-    l_oracle = quantile_lower_path(sel_oracle, oracle_stats, mon_cfg)
+    # plug-in quantile detectors share one lower-bound trajectory; the
+    # oracle's selection is the true-error flag, so it has no false discoveries
+    fresh = PmEbState(mon_cfg.alpha1)
+    l_plugin, _ = quantile_lower(fresh, selector.select(stream_scores), stats, mon_cfg)
+    l_oracle, _ = quantile_lower(fresh, stream.errors > selector.q, oracle_stats, mon_cfg)
     # mean detectors
     clipped = np.clip(stream_scores, 0.0, 1.0)
     report.n_clipped = int((stream_scores != clipped).sum())
@@ -212,9 +214,7 @@ def run_experiment(
         "plugin_mean": low_mean_plugin - upper_mean,
         "oracle_mean": low_mean_oracle - upper_mean,
     }
-    report.delta = delta_diagnostic(
-        Dataset(stream.features, stream.errors, stream_scores), selector, stats
-    )
+    report.delta = delta_diagnostic(stream.errors, stream_scores, selector, stats)
     return report
 
 
@@ -327,7 +327,10 @@ def run_suite(
     workers: int = 1,
 ) -> List[RunReport]:
     """Cross product of scenarios and seeds, optionally over worker
-    processes; the report order is deterministic either way."""
+    processes; the report order is deterministic either way. A source
+    whose errors are all equal has no run that could calibrate."""
+    if source.errors is not None and np.ptp(source.errors) == 0.0:
+        raise DegenerateError("R^2 is undefined for a constant target")
     jobs = [
         (source, scenario, schedule, config, seed)
         for scenario in scenarios

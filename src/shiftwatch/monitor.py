@@ -158,10 +158,7 @@ class MonitorState:
         fields of ``TRAJECTORY_COLUMNS`` (the flags as 0/1)."""
         flags = self.selector.select(scores)
         n = flags.size
-        best_before = self.selection_cs.best_lower
-        lowers, self.selection_cs = pmeb_update(self.selection_cs, flags.astype(float))
-        best = np.maximum(np.maximum.accumulate(lowers), best_before)
-        l_q = quantile_lower(best, self.source, self.config)
+        l_q, self.selection_cs = quantile_lower(self.selection_cs, flags, self.source, self.config)
         t = np.arange(self.t + 1, self.t + n + 1)
         selection_rate = (self.n_selected + np.cumsum(flags)) / t
         u_q, u_q2 = self.source.u_q, self.source.u_q2
@@ -191,23 +188,20 @@ def _latch(margins: np.ndarray, eps_tol: float, t_before: int) -> Optional[int]:
     return None if hit is None else t_before + hit
 
 
-def quantile_lower(lower, source: SourceStats, config: MonitorConfig):
-    """Corrected production lower bound L_q from the PM-EB lower bound on
-    the selection rate (a scalar or a whole trajectory): subtract the
-    source false-discovery upper bound and ``delta_corr``, floor at 0.
+def quantile_lower(state: PmEbState, flags, source: SourceStats, config: MonitorConfig):
+    """Corrected production lower bound L_q per selection flag, and the
+    PM-EB state after them; ``MonitorState.observe`` and the experiment
+    harness share it. The running maximum of the PM-EB lower bounds, from
+    ``state.best_lower``, less the source false-discovery upper bound and
+    ``delta_corr``, floored at 0. Chained over any cuts of a stream it
+    gives the bits of one call on a fresh ``PmEbState(config.alpha1)``.
 
     The detectors alarm once the margin L_q - U exceeds eps_tol, where U
     is ``u_q`` or ``u_q2`` (see ``first_alarm_time``)."""
-    l_q = lower - (source.rate_false_discovery + source.w_fd) - config.delta_corr
-    return np.maximum(l_q, 0.0)
-
-
-def quantile_lower_path(selection, source: SourceStats, config: MonitorConfig) -> np.ndarray:
-    """Batch trajectory of L_q, equal bit for bit to the ``L_q`` rows of
-    ``MonitorState.observe`` over any chunks of the same stream; used by
-    the experiment harness where whole streams are available upfront."""
-    selection = np.asarray(selection, dtype=float)
-    return quantile_lower(pmeb_best_lower_path(selection, config.alpha1), source, config)
+    lowers, after = pmeb_update(state, flags)
+    best = np.maximum(np.maximum.accumulate(lowers), state.best_lower)
+    l_q = best - (source.rate_false_discovery + source.w_fd) - config.delta_corr
+    return np.maximum(l_q, 0.0), after
 
 
 def first_alarm_time(margins: np.ndarray, eps_tol: float) -> Optional[int]:
@@ -228,18 +222,16 @@ def source_mean_upper(errors, alpha_source: float) -> float:
     return float(errors.mean()) + hoeffding_halfwidth(errors.size, alpha_source)
 
 
-def delta_diagnostic(prod: Dataset, selector: Selector, source: SourceStats) -> float:
-    """Signed gap between the production and source false-discovery rates.
-
-    Requires true errors on the production sample (evaluation mode only);
-    a non-positive value means the false-discovery assumption held
+def delta_diagnostic(errors, scores, selector: Selector, source: SourceStats) -> float:
+    """Signed gap between the production and source false-discovery rates,
+    from the production true errors and scores (evaluation mode only); a
+    non-positive value means the false-discovery assumption held
     empirically.
     """
-    if prod.errors is None or prod.scores is None:
+    if errors is None or scores is None:
         raise InvalidInput("delta diagnostic needs production true errors and scores")
-    selected = selector.select(prod.scores)
-    low = prod.errors <= selector.q
-    prod_fd = float((selected & low).sum()) / prod.n
+    low = np.asarray(errors) <= selector.q
+    prod_fd = float((selector.select(scores) & low).sum()) / low.size
     return prod_fd - source.rate_false_discovery
 
 

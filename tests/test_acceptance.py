@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from shiftwatch import Dataset, GridSpec, MonitorConfig, calibrate, fit_knn, source_statistics
 from shiftwatch.calibration import _power_fdp
 from shiftwatch.cli import main as cli_main
-from shiftwatch.confidence import hoeffding_halfwidth, pmeb_best_lower_path
+from shiftwatch.confidence import PmEbState, hoeffding_halfwidth, pmeb_best_lower_path
 from shiftwatch.core import Selector, empirical_quantile, write_dataset
 from shiftwatch.errors import CalibrationInfeasible
 from shiftwatch.estimator import predict_many, score_dataset, split_half
@@ -24,7 +24,7 @@ from shiftwatch.harness import ExperimentConfig, run_suite, suite_metrics
 from shiftwatch.monitor import (
     first_alarm_time,
     oracle_source_statistics,
-    quantile_lower_path,
+    quantile_lower,
 )
 from shiftwatch.shiftsim import (
     Schedule,
@@ -141,7 +141,7 @@ def test_false_alarm_control():
             )
             scores = predict_many(model, stream.features)
             selection = (scores > result.selector.q_hat).astype(float)
-            margins = quantile_lower_path(selection, stats, cfg) - stats.u_q2
+            margins = quantile_lower(PmEbState(cfg.alpha1), selection, stats, cfg)[0] - stats.u_q2
             total += 1
             if margins.max() > 0.0:
                 fired += 1
@@ -293,10 +293,10 @@ def test_perfect_estimator_equivalence():
         plugin_sel = (stream.errors > selector.q_hat).astype(float)
         oracle_sel = (stream.errors > selector.q).astype(float)
         t_plugin = first_alarm_time(
-            quantile_lower_path(plugin_sel, stats, cfg) - stats.u_q2, 0.0
+            quantile_lower(PmEbState(cfg.alpha1), plugin_sel, stats, cfg)[0] - stats.u_q2, 0.0
         )
         t_oracle = first_alarm_time(
-            quantile_lower_path(oracle_sel, oracle_stats, cfg) - oracle_stats.u_q2,
+            quantile_lower(PmEbState(cfg.alpha1), oracle_sel, oracle_stats, cfg)[0] - oracle_stats.u_q2,
             0.0,
         )
         if t_plugin != t_oracle:

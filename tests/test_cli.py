@@ -237,7 +237,9 @@ class TestMonitorCommand:
             main,
             ["monitor", "--source", str(src), "--production", str(prod), "--out-dir", str(tmp_path / "out")],
         )
-        _assert_one_line_error(result, "feature f0 = 1e+200", "not finite")
+        # the second data row is event t=2; predict sees it as a batch of one
+        _assert_one_line_error(result, "production event t=2:", "feature f0 = 1e+200", "not finite")
+        assert "row 0" not in result.output
 
 
     def test_score_column_with_fitted_knn_is_rejected(self, runner, tmp_path):
@@ -338,6 +340,24 @@ class TestPackageErrors:
             lines = result.output.strip().splitlines()
             assert lines == ["Error: R^2 is undefined for a constant target"], args
             assert not (tmp_path / "out").exists(), args
+
+    def test_degenerate_run_does_not_stop_the_suite(self, runner, tmp_path):
+        """A run whose calibration half has all errors equal has no R^2 and
+        no qualifying grid cell: it is one uncalibratable run with r2 null,
+        where it used to stop the whole suite with the R^2 error."""
+        rng = np.random.default_rng(3)
+        errors = np.zeros(300)
+        errors[rng.choice(300, 6, replace=False)] = 1.0  # 2% 0/1 errors
+        src = tmp_path / "src.csv"
+        write_dataset(src, Dataset(rng.random((300, 2)), errors))
+        out = tmp_path / "out"
+        args = ["evaluate", "--source", str(src), "--out-dir", str(out), "--horizon", "50", "--onset", "10"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        runs = json.loads((out / "runs.json").read_text())["runs"]
+        assert [run["uncalibratable"] for run in runs] == [True] * 4
+        assert [run["r2"] is None for run in runs] == [False, False, False, True]
+        assert json.loads((out / "metrics.json").read_text())["n_uncalibratable"] == 4
 
     @pytest.mark.parametrize("command", ["calibrate", "monitor", "simulate", "evaluate", "sweep"])
     def test_missing_source_leaves_no_out_dir(self, runner, tmp_path, command):

@@ -7,8 +7,10 @@ from typing import get_args, get_type_hints
 import pytest
 
 from shiftwatch import cli
-from shiftwatch.config import KNOWN_KEYS, AppConfig, parse_config
+from shiftwatch.config import BUILT, KNOWN_KEYS, AppConfig, parse_config
 from shiftwatch.errors import ConfigError
+from shiftwatch.monitor import MonitorConfig
+from shiftwatch.shiftsim import Schedule
 
 
 def _is_numeric(kind) -> bool:
@@ -35,6 +37,13 @@ class TestDefaults:
     def test_no_arguments_is_valid(self):
         cfg = parse_config()
         assert isinstance(cfg, AppConfig)
+
+
+    def test_settings_are_built_from_their_keys(self):
+        cfg = parse_config(alpha1="0.01", eps_tol="0.1", p_values="0.6,0.7", schedule="none", horizon="100")
+        assert cfg.monitor == MonitorConfig(alpha1=0.01, eps_tol=0.1)
+        assert (cfg.grid.p_values, cfg.grid.fdp_max) == ((0.6, 0.7), 0.2)
+        assert cfg.shift_schedule == Schedule("none", 100)
 
 
 class TestValidation:
@@ -201,11 +210,14 @@ CLI_TREE = ast.parse((pathlib.Path(__file__).resolve().parent.parent / "src" / "
 
 
 def _cfg_reads(node):
-    return {
+    """Names read as ``cfg.<name>``; reading a setting that parse_config
+    builds, such as ``cfg.monitor``, reads the keys BUILT lists for it."""
+    reads = {
         sub.attr
         for sub in ast.walk(node)
         if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) and sub.value.id == "cfg"
     }
+    return reads.union(*(BUILT[name][1] for name in reads & BUILT.keys()))
 
 
 def test_every_key_is_read_by_the_cli():

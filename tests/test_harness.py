@@ -201,10 +201,10 @@ class TestRunExperiment:
         assert np.array_equal(stream.errors, errors[stream.rows])
         (model, scored_rows), _ = calls["predict_many"]
         assert len(scored_rows) == np.unique(stream.rows).size < stream.horizon
-        (used, _, _), _ = calls["delta_diagnostic"]
-        assert np.array_equal(used.features, stream.features)
+        (errors, scores, _, _), _ = calls["delta_diagnostic"]
+        assert np.array_equal(errors, stream.errors)
         expected = predict_many(model, stream.features)
-        assert np.array_equal(used.scores.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(scores.view(np.int64), expected.view(np.int64))
         assert report.n_clipped == int((expected != np.clip(expected, 0.0, 1.0)).sum())
 
     def test_requires_labels(self, small_run):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftwatch import Dataset, MonitorConfig, MonitorState, source_statistics
 from shiftwatch.confidence import PmEbState, pmeb_best_lower_path, pmeb_update
@@ -16,7 +18,7 @@ from shiftwatch.monitor import (
     first_alarm_time,
     mean_lower_path,
     oracle_source_statistics,
-    quantile_lower_path,
+    quantile_lower,
     source_mean_upper,
     write_trajectory_csv,
 )
@@ -100,6 +102,11 @@ def _stats(**kwargs) -> SourceStats:
     return SourceStats(**base)
 
 
+def _lq_path(flags, stats, cfg) -> np.ndarray:
+    """L_q over a whole stream: one ``quantile_lower`` call on a fresh state."""
+    return quantile_lower(PmEbState(cfg.alpha1), flags, stats, cfg)[0]
+
+
 class TestQuantileDetector:
     def test_lower_bound_component_arithmetic(self):
         # L_q = production lower bound - (false-discovery rate + width) - delta:
@@ -108,11 +115,12 @@ class TestQuantileDetector:
         sel = np.ones(500)
         cfg = MonitorConfig()
         stats = _stats()
-        l_q = quantile_lower_path(sel, stats, cfg)
+        l_q, state = quantile_lower(PmEbState(cfg.alpha1), sel, stats, cfg)
         expected = np.clip(
             pmeb_best_lower_path(sel, cfg.alpha1) - (0.1 + 0.05), 0.0, None
         )
         assert np.array_equal(l_q, expected)
+        assert state == pmeb_update(PmEbState(cfg.alpha1), sel)[1]
 
     def test_streaming_observe_matches_batch_path(self):
         rng = np.random.default_rng(2)
@@ -125,7 +133,7 @@ class TestQuantileDetector:
         t = np.arange(1, scores.size + 1)
         for delta_corr in (0.0, 0.02):
             cfg = MonitorConfig(delta_corr=delta_corr)
-            batch = quantile_lower_path(selected.astype(float), stats, cfg)
+            batch = _lq_path(selected.astype(float), stats, cfg)
             t_q = first_alarm_time(batch - stats.u_q, cfg.eps_tol)
             t_q2 = first_alarm_time(batch - stats.u_q2, cfg.eps_tol)
             assert t_q2 is not None and t_q is not None
@@ -156,7 +164,7 @@ class TestQuantileDetector:
         eps_tol, n = 0.01, 400
         cfg = MonitorConfig(eps_tol=eps_tol)
         flat = dict(rate_above_q=1.0, rate_false_discovery=0.0, w_source=0.0, w_fd=0.0)
-        l_final = quantile_lower_path(np.ones(n), _stats(**flat), cfg)[-1]
+        l_final = _lq_path(np.ones(n), _stats(**flat), cfg)[-1]
         u = l_final - eps_tol
         for _ in range(100):
             if (l_final - u) > eps_tol and not (l_final > u + eps_tol):
@@ -166,7 +174,7 @@ class TestQuantileDetector:
             pytest.fail("no boundary upper bound found")
         stats = _stats(rate_true_discovery=u, **flat)
         assert stats.u_q2 == u
-        batch = quantile_lower_path(np.ones(n), stats, cfg)
+        batch = _lq_path(np.ones(n), stats, cfg)
         assert first_alarm_time(batch - stats.u_q2, eps_tol) == n
         state = MonitorState(Selector(q=0.5, q_hat=0.5, p=0.7, p_hat=0.5), stats, cfg)
         state.observe(np.ones(n - 1))
@@ -197,10 +205,30 @@ class TestQuantileDetector:
     def test_delta_correction_shifts_bound_exactly(self):
         sel = np.ones(400)
         stats = _stats(rate_false_discovery=0.0, w_fd=0.01)
-        plain = quantile_lower_path(sel, stats, MonitorConfig())
-        corrected = quantile_lower_path(sel, stats, MonitorConfig(delta_corr=0.02))
+        plain = _lq_path(sel, stats, MonitorConfig())
+        corrected = _lq_path(sel, stats, MonitorConfig(delta_corr=0.02))
         active = plain > 0.05  # away from the clip floor
         assert np.allclose(plain[active] - corrected[active], 0.02, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        flags=st.lists(st.booleans(), max_size=300),
+        cuts=st.lists(st.integers(0, 300), max_size=8),
+        delta_corr=st.sampled_from([0.0, 0.02]),
+    )
+    def test_chained_chunks_equal_one_call(self, flags, cuts, delta_corr):
+        """Chaining ``quantile_lower`` over any cuts of a 0/1 stream gives
+        the L_q bits and final state of one call on a fresh state."""
+        flags = np.array(flags, dtype=bool)
+        cfg = MonitorConfig(delta_corr=delta_corr)
+        stats = _stats(rate_false_discovery=0.02, w_fd=0.01)
+        whole, whole_state = quantile_lower(PmEbState(cfg.alpha1), flags, stats, cfg)
+        state, parts = PmEbState(cfg.alpha1), []
+        for chunk in np.split(flags, sorted(min(c, flags.size) for c in cuts)):
+            l_q, state = quantile_lower(state, chunk, stats, cfg)
+            parts.append(l_q)
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+        assert repr(state) == repr(whole_state)
 
     def test_trajectory_exports(self, tmp_path):
         state = MonitorState(Selector(0.5, 0.5, 0.7, 0.5), _stats(), MonitorConfig())
@@ -258,7 +286,7 @@ class TestDeltaDiagnostic:
     def test_zero_on_identical_distribution(self, five_point):
         sel = Selector(q=0.3, q_hat=0.45, p=0.6, p_hat=0.6)
         stats = source_statistics(five_point, sel, MonitorConfig())
-        assert delta_diagnostic(five_point, sel, stats) == pytest.approx(0.0)
+        assert delta_diagnostic(five_point.errors, five_point.scores, sel, stats) == pytest.approx(0.0)
 
     def test_nonpositive_when_shift_only_adds_high_errors(self, five_point):
         sel = Selector(q=0.3, q_hat=0.45, p=0.6, p_hat=0.6)
@@ -268,9 +296,10 @@ class TestDeltaDiagnostic:
         errors = np.concatenate([five_point.errors, np.full(5, 0.95)])
         scores = np.concatenate([five_point.scores, np.full(5, 0.9)])
         prod = Dataset(feats, errors, scores)
-        assert delta_diagnostic(prod, sel, stats) <= 0.0
+        assert delta_diagnostic(prod.errors, prod.scores, sel, stats) <= 0.0
 
     def test_requires_labels(self):
         sel = Selector(q=0.3, q_hat=0.45, p=0.6, p_hat=0.6)
         with pytest.raises(InvalidInput):
-            delta_diagnostic(Dataset([[1.0]], [0.5]), sel, _stats())
+            unscored = Dataset([[1.0]], [0.5])
+            delta_diagnostic(unscored.errors, unscored.scores, sel, _stats())
