@@ -33,7 +33,7 @@ from .harness import (
     suite_metrics_by_r2,
 )
 from .monitor import TRAJECTORY_COLUMNS, MonitorState, source_statistics, write_trajectory_csv
-from .shiftsim import CONTINUOUS, build_stream, enumerate_scenarios, split_pools
+from .shiftsim import CONTINUOUS, MIN_SUBGROUP, build_stream, enumerate_scenarios, split_pools
 
 
 def _read_source(cfg: AppConfig):
@@ -237,6 +237,9 @@ def cmd_simulate(config_file, **flags):
 
 def _run_suite_from_config(cfg: AppConfig):
     source, scenarios = _scenarios(cfg)
+    if not scenarios:
+        n_half = source.n // 2
+        raise InvalidInput(f"no feature split excludes between {MIN_SUBGROUP} and n/2 = {n_half} source rows")
     exp = ExperimentConfig(k=cfg.k, grid=cfg.grid, monitor=cfg.monitor)
     seeds = list(range(cfg.seed, cfg.seed + cfg.n_seeds))
     # an unusable --out-dir fails before the suite runs, not after it;

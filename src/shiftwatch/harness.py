@@ -33,7 +33,7 @@ from .monitor import (
     source_mean_upper,
     source_statistics,
 )
-from .shiftsim import Schedule, ShiftScenario, build_stream, split_pools
+from .shiftsim import SPLIT_KINDS, Schedule, ShiftScenario, build_stream, split_pools
 
 SCHEMA_VERSION = 1
 
@@ -114,12 +114,9 @@ class RunReport:
         return out
 
 
-_KIND_CODE = {"above_median": 0, "below_median": 1, "category": 2}
-
-
 def _sub_seeds(seed: int, scenario: ShiftScenario) -> Tuple[int, int, int]:
     # stable across processes: never use hash() here
-    tag = (scenario.feature_index << 2) | _KIND_CODE[scenario.split_kind]
+    tag = (scenario.feature_index << 2) | SPLIT_KINDS.index(scenario.split_kind)
     if scenario.category_value is not None:
         cat_bits = int(np.float64(scenario.category_value).view(np.int64)) & 0xFFFFFFFF
     else:

@@ -2,15 +2,16 @@
 
 Feature-split ablation carves a subgroup out of a labeled pool (the
 excluded pool), and production streams reintroduce that subgroup either
-suddenly or along a sigmoid mixing schedule. A small synthetic
-subgroup-failure dataset generator is included for experiments and tests.
+suddenly or along a sigmoid mixing schedule; ``ShiftScenario`` owns the
+split rule that both ``enumerate_scenarios`` and ``split_pools`` apply. A
+small synthetic subgroup-failure dataset generator, which builds each
+feature column together with its kind, is included for experiments and tests.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +20,8 @@ from .errors import ConfigError, InvalidInput
 
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical"
+# a kind's index here is part of each suite run's seeds: append only
+SPLIT_KINDS = ("above_median", "below_median", "category")
 
 DEFAULT_ABLATION_FRACTION = 0.8
 MIN_SUBGROUP = 10
@@ -29,15 +32,17 @@ IMMUNE_BAND = 0.05
 class ShiftScenario:
     """Recipe for one feature-split ablation. It carries no seed: the
     caller of ``split_pools`` owns the seed of each ablation. It owns the
-    ``ablation_fraction`` range rule and raises it under that key."""
+    split rule (its kind among ``SPLIT_KINDS``, its ``side`` of a column
+    and the ``excluded_count`` of that side) and the ``ablation_fraction``
+    range rule, which it raises under that key."""
 
     feature_index: int
-    split_kind: str  # above_median | below_median | category
+    split_kind: str  # one of SPLIT_KINDS
     category_value: Optional[float] = None
     ablation_fraction: float = DEFAULT_ABLATION_FRACTION
 
     def __post_init__(self):
-        if self.split_kind not in ("above_median", "below_median", "category"):
+        if self.split_kind not in SPLIT_KINDS:
             raise InvalidInput(f"unknown split kind {self.split_kind!r}")
         if self.split_kind == "category" and self.category_value is None:
             raise InvalidInput("category splits need a category value")
@@ -47,8 +52,27 @@ class ShiftScenario:
     @property
     def scenario_id(self) -> str:
         if self.split_kind == "category":
-            return f"f{self.feature_index}_category_{self.category_value:g}"
+            text = f"{self.category_value:g}"
+            if float(text) != self.category_value:  # :g would merge close categories
+                text = repr(float(self.category_value))
+            return f"f{self.feature_index}_category_{text}"
         return f"f{self.feature_index}_{self.split_kind}"
+
+    def side(self, col: np.ndarray) -> np.ndarray:
+        """Row indices of this scenario's side of a feature column: above
+        the median, at or below it (ties go below), or equal to the
+        category value."""
+        if self.split_kind == "category":
+            return np.nonzero(col == self.category_value)[0]
+        median = empirical_quantile(0.5, col)
+        return np.nonzero(col > median if self.split_kind == "above_median" else col <= median)[0]
+
+    def excluded_count(self, side_size: int) -> int:
+        """How many rows of a side of ``side_size`` rows are excluded: the
+        whole category, or ``ablation_fraction`` of a median side, floored."""
+        if self.split_kind == "category":
+            return side_size
+        return int(self.ablation_fraction * side_size)
 
 
 @dataclass(frozen=True)
@@ -91,69 +115,44 @@ def enumerate_scenarios(
     observations, or more than half the dataset, are dropped: an ablated
     majority is not a subgroup shift. ``feature_kinds`` declares one kind
     per feature column; a wrong count or an unknown kind raises
-    ``ConfigError`` under ``feature_kinds``."""
+    ``ConfigError`` under ``feature_kinds``, and a continuous feature's
+    ``ablation_fraction`` outside (0, 1] under that key."""
     if len(feature_kinds) != data.d:
         raise ConfigError("feature_kinds", f"expected {data.d} kinds, got {len(feature_kinds)}")
     scenarios: List[ShiftScenario] = []
     for j, kind in enumerate(feature_kinds):
         col = data.features[:, j]
         if kind == CONTINUOUS:
-            median = empirical_quantile(0.5, col)
-            for split, side in (
-                ("above_median", int((col > median).sum())),
-                ("below_median", int((col <= median).sum())),
-            ):
-                n_excl = int(ablation_fraction * side)
-                if MIN_SUBGROUP <= n_excl <= data.n // 2:
-                    scenarios.append(
-                        ShiftScenario(
-                            feature_index=j,
-                            split_kind=split,
-                            ablation_fraction=ablation_fraction,
-                        )
-                    )
+            candidates = [
+                ShiftScenario(j, split, ablation_fraction=ablation_fraction)
+                for split in SPLIT_KINDS[:2]  # the median sides
+            ]
         elif kind == CATEGORICAL:
-            for value in np.unique(col):
-                if MIN_SUBGROUP <= int((col == value).sum()) <= data.n // 2:
-                    scenarios.append(
-                        ShiftScenario(
-                            feature_index=j,
-                            split_kind="category",
-                            category_value=float(value),
-                            ablation_fraction=1.0,
-                        )
-                    )
+            candidates = [
+                ShiftScenario(j, "category", float(v), ablation_fraction=1.0) for v in np.unique(col)
+            ]
         else:
             raise ConfigError("feature_kinds", f"unknown kind {kind!r} for feature {j}")
+        scenarios += [
+            s for s in candidates if MIN_SUBGROUP <= s.excluded_count(s.side(col).size) <= data.n // 2
+        ]
     return scenarios
 
 
 def split_pools(data: Dataset, scenario: ShiftScenario, seed: int):
     """Partition a dataset into (retained, excluded) pools.
 
-    Continuous splits move a uniform ``ablation_fraction`` of the chosen
-    median side, drawn with ``seed``, into the excluded pool; category
-    splits move the whole category and draw nothing. The caller owns the
-    seed, as for ``build_stream``. Ties at the median count as the below
-    side.
+    The excluded pool is a uniform draw, with ``seed``, of the scenario's
+    ``excluded_count`` rows from its ``side`` of the feature column: a
+    fraction of a median side, or a whole category. The caller owns the
+    seed, as for ``build_stream``.
     """
-    col = data.features[:, scenario.feature_index]
-    if scenario.split_kind == "category":
-        side = np.nonzero(col == scenario.category_value)[0]
-        excluded_idx = side
-    else:
-        median = empirical_quantile(0.5, col)
-        if scenario.split_kind == "above_median":
-            side = np.nonzero(col > median)[0]
-        else:
-            side = np.nonzero(col <= median)[0]
-        n_excl = int(scenario.ablation_fraction * side.size)
-        rng = np.random.default_rng(seed)
-        excluded_idx = np.sort(rng.choice(side, size=n_excl, replace=False))
-    mask = np.zeros(data.n, dtype=bool)
-    mask[excluded_idx] = True
-    if not mask.any() or mask.all():
+    side = scenario.side(data.features[:, scenario.feature_index])
+    n_excl = scenario.excluded_count(side.size)
+    if not 0 < n_excl < data.n:
         raise InvalidInput(f"scenario {scenario.scenario_id} leaves an empty pool")
+    mask = np.zeros(data.n, dtype=bool)
+    mask[np.random.default_rng(seed).choice(side, size=n_excl, replace=False)] = True
     return data.subset(np.nonzero(~mask)[0]), data.subset(np.nonzero(mask)[0])
 
 
@@ -214,7 +213,7 @@ def build_stream(
     return ProductionStream(features=features, errors=errors, rows=rows)
 
 
-def make_subgroup_dataset(
+def _build_subgroup_dataset(
     n: int,
     n_noise_features: int = 3,
     subgroup_frac: float = 0.3,
@@ -236,8 +235,9 @@ def make_subgroup_dataset(
     second_zone_frac: float = 0.0,
     second_zone_error: Optional[float] = None,
     seed: int = 0,
-) -> Dataset:
-    """Synthetic subgroup-failure dataset.
+) -> Tuple[Dataset, List[str]]:
+    """Synthetic subgroup-failure dataset and the kind of each of its
+    feature columns, built together.
 
     Feature f0 drives membership in a failure zone (top ``subgroup_frac``
     of f0) whose members have mean error ``error_ratio`` times the base
@@ -302,7 +302,7 @@ def make_subgroup_dataset(
             masked = (seg >= immune_frac) & (seg < immune_frac + masked_frac)
             driver = np.where(masked, (1.0 - subgroup_frac) * placement, driver)
     zone = driver > 1.0 - subgroup_frac
-    cols = [driver]
+    cols = [(driver, CONTINUOUS)]
     zone2 = np.zeros(n, dtype=bool)
     if driver2 is not None:
         zone2 = driver2 > 1.0 - second_zone_frac
@@ -335,21 +335,21 @@ def make_subgroup_dataset(
         if hidden_prob > 0.0:
             u = rng.random(n)
             carrier = np.where(hidden, u ** (1.0 / hidden_skew), u)
-            cols.append(carrier)
+            cols.append((carrier, CONTINUOUS))
     if grade_coef > 0.0:
         graded = rng.random(n)
         errors = errors + grade_coef * graded * boostable
-        cols.append(graded)
+        cols.append((graded, CONTINUOUS))
     if immune is not None:
-        cols.append(immune.astype(float))
+        cols.append((immune.astype(float), CATEGORICAL))
     if masked is not None:
-        cols.append(masked.astype(float))
+        cols.append((masked.astype(float), CATEGORICAL))
     if driver2 is not None:
-        cols.append(driver2)
+        cols.append((driver2, CONTINUOUS))
     elif categorical_second:
         marker = zone2 if immune is None else (zone2 | immune)
-        cols.append(marker.astype(float))
-    cols.append(rng.random((n, n_noise_features)))
+        cols.append((marker.astype(float), CATEGORICAL))
+    cols += [(noise, CONTINUOUS) for noise in rng.random((n, n_noise_features)).T]
     if zone_noise is None:
         zone_noise = error_noise
     scale = np.where(failing, zone_noise, error_noise)
@@ -357,28 +357,21 @@ def make_subgroup_dataset(
         scale = np.where(immune & ~failing, zone_noise, scale)
     errors = errors + scale * rng.uniform(-1.0, 1.0, n)
     errors = np.clip(errors, 0.0, 1.0)
-    return Dataset(np.column_stack(cols), errors)
+    columns, kinds = zip(*cols)
+    return Dataset(np.column_stack(columns), errors), list(kinds)
+
+
+def make_subgroup_dataset(n: int, **keywords) -> Dataset:
+    """Synthetic subgroup-failure dataset of ``n`` rows; the keywords are
+    those of ``_build_subgroup_dataset``."""
+    return _build_subgroup_dataset(n, **keywords)[0]
 
 
 def subgroup_feature_kinds(**keywords) -> List[str]:
-    """Feature kind declarations matching the columns make_subgroup_dataset
-    builds from the same keywords; a keyword it does not take is an error."""
+    """The kind of each feature column that make_subgroup_dataset builds
+    from the same keywords, read off a one-row build by the same builder;
+    a keyword it does not take is ``InvalidInput``."""
     try:
-        bound = inspect.signature(make_subgroup_dataset).bind_partial(**keywords)
+        return _build_subgroup_dataset(1, **keywords)[1]
     except TypeError as exc:
         raise InvalidInput(f"make_subgroup_dataset: {exc}")
-    bound.apply_defaults()
-    args = bound.arguments
-    kinds = [CONTINUOUS]
-    if args["hidden_prob"] > 0.0:
-        kinds.append(CONTINUOUS)
-    if args["grade_coef"] > 0.0:
-        kinds.append(CONTINUOUS)
-    if args["immune_frac"] > 0.0:
-        kinds.append(CATEGORICAL)
-    if args["masked_frac"] > 0.0:
-        kinds.append(CATEGORICAL)
-    if args["second_zone_frac"] > 0.0:
-        kinds.append(CATEGORICAL if args["immune_anchor"] == "second" else CONTINUOUS)
-    kinds.extend([CONTINUOUS] * args["n_noise_features"])
-    return kinds

@@ -409,6 +409,18 @@ class TestPackageErrors:
         assert not (tmp_path / "made").exists()
         assert (tmp_path / "kept").is_dir()
 
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_suite_without_a_scenario_leaves_no_out_dir(self, runner, tmp_path, command):
+        """15 rows admit no split (a median side excludes at most 6), so the
+        suite stops on its input, before --out-dir is made."""
+        src = tmp_path / "src.csv"
+        rng = np.random.default_rng(4)
+        write_dataset(src, Dataset(rng.random((15, 2)), rng.random(15)))
+        out = tmp_path / "out"
+        args = [command, "--source", str(src), "--out-dir", str(out), "--horizon", "50"]
+        _assert_one_line_error(runner.invoke(main, args), "no feature split excludes between 10 and n/2 = 7")
+        assert not out.exists()
+
     def test_empty_sweep_grid_is_config_error(self, runner, tmp_path):
         src = _scored_source(tmp_path / "src.csv")
         result = runner.invoke(
@@ -523,6 +535,25 @@ class TestSimulateCommand:
         assert len(index["scenarios"]) == 4  # two continuous features
         for entry in index["scenarios"]:
             assert (out / entry["stream_file"]).exists()
+
+    def test_close_categories_write_one_stream_each(self, runner, tmp_path):
+        """0.1234561 and 0.1234562 both print as 0.123456 under :g; each
+        category's stream gets its own file and id."""
+        rng = np.random.default_rng(5)
+        f0 = np.repeat([0.1234561, 0.1234562, 0.5], 20)
+        src = tmp_path / "src.csv"
+        write_dataset(src, Dataset(np.column_stack([f0, rng.random(60)]), rng.random(60)))
+        out = tmp_path / "out"
+        args = ["simulate", "--source", str(src), "--out-dir", str(out), "--horizon", "20",
+                "--feature-kinds", "categorical,continuous"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert "wrote 5 scenario streams" in result.output
+        index = json.loads((out / "scenarios.json").read_text())["scenarios"]
+        ids = [entry["scenario_id"] for entry in index]
+        assert ids[:2] == ["f0_category_0.1234561", "f0_category_0.1234562"]
+        assert len(set(ids)) == 5
+        assert len(list(out.glob("stream_*.csv"))) == 5
 
     def test_grid_keys_are_checked_though_simulate_does_not_calibrate(self, runner, tmp_path):
         path = tmp_path / "c.cfg"

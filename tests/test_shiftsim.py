@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftwatch import Dataset
 from shiftwatch.shiftsim import (
+    MIN_SUBGROUP,
+    SPLIT_KINDS,
     Schedule,
     ShiftScenario,
     build_stream,
@@ -17,7 +21,8 @@ from shiftwatch.shiftsim import (
     split_pools,
     subgroup_feature_kinds,
 )
-from shiftwatch.errors import InvalidInput
+from shiftwatch.errors import ConfigError, InvalidInput
+from test_acceptance import SUITE_GEN
 
 
 class TestScenarioEnumeration:
@@ -62,6 +67,59 @@ class TestScenarioEnumeration:
         data = Dataset(np.random.default_rng(5).random((30, 2)), None)
         with pytest.raises(InvalidInput):
             enumerate_scenarios(data, ["continuous"])
+
+    def test_zero_ablation_fraction_is_config_error(self):
+        data = Dataset(np.random.default_rng(5).random((100, 1)), None)
+        with pytest.raises(ConfigError, match="ablation_fraction"):
+            enumerate_scenarios(data, ["continuous"], 0.0)
+
+    def test_close_categories_get_distinct_ids(self):
+        # both values print as 0.123456 under :g
+        ids = [ShiftScenario(0, "category", v).scenario_id for v in (0.1234561, 0.1234562, 1.0, 2.5)]
+        assert ids == ["f0_category_0.1234561", "f0_category_0.1234562", "f0_category_1", "f0_category_2.5"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(
+                st.just("continuous"),
+                # few distinct values, so that the median is often tied
+                st.lists(st.integers(0, 6).map(float) | st.floats(0.0, 1.0), min_size=1, max_size=80),
+            ),
+            st.tuples(
+                st.just("categorical"),
+                st.lists(st.sampled_from([0.0, 1.0, 2.0, 0.1234561, 0.1234562]), min_size=1, max_size=80),
+            ),
+        ),
+        st.sampled_from([0.3, 0.8, 1.0]),
+    )
+    def test_enumeration_and_split_pools_agree(self, kind_and_col, fraction):
+        """A scenario is admitted exactly when split_pools excludes between
+        MIN_SUBGROUP and n // 2 rows, and that pool has the scenario's
+        excluded count of rows, all from its side."""
+        kind, values = kind_and_col
+        col = np.array(values)
+        data = Dataset(col.reshape(-1, 1), None)
+        admitted = enumerate_scenarios(data, [kind], fraction)
+        if kind == "continuous":
+            candidates = [ShiftScenario(0, split, ablation_fraction=fraction) for split in SPLIT_KINDS[:2]]
+        else:
+            candidates = [
+                ShiftScenario(0, "category", float(v), ablation_fraction=1.0) for v in np.unique(col)
+            ]
+        for scenario in candidates:
+            side = scenario.side(col)
+            try:
+                _, excluded = split_pools(data, scenario, seed=0)
+            except InvalidInput:  # an empty pool on either side
+                assert scenario.excluded_count(side.size) in (0, data.n)
+                assert scenario not in admitted
+                continue
+            assert excluded.n == scenario.excluded_count(side.size)
+            assert np.isin(excluded.features[:, 0], col[side]).all()
+            admissible = MIN_SUBGROUP <= excluded.n <= data.n // 2
+            assert (scenario in admitted) == admissible
+        assert all(s in candidates for s in admitted)
 
 
 class TestSplitPools:
@@ -220,10 +278,17 @@ class TestSubgroupGenerator:
                 "immune_frac": 0.05,
                 "masked_frac": 0.08,
             },
+            SUITE_GEN,
         ):
             data = make_subgroup_dataset(300, seed=0, **kwargs)
             kinds = subgroup_feature_kinds(**kwargs)
             assert len(kinds) == data.d
+            for j, kind in enumerate(kinds):
+                distinct = np.unique(data.features[:, j])
+                if kind == "categorical":
+                    assert set(distinct) <= {0.0, 1.0}, (kwargs, j)
+                else:
+                    assert kind == "continuous" and distinct.size > 2, (kwargs, j)
 
     def test_feature_kinds_reject_an_unknown_key(self):
         # make_subgroup_dataset takes grade_coef; a misspelt key used to be dropped
