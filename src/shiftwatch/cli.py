@@ -16,13 +16,13 @@ import os
 import sys
 
 import click
-import numpy as np
 
 from .calibration import calibrate, write_grid_report
 from .config import AppConfig, parse_config
 from .core import read_chunks, read_dataset, write_dataset
-from .errors import ConfigError, IngestError, InvalidInput, ShiftwatchError
-from .estimator import fit_knn, predict, r_squared, score_dataset, split_half
+from .errors import ConfigError, IngestError, InvalidInput, QueryRowError, ShiftwatchError
+# perfbench/trace_cli.py times the monitor's scoring under cli.predict until ROADMAP item 1 lands
+from .estimator import fit_knn, predict_many as predict, r_squared, score_dataset, split_half
 from .harness import (
     PLUGIN_DETECTORS,
     SCHEMA_VERSION,
@@ -67,18 +67,6 @@ def _calibration_pipeline(cfg: AppConfig):
     r2 = r_squared(cal_scored.scores, cal_scored.errors)
     calres = calibrate(cfg.grid, cal_scored)
     return model, cal_scored, calres, r2
-
-
-def _knn_scores(model, features, t_before: int) -> np.ndarray:
-    """One ``predict`` call per production row; a row the k-NN refuses is
-    named by its event time t, as in trajectory.csv."""
-    scores = []
-    for t, x in enumerate(features, t_before + 1):
-        try:
-            scores.append(predict(model, x))
-        except InvalidInput as exc:
-            raise InvalidInput(f"production event t={t}: {exc}") from None
-    return np.array(scores)
 
 
 def _write_json(path: str, payload) -> None:
@@ -164,9 +152,10 @@ def cmd_monitor(config_file, **flags):
     """Stream a production file (or stdin) through the quantile detectors.
 
     Production rows carry a 'score' column exactly when the source does;
-    otherwise the k-NN fitted on the source scores them. trajectory.csv is
-    written as the rows are read, monitor.json when the input ends. Exits 2
-    when an alarm latched."""
+    otherwise the k-NN fitted on the source scores each chunk of rows in
+    one call, and a row's score does not depend on its chunk. trajectory.csv
+    is written as the chunks are read, monitor.json when the input ends.
+    Exits 2 when an alarm latched."""
     cfg = parse_config(config_file, **flags)
     if cfg.production is None:
         raise ConfigError("production", "a production CSV (or '-') is required")
@@ -190,7 +179,12 @@ def cmd_monitor(config_file, **flags):
                     else "production stream: a 'score' column is not allowed when the "
                     "k-NN fitted on the source scores the rows"
                 )
-            scores = chunk.scores if model is None else _knn_scores(model, chunk.features, state.t)
+            try:
+                scores = chunk.scores if model is None else predict(model, chunk.features)
+            except QueryRowError as exc:  # the refused row, named by its event time t as in trajectory.csv
+                raise InvalidInput(f"production event t={state.t + exc.row + 1}: k-NN query: {exc.message}") from None
+            except InvalidInput as exc:  # a feature count other than the source's
+                raise IngestError(f"production stream: {exc}") from None
             write_trajectory_csv(fh, state.observe(scores))
     summary = {
         "schema_version": SCHEMA_VERSION,

@@ -27,6 +27,16 @@ class ConfigError(InvalidInput):
         super().__init__(f"{key}: {message}" if message else key)
 
 
+class QueryRowError(InvalidInput):
+    """A k-NN query row cannot be scored. Carries the row's index in its
+    batch and the message that follows it, so a caller can name the row
+    in its own terms, as the monitor names the event time."""
+
+    def __init__(self, row: int, message: str):
+        self.row, self.message = row, message
+        super().__init__(f"k-NN query row {row}: {message}")
+
+
 class DegenerateError(ShiftwatchError, ValueError):
     """A statistic is undefined on this input (e.g. zero-variance target)."""
 

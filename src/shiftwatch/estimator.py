@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset
-from .errors import DegenerateError, InvalidInput
+from .errors import DegenerateError, InvalidInput, QueryRowError
 
 DEFAULT_K = 10
 
@@ -32,11 +32,11 @@ class KnnModel:
     and so the summed score are those of a stable sort of every distance.
     The training rows' squared norms are computed once, here, and reused
     by every prediction. A row's score depends on that row alone, not on
-    the rest of its batch, so callers may score each distinct row once.
-    Fitting rejects a feature whose mean or std is not finite, and
-    prediction a query row whose squared standardized norm is not finite:
-    either would turn every distance to NaN and the score into the mean
-    of the first k training rows.
+    the rest of its batch, so callers may score each distinct row once, or
+    a stream chunk by chunk. Fitting rejects a feature whose mean or std is
+    not finite, and prediction a query row whose squared standardized norm
+    is not finite: either would turn every distance to NaN and the score
+    into the mean of the first k training rows.
     """
 
     k: int
@@ -89,9 +89,10 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
 
 
 def predict_many(model: KnnModel, x) -> np.ndarray:
-    """Scores for a batch of query rows (m, d). The distances
-    |z|^2 - 2 z.t + |t|^2 are built in the buffer the matrix product
-    returns, in that order of operations."""
+    """Scores for a batch of query rows (m, d); a row too far to score
+    raises QueryRowError with its index. The distances |z|^2 - 2 z.t +
+    |t|^2 are built in the buffer the matrix product returns, in that order
+    of operations."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.train_features.shape[1]:
         raise InvalidInput(
@@ -105,10 +106,9 @@ def predict_many(model: KnnModel, x) -> np.ndarray:
     if bad.any():
         i = int(np.argmax(bad))
         j = int(np.argmax(np.abs(z[i])))
-        row = f" row {i}" if x.shape[0] > 1 else ""
-        raise InvalidInput(
-            f"k-NN query{row}: feature f{j} = {float(x[i, j])!r} is too far from the "
-            "training data (the squared standardized norm is not finite)"
+        raise QueryRowError(
+            i, f"feature f{j} = {float(x[i, j])!r} is too far from the training data "
+            "(the squared standardized norm is not finite)"
         )
     out = np.empty(z.shape[0])
     # chunked to bound the distance-matrix footprint
@@ -121,11 +121,6 @@ def predict_many(model: KnnModel, x) -> np.ndarray:
         idx = _nearest(d2, model.k)
         out[lo : lo + chunk] = model.train_errors[idx].mean(axis=1)
     return out
-
-
-def predict(model: KnnModel, x) -> float:
-    """Score for a single feature vector."""
-    return float(predict_many(model, np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 def score_dataset(model: KnnModel, data: Dataset) -> Dataset:

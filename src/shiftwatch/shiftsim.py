@@ -185,7 +185,8 @@ def build_stream(
 
     Before onset every event comes from the retained test pool; afterwards
     sudden schedules draw from the excluded pool, sigmoid schedules draw
-    from it with probability sigmoid_mixture(t, onset).
+    from it with probability sigmoid_mixture(t, onset). The stream carries
+    errors only when every pool it draws from has them.
     """
     if schedule.kind != "none" and (excluded is None or excluded.n == 0):
         raise InvalidInput("a shifting schedule needs a nonempty excluded pool")
@@ -202,14 +203,13 @@ def build_stream(
         from_excluded = (t >= schedule.onset) & (rng.random(horizon) < beta)
 
     rows = rng.integers(0, retained_test.n, size=horizon)
-    features = retained_test.features[rows].copy()
-    errors = None if retained_test.errors is None else retained_test.errors[rows].copy()
+    pools = [retained_test]
     if from_excluded.any():
-        idx_e = rng.integers(0, excluded.n, size=horizon)
-        features[from_excluded] = excluded.features[idx_e[from_excluded]]
-        if errors is not None and excluded.errors is not None:
-            errors[from_excluded] = excluded.errors[idx_e[from_excluded]]
-        rows[from_excluded] = retained_test.n + idx_e[from_excluded]
+        rows[from_excluded] = retained_test.n + rng.integers(0, excluded.n, size=horizon)[from_excluded]
+        pools.append(excluded)
+    features = np.concatenate([p.features for p in pools])[rows]
+    labeled = all(p.errors is not None for p in pools)
+    errors = np.concatenate([p.errors for p in pools])[rows] if labeled else None
     return ProductionStream(features=features, errors=errors, rows=rows)
 
 

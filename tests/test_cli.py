@@ -33,6 +33,14 @@ def _scored_source(path, n=200, seed=0):
     return path
 
 
+def _knn_source(path, n=400, seed=5):
+    """Labeled source CSV without a score column, so monitor fits its k-NN;
+    the error rises with f0."""
+    features = np.random.default_rng(seed).random((n, 2))
+    write_dataset(path, Dataset(features, 0.9 * features[:, 0]))
+    return path
+
+
 def _assert_one_line_error(result, *fragments):
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)  # no uncaught traceback
@@ -265,12 +273,21 @@ class TestMonitorCommand:
         assert not (out / "monitor.json").exists()
         assert len((out / "trajectory.csv").read_text().splitlines()) == 5  # header + 2 chunks
 
-    def test_chunked_stdin_matches_file(self, runner, tmp_path, monkeypatch):
-        src = _scored_source(tmp_path / "src.csv")
+    @pytest.mark.parametrize("scored", [True, False], ids=["scored", "knn"])
+    def test_chunked_stdin_matches_file(self, runner, tmp_path, monkeypatch, scored):
+        # the k-NN scores each chunk in one call: a row's score must not
+        # depend on the chunk it arrives in
         rng = np.random.default_rng(4)
         prod = tmp_path / "prod.csv"
-        scores = np.concatenate([rng.random(100) * 0.5, rng.random(400) * 0.1 + 0.85])
-        write_dataset(prod, Dataset(rng.random((500, 2)), None, scores))
+        if scored:
+            src = _scored_source(tmp_path / "src.csv")
+            scores = np.concatenate([rng.random(100) * 0.5, rng.random(400) * 0.1 + 0.85])
+            write_dataset(prod, Dataset(rng.random((500, 2)), None, scores))
+        else:
+            src = _knn_source(tmp_path / "src.csv")
+            features = rng.random((500, 2))
+            features[100:, 0] = 0.9 + 0.1 * features[100:, 0]
+            write_dataset(prod, Dataset(features))
         args = ["monitor", "--source", str(src)]
         whole = runner.invoke(main, args + ["--production", str(prod), "--out-dir", str(tmp_path / "o1")])
         assert whole.exit_code == 2, whole.output
@@ -282,6 +299,38 @@ class TestMonitorCommand:
         for name in ("trajectory.csv", "monitor.json"):
             assert (tmp_path / "o1" / name).read_bytes() == (tmp_path / "o2" / name).read_bytes()
         assert len((tmp_path / "o1" / "trajectory.csv").read_text().splitlines()) == 501
+
+    def test_one_scoring_call_per_chunk(self, runner, tmp_path, monkeypatch):
+        src = _knn_source(tmp_path / "src.csv")
+        features = np.random.default_rng(6).random((20, 2))
+        prod = tmp_path / "prod.csv"
+        args = ["monitor", "--source", str(src), "--production", str(prod), "--out-dir", str(tmp_path / "out")]
+        batches = []
+        scorer = cli.predict
+        monkeypatch.setattr(cli, "predict", lambda model, x: batches.append(len(x)) or scorer(model, x))
+        monkeypatch.setattr(core, "CHUNK_ROWS", 7)
+        write_dataset(prod, Dataset(features))
+        result = runner.invoke(main, args)
+        assert result.exit_code in (0, 2), result.output
+        assert batches == [7, 7, 6]
+        # event t=10 is the third row of the second chunk; its error names
+        # the event, not the row's index in its chunk
+        features[9, 0] = 1e200
+        write_dataset(prod, Dataset(features))
+        batches.clear()
+        result = runner.invoke(main, args)
+        _assert_one_line_error(result, "production event t=10: k-NN query: feature f0 = 1e+200", "not finite")
+        assert "row" not in result.output
+        assert batches == [7, 7]
+
+    @pytest.mark.parametrize("header", [["f0"], ["f0", "f1", "f2", "f3", "f4"]])
+    def test_feature_count_other_than_the_source_is_a_stream_error(self, runner, tmp_path, header):
+        # a header that does not fit the source is no one event's fault
+        result = self._monitor_knn_rows(runner, tmp_path, header)
+        _assert_one_line_error(
+            result, "production stream:", f"dimension {len(header)} ", "dimension 4"
+        )
+        assert "event" not in result.output
 
 
 class TestUnreadableFiles:

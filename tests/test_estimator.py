@@ -7,11 +7,16 @@ import pytest
 
 from shiftwatch import Dataset, fit_knn
 from shiftwatch.errors import DegenerateError, InvalidInput
-from shiftwatch.estimator import predict, predict_many, r_squared, score_dataset, split_half
+from shiftwatch.estimator import predict_many, r_squared, score_dataset, split_half
 
 
 def one_d(values, errors) -> Dataset:
     return Dataset(np.asarray(values, dtype=float).reshape(-1, 1), errors)
+
+
+def predict(model, x) -> float:
+    """The score of one query row, scored as a batch of one."""
+    return float(predict_many(model, [x])[0])
 
 
 def _stable_argsort_scores(model, x):

@@ -230,6 +230,22 @@ class TestBuildStream:
         assert np.array_equal(s1.features, s2.features)
         assert np.array_equal(s1.errors, s2.errors)
 
+    def test_errors_need_every_pool_drawn_from_to_be_labeled(self, pools):
+        # each event gathers its row's features and error; the excluded
+        # events of an unlabeled excluded pool kept the errors of the
+        # retained rows they replaced
+        retained, excluded = pools
+        stream = build_stream(retained, excluded, Schedule("sigmoid", 200, onset=100), seed=3)
+        for name in ("features", "errors"):
+            pooled = np.concatenate([getattr(retained, name), getattr(excluded, name)])
+            assert np.array_equal(getattr(stream, name), pooled[stream.rows])
+        unlabeled = Dataset(excluded.features)
+        stream = build_stream(retained, unlabeled, Schedule("sudden", 10, onset=6), seed=0)
+        assert np.all(stream.features[5:, 0] == 1.0)
+        assert stream.errors is None
+        stream = build_stream(retained, unlabeled, Schedule("none", 10), seed=0)
+        assert np.array_equal(stream.errors, retained.errors[stream.rows])
+
     def test_empty_excluded_rejected(self, pools):
         retained, _ = pools
         with pytest.raises(InvalidInput):
