@@ -32,7 +32,7 @@ from .harness import (
     suite_metrics,
     suite_metrics_by_r2,
 )
-from .monitor import TRAJECTORY_COLUMNS, MonitorState, source_statistics, write_trajectory_csv
+from .monitor import TRAJECTORY_HEADER, MonitorState, source_statistics, write_trajectory_csv
 from .shiftsim import CONTINUOUS, MIN_SUBGROUP, build_stream, enumerate_scenarios, split_pools
 
 
@@ -169,7 +169,7 @@ def cmd_monitor(config_file, **flags):
     with contextlib.suppress(FileNotFoundError):
         os.remove(summary_path)
     with open(os.path.join(cfg.out_dir, "trajectory.csv"), "w", newline="") as fh:
-        csv.writer(fh).writerow(TRAJECTORY_COLUMNS)
+        fh.write(TRAJECTORY_HEADER)
         for chunk in read_chunks(cfg.production, "production stream"):
             if (chunk.scores is None) != (model is not None):
                 raise IngestError(

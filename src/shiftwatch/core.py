@@ -2,14 +2,18 @@
 
 A ``Dataset`` stores its columns as numpy arrays whose row order is the
 file order. ``read_chunks`` is the one CSV reader: ``read_dataset`` joins
-its chunks and the monitor consumes them one by one. ``_feature_columns``
-is the one check that a CSV header names its feature columns
-f0..f{d-1} in order.
+its chunks and the monitor consumes them one by one. A chunk holds the
+rows of at most ``CHUNK_ROWS`` lines; blank lines are skipped. Each chunk
+is parsed by one ``np.loadtxt`` call, or, where that parse could differ
+from reading cell by cell with csv and ``float()``, cell by cell; only
+the per-cell parse reports a bad line. ``_feature_columns`` is the one
+check that a CSV header names its feature columns f0..f{d-1} in order.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -19,7 +23,7 @@ import numpy as np
 
 from .errors import IngestError, InvalidInput
 
-# Rows per chunk of ``read_chunks``; bounds the memory of a streaming read.
+# Lines per chunk of ``read_chunks``; bounds the memory of a streaming read.
 CHUNK_ROWS = 4096
 
 
@@ -131,14 +135,16 @@ def _feature_columns(header: Sequence[str], where) -> list:
 
 def read_chunks(path, where) -> Iterator[Dataset]:
     """Read a CSV of the dataset schema, f0..f{d-1}, [error], [score], as
-    Datasets of at most ``CHUNK_ROWS`` rows in file order; ``path`` '-'
-    reads stdin, in the same chunks. ``where`` names the input in errors.
+    Datasets of the rows of at most ``CHUNK_ROWS`` lines each, in file
+    order; ``path`` '-' reads stdin, in the same chunks. ``where`` names
+    the input in errors.
 
     Every cell of a feature, ``error`` or ``score`` column in the header
     must be a finite number; otherwise IngestError names the line and the
     column. Errors must also lie in [0, 1]. Blank lines are skipped. A
     file that cannot be opened, read or decoded is an IngestError too."""
-    reader = csv.reader(_lines(path, where))
+    lines = _lines(path, where)
+    reader = csv.reader(lines)
     header = next(reader, None)
     if header is None:
         raise IngestError(f"{where}: missing header row")
@@ -147,27 +153,65 @@ def read_chunks(path, where) -> Iterator[Dataset]:
     has_error, has_score = "error" in header, "score" in header
     names += [c for c in ("error", "score") if c in header]
     cols = [(header.index(name), name) for name in names]
+    usecols = [i for i, _ in cols]
 
-    def chunk(rows) -> Dataset:
-        values = np.array(rows)
+    line = reader.line_num  # the physical lines read so far
+    while True:
+        # outside the try: a read error is the reader's IngestError, not a fallback
+        block = list(itertools.islice(lines, CHUNK_ROWS))
+        if not block:
+            return
         try:
-            return Dataset(
-                values[:, :d],
-                values[:, d] if has_error else None,
-                values[:, -1] if has_score else None,
-            )
-        except InvalidInput as exc:
-            raise IngestError(f"{where}: {exc}")
+            values, used = _parse_block(block, usecols), len(block)
+        except Exception:  # the per-cell parse decides, and names any bad cell
+            values = None
+        if values is None:
+            values, used = _parse_cells(block, lines, cols, line, where)
+        line += used
+        if values.shape[0]:
+            try:
+                yield Dataset(
+                    values[:, :d],
+                    values[:, d] if has_error else None,
+                    values[:, -1] if has_score else None,
+                )
+            except InvalidInput as exc:
+                raise IngestError(f"{where}: {exc}")
 
+
+def _parse_block(block, usecols) -> np.ndarray:
+    """One np.loadtxt call over a block of lines, or ValueError where its
+    parse could differ from ``_parse_cells``: a quote (csv joins a quoted
+    cell, loadtxt splits it at its commas), the ASCII separators
+    \\x1c-\\x1f (loadtxt strips them as whitespace, float() refuses them),
+    a non-finite value, or a row count other than the non-blank lines'."""
+    text = "".join(block)
+    if any(c in text for c in '"\x1c\x1d\x1e\x1f'):
+        raise ValueError("a quote or an ASCII separator")
+    n_rows = len(block) - sum(map(block.count, ("\n", "\r\n", "\r")))
+    if n_rows == 0:  # np.loadtxt warns on a block of blank lines
+        return np.empty((0, len(usecols)))
+    values = np.loadtxt(block, delimiter=",", comments=None, usecols=usecols, ndmin=2)
+    if not np.isfinite(values).all():
+        raise ValueError("a non-finite value")
+    if values.shape[0] != n_rows:
+        raise ValueError("a row count other than the non-blank lines'")
+    return values
+
+
+def _parse_cells(block, lines, cols, line, where):
+    """The per-cell parse of a block whose first line follows physical line
+    ``line``: the rows' values, and how many lines were read. A quoted cell
+    open at the end of the block reads on from ``lines``. The only parse
+    that names a bad line and column."""
+    reader = csv.reader(itertools.chain(block, lines))
     rows = []
     for row in reader:
         if row:
-            rows.append([_cell(row, i, name, reader.line_num, where) for i, name in cols])
-        if len(rows) == CHUNK_ROWS:
-            yield chunk(rows)
-            rows = []
-    if rows:
-        yield chunk(rows)
+            rows.append([_cell(row, i, name, line + reader.line_num, where) for i, name in cols])
+        if reader.line_num >= len(block):
+            break
+    return np.array(rows, dtype=float).reshape(-1, len(cols)), reader.line_num
 
 
 def _lines(path, where) -> Iterator[str]:

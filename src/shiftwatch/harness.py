@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -335,6 +334,9 @@ def run_suite(
     ]
     if workers <= 1:
         return [_run_one(job) for job in jobs]
+    # imported here, so that only runs with workers pay for loading multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_one, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
 

@@ -9,7 +9,6 @@ alarms latch: once fired, a detector stays fired.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -124,6 +123,8 @@ def oracle_source_statistics(source: Dataset, selector: Selector, config: Monito
 
 
 TRAJECTORY_COLUMNS = ("t", "selection_rate", "L_q", "U_q", "U_q2", "phi_q", "phi_q2")
+# the header row of trajectory.csv, in the CSV dialect of ``write_trajectory_csv``
+TRAJECTORY_HEADER = ",".join(TRAJECTORY_COLUMNS) + "\r\n"
 
 
 class MonitorState:
@@ -237,5 +238,8 @@ def delta_diagnostic(errors, scores, selector: Selector, source: SourceStats) ->
 
 def write_trajectory_csv(fh, rows) -> None:
     """Append rows returned by ``MonitorState.observe`` to an open CSV file
-    whose header row is ``TRAJECTORY_COLUMNS``."""
-    csv.writer(fh).writerows(rows)
+    that begins with ``TRAJECTORY_HEADER``, in one write. The bytes are
+    csv.writer's: floats as repr, ints as str, lines ended by \\r\\n."""
+    fh.write("".join(
+        f"{t},{rate!r},{l_q!r},{u_q!r},{u_q2!r},{a},{b}\r\n" for t, rate, l_q, u_q, u_q2, a, b in rows
+    ))

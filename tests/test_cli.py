@@ -527,6 +527,17 @@ def test_tracer_finds_every_name_it_wraps(tmp_path):
     assert "monitor" in proc.stdout
 
 
+def test_start_up_imports_no_worker_processes():
+    """Only ``--workers`` > 1 starts worker processes, so importing the CLI
+    leaves multiprocessing out of every command's start-up."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = "import sys, shiftwatch.cli; print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("command, expected", [("monitor", 2), ("evaluate", 0)])
 def test_tracer_spans_are_benchmark_layers(tmp_path, command, expected):
     """perfbench/trace_cli.py runs each benchmarked command to its own exit

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from shiftwatch import Dataset, core
 from shiftwatch.core import Selector, empirical_quantile, read_chunks, read_dataset, write_dataset
@@ -159,3 +159,84 @@ class TestCsvRoundTrip:
         path.write_text("f0,error\n1,1.5\n")
         with pytest.raises(IngestError):
             read_dataset(path)
+
+
+# Cell texts on which np.loadtxt and csv + float() could part: quotes
+# (one spans lines), underscores, whitespace, non-finite and out-of-range
+# values, full-width digits, an ASCII separator and empty cells.
+_CELLS = [
+    "0", "0.5", "-0.0", "1", "1.5", "+.5", "5.", "1e-400", "1e400", "-1e400", "nan", "inf", "-inf", "1_0",
+    " 0.25", "0.25 ", "\t0.75\t", "\xa00.5", "0.5\x1c", "\uff11", "", "x", '"0.5"', '"0.1,0.2"', '"0.5\n"', '"',
+]
+_HEADERS = ["f0,error", "f0,f1,error,score", "id,f0,f1,score", "f0,error,note", "f0,f1"]
+_LINES = st.one_of(
+    st.lists(st.one_of(st.sampled_from(_CELLS), st.floats(0, 1).map(repr)), max_size=5).map(",".join),
+    st.sampled_from(["", " ", "\t"]),
+)
+
+
+def _outcome(path):
+    """The bits of every chunk read_chunks yields, then the text of the
+    error that ends the read, if one does."""
+    out = []
+    try:
+        for c in read_chunks(path, "data"):
+            out.append([c.features.shape] + [None if a is None else a.tobytes() for a in (c.features, c.errors, c.scores)])
+    except Exception as exc:
+        out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def _refuse(*args):
+    raise ValueError("per-cell path only")
+
+
+class TestChunkParse:
+    """read_chunks parses a block of lines with one np.loadtxt call, and the
+    per-cell csv path takes over wherever that parse could differ."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.sampled_from(_HEADERS),
+        st.lists(st.tuples(_LINES, st.sampled_from(["\n", "\r\n"])), max_size=12),
+        st.integers(1, 4),
+    )
+    def test_loadtxt_path_gives_the_per_cell_bits_or_error(self, tmp_path, header, lines, chunk_rows):
+        path = tmp_path / "data.csv"
+        path.write_bytes((header + "\n" + "".join(a + b for a, b in lines)).encode())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "CHUNK_ROWS", chunk_rows)
+            fast = _outcome(path)
+            mp.setattr(core, "_parse_block", _refuse)
+            assert fast == _outcome(path)
+
+    def test_clean_file_takes_the_loadtxt_path(self, tmp_path, monkeypatch, correlated_dataset):
+        path = tmp_path / "data.csv"
+        write_dataset(path, correlated_dataset)
+        monkeypatch.setattr(core, "_parse_cells", _refuse)
+        assert read_dataset(path).features.tobytes() == correlated_dataset.features.tobytes()
+
+    def test_a_row_loadtxt_drops_goes_to_the_per_cell_path(self, tmp_path, monkeypatch):
+        # np.loadtxt skips the lines csv reads as blank; were it ever to skip
+        # another, the row count sends the block to the per-cell path
+        path = tmp_path / "data.csv"
+        path.write_text("f0,error\n1,0.5\n2,0.25\n")
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(core.np, "loadtxt", lambda *args, **kwargs: loadtxt(*args, **kwargs)[1:])
+        assert read_dataset(path).errors.tolist() == [0.5, 0.25]
+
+    @pytest.mark.filterwarnings("error")
+    def test_blank_lines_longer_than_a_chunk_warn_nothing(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        path.write_text("f0,error\n1,0.5\n" + "\n" * 9 + "2,0.25\n")
+        monkeypatch.setattr(core, "CHUNK_ROWS", 3)
+        assert [c.errors.tolist() for c in read_chunks(path, "data")] == [[0.5], [0.25]]
+
+    def test_quoted_cell_across_a_chunk_boundary(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        path.write_text('f0,error\n1,0.5\n2,"0.25\n"\n3,x\n')
+        monkeypatch.setattr(core, "CHUNK_ROWS", 2)
+        chunks = read_chunks(path, "data")
+        assert next(chunks).errors.tolist() == [0.5, 0.25]
+        with pytest.raises(IngestError, match="data line 5, column error: expected a finite number, got 'x'"):
+            next(chunks)
