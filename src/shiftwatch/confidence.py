@@ -3,14 +3,14 @@
 The PM-EB arithmetic is ``pmeb_update``, which advances the confidence
 sequence over a chunk of observations with numpy running sums that
 resume from the carried accumulators. The quantile detectors reach it
-through ``monitor.quantile_lower``, the one L_q function that the
-streaming monitor calls once per chunk and the experiment suite once per
+through ``monitor.MonitorState.feed``, the one detector core that the
+streaming monitor feeds once per chunk and the experiment suite once per
 whole stream; the mean detectors use ``pmeb_best_lower_path``, one call
-on a fresh state. ``pmeb_update`` keeps the order of operations of the one-observation-at-a-time
-recurrence and routes both logarithms through libm ``math.log``
-(numpy's vectorized ``np.log`` can differ in the last bit), so its
-bounds equal that recurrence's bit for bit; the tests hold them to a
-scalar reference.
+on a fresh state. ``pmeb_update`` keeps the order of operations of the
+one-observation-at-a-time recurrence and routes both logarithms through
+libm ``math.log`` (numpy's vectorized ``np.log`` can differ in the last
+bit), so its bounds equal that recurrence's bit for bit; the tests hold
+them to a scalar reference.
 """
 
 from __future__ import annotations

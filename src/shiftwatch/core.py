@@ -142,13 +142,21 @@ def read_chunks(path, where) -> Iterator[Dataset]:
     Every cell of a feature, ``error`` or ``score`` column in the header
     must be a finite number; otherwise IngestError names the line and the
     column. Errors must also lie in [0, 1]. Blank lines are skipped. A
-    file that cannot be opened, read or decoded is an IngestError too."""
+    header that names ``error`` or ``score`` twice, a cell longer than
+    csv's field size limit, and a file that cannot be opened, read or
+    decoded are IngestErrors too."""
     lines = _lines(path, where)
     reader = csv.reader(lines)
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise IngestError(f"{where} line {reader.line_num}: {exc}")
     if header is None:
         raise IngestError(f"{where}: missing header row")
     names = _feature_columns(header, where)
+    for name in ("error", "score"):
+        if header.count(name) > 1:
+            raise IngestError(f"{where}: the header names column {name!r} {header.count(name)} times")
     d = len(names)
     has_error, has_score = "error" in header, "score" in header
     names += [c for c in ("error", "score") if c in header]
@@ -184,10 +192,13 @@ def _parse_block(block, usecols) -> np.ndarray:
     parse could differ from ``_parse_cells``: a quote (csv joins a quoted
     cell, loadtxt splits it at its commas), the ASCII separators
     \\x1c-\\x1f (loadtxt strips them as whitespace, float() refuses them),
-    a non-finite value, or a row count other than the non-blank lines'."""
+    a line longer than csv's field size limit (loadtxt has none), a
+    non-finite value, or a row count other than the non-blank lines'."""
     text = "".join(block)
     if any(c in text for c in '"\x1c\x1d\x1e\x1f'):
         raise ValueError("a quote or an ASCII separator")
+    if max(map(len, block)) > csv.field_size_limit():
+        raise ValueError("a line longer than csv's field size limit")
     n_rows = len(block) - sum(map(block.count, ("\n", "\r\n", "\r")))
     if n_rows == 0:  # np.loadtxt warns on a block of blank lines
         return np.empty((0, len(usecols)))
@@ -206,11 +217,14 @@ def _parse_cells(block, lines, cols, line, where):
     that names a bad line and column."""
     reader = csv.reader(itertools.chain(block, lines))
     rows = []
-    for row in reader:
-        if row:
-            rows.append([_cell(row, i, name, line + reader.line_num, where) for i, name in cols])
-        if reader.line_num >= len(block):
-            break
+    try:
+        for row in reader:
+            if row:
+                rows.append([_cell(row, i, name, line + reader.line_num, where) for i, name in cols])
+            if reader.line_num >= len(block):
+                break
+    except csv.Error as exc:  # a cell longer than csv's field size limit
+        raise IngestError(f"{where} line {line + reader.line_num}: {exc}")
     return np.array(rows, dtype=float).reshape(-1, len(cols)), reader.line_num
 
 

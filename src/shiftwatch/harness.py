@@ -18,17 +18,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .calibration import GridSpec, calibrate
-from .confidence import PmEbState
 from .core import Dataset, Selector
 from .errors import CalibrationInfeasible, DegenerateError, InvalidInput
 from .estimator import DEFAULT_K, fit_knn, predict_many, r_squared, score_dataset, split_half
 from .monitor import (
     MonitorConfig,
+    MonitorState,
     delta_diagnostic,
     first_alarm_time,
     mean_lower_path,
     oracle_source_statistics,
-    quantile_lower,
     source_mean_upper,
     source_statistics,
 )
@@ -151,8 +150,8 @@ def run_experiment(
     oracle variants of the two quantile statistics and the mean statistic).
     The estimator scores each distinct pool row of the stream once; every
     event reads its row's score, bit for bit the score of the whole stream.
-    The quantile detectors' L_q comes from ``monitor.quantile_lower``, the
-    function the streaming monitor calls per chunk, here once per stream.
+    The quantile detectors' L_q and alarms come from ``MonitorState.feed``,
+    which the streaming monitor calls per chunk, here once per stream.
     """
     if source.errors is None:
         raise InvalidInput("experiments need a labeled source dataset")
@@ -193,9 +192,8 @@ def run_experiment(
 
     # plug-in quantile detectors share one lower-bound trajectory; the
     # oracle's selection is the true-error flag, so it has no false discoveries
-    fresh = PmEbState(mon_cfg.alpha1)
-    l_plugin, _ = quantile_lower(fresh, selector.select(stream_scores), stats, mon_cfg)
-    l_oracle, _ = quantile_lower(fresh, stream.errors > selector.q, oracle_stats, mon_cfg)
+    l_plugin = MonitorState(selector, stats, mon_cfg).feed(selector.select(stream_scores))
+    l_oracle = MonitorState(selector, oracle_stats, mon_cfg).feed(stream.errors > selector.q)
     # mean detectors
     clipped = np.clip(stream_scores, 0.0, 1.0)
     report.n_clipped = int((stream_scores != clipped).sum())

@@ -128,7 +128,7 @@ TRAJECTORY_HEADER = ",".join(TRAJECTORY_COLUMNS) + "\r\n"
 
 
 class MonitorState:
-    """Single-writer streaming state of the quantile detectors.
+    """Single-writer state of the quantile detectors, streaming or batch.
 
     Feeds the binary selection stream 1{score > q_hat} into a PM-EB
     confidence sequence at level alpha1 and latches the two alarm flags.
@@ -152,6 +152,28 @@ class MonitorState:
     def phi_q2(self) -> bool:
         return self.phi_q2_time is not None
 
+    def feed(self, flags) -> np.ndarray:
+        """Feed the next chunk of selection flags and latch any alarm they
+        raise. Returns the chunk's L_q: the running maximum of the PM-EB
+        lower bounds less the source false-discovery upper bound and
+        ``delta_corr``, floored at 0. phi_q (phi_q2) latches at the first
+        margin L_q - u_q (L_q - u_q2) above eps_tol. Chained over any cuts
+        of a stream, it gives the bits, state and alarm times of one call."""
+        lowers, after = pmeb_update(self.selection_cs, flags)
+        best = np.maximum(np.maximum.accumulate(lowers), self.selection_cs.best_lower)
+        l_q = best - (self.source.rate_false_discovery + self.source.w_fd) - self.config.delta_corr
+        l_q = np.maximum(l_q, 0.0)
+        hit_q = first_alarm_time(l_q - self.source.u_q, self.config.eps_tol)
+        hit_q2 = first_alarm_time(l_q - self.source.u_q2, self.config.eps_tol)
+        if self.phi_q_time is None and hit_q is not None:
+            self.phi_q_time = self.t + hit_q
+        if self.phi_q2_time is None and hit_q2 is not None:
+            self.phi_q2_time = self.t + hit_q2
+        self.selection_cs = after
+        self.t += l_q.size
+        self.n_selected += int(np.count_nonzero(flags))
+        return l_q
+
     def observe(self, scores) -> list:
         """Feed the next chunk of event scores and latch any alarm it raises.
 
@@ -159,50 +181,13 @@ class MonitorState:
         fields of ``TRAJECTORY_COLUMNS`` (the flags as 0/1)."""
         flags = self.selector.select(scores)
         n = flags.size
-        l_q, self.selection_cs = quantile_lower(self.selection_cs, flags, self.source, self.config)
         t = np.arange(self.t + 1, self.t + n + 1)
         selection_rate = (self.n_selected + np.cumsum(flags)) / t
-        u_q, u_q2 = self.source.u_q, self.source.u_q2
-        if self.phi_q_time is None:
-            self.phi_q_time = _latch(l_q - u_q, self.config.eps_tol, self.t)
-        if self.phi_q2_time is None:
-            self.phi_q2_time = _latch(l_q - u_q2, self.config.eps_tol, self.t)
-        self.t += n
-        self.n_selected += int(flags.sum())
-        return list(
-            zip(
-                t.tolist(),
-                selection_rate.tolist(),
-                l_q.tolist(),
-                [u_q] * n,
-                [u_q2] * n,
-                (t >= (self.phi_q_time or math.inf)).astype(int).tolist(),
-                (t >= (self.phi_q2_time or math.inf)).astype(int).tolist(),
-            )
-        )
-
-
-def _latch(margins: np.ndarray, eps_tol: float, t_before: int) -> Optional[int]:
-    """Alarm time of the first margin above eps_tol in a chunk that
-    follows event ``t_before``, or None."""
-    hit = first_alarm_time(margins, eps_tol)
-    return None if hit is None else t_before + hit
-
-
-def quantile_lower(state: PmEbState, flags, source: SourceStats, config: MonitorConfig):
-    """Corrected production lower bound L_q per selection flag, and the
-    PM-EB state after them; ``MonitorState.observe`` and the experiment
-    harness share it. The running maximum of the PM-EB lower bounds, from
-    ``state.best_lower``, less the source false-discovery upper bound and
-    ``delta_corr``, floored at 0. Chained over any cuts of a stream it
-    gives the bits of one call on a fresh ``PmEbState(config.alpha1)``.
-
-    The detectors alarm once the margin L_q - U exceeds eps_tol, where U
-    is ``u_q`` or ``u_q2`` (see ``first_alarm_time``)."""
-    lowers, after = pmeb_update(state, flags)
-    best = np.maximum(np.maximum.accumulate(lowers), state.best_lower)
-    l_q = best - (source.rate_false_discovery + source.w_fd) - config.delta_corr
-    return np.maximum(l_q, 0.0), after
+        l_q = self.feed(flags)
+        u_q, u_q2 = [self.source.u_q] * n, [self.source.u_q2] * n
+        phi_q = (t >= (self.phi_q_time or math.inf)).astype(int).tolist()
+        phi_q2 = (t >= (self.phi_q2_time or math.inf)).astype(int).tolist()
+        return list(zip(t.tolist(), selection_rate.tolist(), l_q.tolist(), u_q, u_q2, phi_q, phi_q2))
 
 
 def first_alarm_time(margins: np.ndarray, eps_tol: float) -> Optional[int]:

@@ -13,19 +13,15 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from shiftwatch import Dataset, GridSpec, MonitorConfig, calibrate, fit_knn, source_statistics
+from shiftwatch import Dataset, GridSpec, MonitorConfig, MonitorState, calibrate, fit_knn, source_statistics
 from shiftwatch.calibration import _power_fdp
 from shiftwatch.cli import main as cli_main
-from shiftwatch.confidence import PmEbState, hoeffding_halfwidth, pmeb_best_lower_path
+from shiftwatch.confidence import hoeffding_halfwidth, pmeb_best_lower_path
 from shiftwatch.core import Selector, empirical_quantile, write_dataset
 from shiftwatch.errors import CalibrationInfeasible
 from shiftwatch.estimator import predict_many, score_dataset, split_half
 from shiftwatch.harness import ExperimentConfig, run_suite, suite_metrics
-from shiftwatch.monitor import (
-    first_alarm_time,
-    oracle_source_statistics,
-    quantile_lower,
-)
+from shiftwatch.monitor import oracle_source_statistics
 from shiftwatch.shiftsim import (
     Schedule,
     build_stream,
@@ -140,10 +136,10 @@ def test_false_alarm_control():
                 data, None, Schedule("none", 2000), 9000 + ds * 10 + s
             )
             scores = predict_many(model, stream.features)
-            selection = (scores > result.selector.q_hat).astype(float)
-            margins = quantile_lower(PmEbState(cfg.alpha1), selection, stats, cfg)[0] - stats.u_q2
+            state = MonitorState(result.selector, stats, cfg)
+            state.feed(result.selector.select(scores))
             total += 1
-            if margins.max() > 0.0:
+            if state.phi_q2:
                 fired += 1
     elapsed = time.time() - start
     rate = fired / total
@@ -292,13 +288,11 @@ def test_perfect_estimator_equivalence():
         )
         plugin_sel = (stream.errors > selector.q_hat).astype(float)
         oracle_sel = (stream.errors > selector.q).astype(float)
-        t_plugin = first_alarm_time(
-            quantile_lower(PmEbState(cfg.alpha1), plugin_sel, stats, cfg)[0] - stats.u_q2, 0.0
-        )
-        t_oracle = first_alarm_time(
-            quantile_lower(PmEbState(cfg.alpha1), oracle_sel, oracle_stats, cfg)[0] - oracle_stats.u_q2,
-            0.0,
-        )
+        plugin = MonitorState(selector, stats, cfg)
+        plugin.feed(plugin_sel)
+        oracle = MonitorState(selector, oracle_stats, cfg)
+        oracle.feed(oracle_sel)
+        t_plugin, t_oracle = plugin.phi_q2_time, oracle.phi_q2_time
         if t_plugin != t_oracle:
             all_equal = False
         if t_plugin is None:

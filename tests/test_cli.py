@@ -68,6 +68,15 @@ class TestCalibrateCommand:
         result = runner.invoke(main, ["calibrate", "--out-dir", str(tmp_path / "o")])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("later", ["0.5,0.4,0.1", '"0.5",0.4,0.1'], ids=["loadtxt", "per-cell"])
+    def test_cell_longer_than_the_csv_field_limit_is_one_line(self, runner, tmp_path, later):
+        """A finite 200,003-character cell is refused on both parse paths:
+        a quoted cell later in the block sends it to the per-cell path."""
+        src = tmp_path / "src.csv"
+        src.write_text(f"f0,f1,error\n0.{'1' * 200_001},0.2,0.3\n{later}\n")
+        result = runner.invoke(main, ["calibrate", "--source", str(src), "--out-dir", str(tmp_path / "o")])
+        _assert_one_line_error(result, f"{src} line 2: field larger than field limit (131072)")
+
 
 class TestMonitorCommand:
     def test_no_shift_replay_exits_zero(self, runner, tmp_path):
@@ -564,8 +573,16 @@ def test_tracer_spans_are_benchmark_layers(tmp_path, command, expected):
     spans_path = tmp_path / "spans.json"
     proc = _trace_cli(spans_path, args)
     assert proc.returncode == expected, proc.stderr
-    names = {span[0] for span in json.loads(spans_path.read_text())["spans"]}
+    spans = json.loads(spans_path.read_text())["spans"]
+    names = {span[0] for span in spans}
     assert names and names <= layers, sorted(names - layers)
+    if command == "evaluate":
+        # the suite feeds MonitorState's core, never observe: each run that
+        # calibrates reaches pmeb_update once for the plug-in and once for the oracle
+        calibrated = [i for i, span in enumerate(spans) if span[0] == "harness.run_experiment" and not span[4]]
+        update_parents = [span[3] for span in spans if span[0] == "confidence.pmeb_update"]
+        assert calibrated and "monitor.observe" not in names
+        assert sorted(update_parents) == sorted(2 * calibrated)
 
 
 class TestSimulateCommand:

@@ -1,8 +1,10 @@
 """Domain types, the empirical-quantile primitive, and CSV ingestion."""
 
+import csv
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from shiftwatch import Dataset, core
 from shiftwatch.core import Selector, empirical_quantile, read_chunks, read_dataset, write_dataset
@@ -160,13 +162,41 @@ class TestCsvRoundTrip:
         with pytest.raises(IngestError):
             read_dataset(path)
 
+    @pytest.mark.parametrize("header", ["f0,error,error", "f0,f1,error,error", "f0,score,error,score"])
+    def test_repeated_error_or_score_column(self, tmp_path, header):
+        """Neither column is silently read from its first occurrence."""
+        name = "score" if header.count("score") == 2 else "error"
+        path = tmp_path / "dup.csv"
+        path.write_text(header + "\n" + ",".join(["0.5"] * (header.count(",") + 1)) + "\n")
+        with pytest.raises(IngestError, match=f"names column '{name}' 2 times"):
+            read_dataset(path)
 
+    @pytest.mark.parametrize("later", ["2,0.5", '"2",0.5'], ids=["loadtxt", "per-cell"])
+    def test_cell_longer_than_the_csv_field_limit(self, tmp_path, later):
+        """Both parse paths refuse a finite cell longer than csv's field
+        size limit, naming its line."""
+        path = tmp_path / "long.csv"
+        path.write_text(f"f0,error\n0.{'1' * 200_001},0.5\n{later}\n")
+        with pytest.raises(IngestError, match=r"^long line 2: field larger than field limit \(131072\)$"):
+            list(read_chunks(path, "long"))
+
+    def test_header_longer_than_the_csv_field_limit(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text(f"f0,{'e' * 200_000}\n1,0.5\n")
+        with pytest.raises(IngestError, match="^long line 1: field larger than field limit"):
+            list(read_chunks(path, "long"))
+
+
+# A finite cell one character longer than csv's field size limit.
+_LONG = "0." + "1" * (csv.field_size_limit() - 1)
 # Cell texts on which np.loadtxt and csv + float() could part: quotes
 # (one spans lines), underscores, whitespace, non-finite and out-of-range
-# values, full-width digits, an ASCII separator and empty cells.
+# values, full-width digits, an ASCII separator, empty cells and a cell
+# too long for csv.
 _CELLS = [
     "0", "0.5", "-0.0", "1", "1.5", "+.5", "5.", "1e-400", "1e400", "-1e400", "nan", "inf", "-inf", "1_0",
     " 0.25", "0.25 ", "\t0.75\t", "\xa00.5", "0.5\x1c", "\uff11", "", "x", '"0.5"', '"0.1,0.2"', '"0.5\n"', '"',
+    _LONG,
 ]
 _HEADERS = ["f0,error", "f0,f1,error,score", "id,f0,f1,score", "f0,error,note", "f0,f1"]
 _LINES = st.one_of(
@@ -201,6 +231,7 @@ class TestChunkParse:
         st.lists(st.tuples(_LINES, st.sampled_from(["\n", "\r\n"])), max_size=12),
         st.integers(1, 4),
     )
+    @example("f0,f1", [("0.5," + _LONG, "\n"), ("0.5,0.5", "\n")], 4)  # a long cell in a block loadtxt parses
     def test_loadtxt_path_gives_the_per_cell_bits_or_error(self, tmp_path, header, lines, chunk_rows):
         path = tmp_path / "data.csv"
         path.write_bytes((header + "\n" + "".join(a + b for a, b in lines)).encode())

@@ -18,7 +18,6 @@ from shiftwatch.monitor import (
     first_alarm_time,
     mean_lower_path,
     oracle_source_statistics,
-    quantile_lower,
     source_mean_upper,
     write_trajectory_csv,
 )
@@ -102,9 +101,13 @@ def _stats(**kwargs) -> SourceStats:
     return SourceStats(**base)
 
 
+# MonitorState.feed never reads the selector; observe applies it to scores
+SELECTOR = Selector(q=0.5, q_hat=0.5, p=0.7, p_hat=0.5)
+
+
 def _lq_path(flags, stats, cfg) -> np.ndarray:
-    """L_q over a whole stream: one ``quantile_lower`` call on a fresh state."""
-    return quantile_lower(PmEbState(cfg.alpha1), flags, stats, cfg)[0]
+    """L_q over a whole stream: one ``feed`` call on a fresh state."""
+    return MonitorState(SELECTOR, stats, cfg).feed(flags)
 
 
 class TestQuantileDetector:
@@ -114,13 +117,14 @@ class TestQuantileDetector:
         assert max(0.0, 0.75 - (0.10 + 0.05) - 0.0) == pytest.approx(0.60)
         sel = np.ones(500)
         cfg = MonitorConfig()
-        stats = _stats()
-        l_q, state = quantile_lower(PmEbState(cfg.alpha1), sel, stats, cfg)
+        state = MonitorState(SELECTOR, _stats(), cfg)
+        l_q = state.feed(sel)
         expected = np.clip(
             pmeb_best_lower_path(sel, cfg.alpha1) - (0.1 + 0.05), 0.0, None
         )
         assert np.array_equal(l_q, expected)
-        assert state == pmeb_update(PmEbState(cfg.alpha1), sel)[1]
+        assert state.selection_cs == pmeb_update(PmEbState(cfg.alpha1), sel)[1]
+        assert state.t == 500 and state.n_selected == 500
 
     def test_streaming_observe_matches_batch_path(self):
         rng = np.random.default_rng(2)
@@ -217,18 +221,45 @@ class TestQuantileDetector:
         delta_corr=st.sampled_from([0.0, 0.02]),
     )
     def test_chained_chunks_equal_one_call(self, flags, cuts, delta_corr):
-        """Chaining ``quantile_lower`` over any cuts of a 0/1 stream gives
-        the L_q bits and final state of one call on a fresh state."""
+        """Chaining ``feed`` over any cuts of a 0/1 stream gives the L_q
+        bits, final confidence-sequence state, counts and alarm times of
+        one call on a fresh state."""
         flags = np.array(flags, dtype=bool)
         cfg = MonitorConfig(delta_corr=delta_corr)
         stats = _stats(rate_false_discovery=0.02, w_fd=0.01)
-        whole, whole_state = quantile_lower(PmEbState(cfg.alpha1), flags, stats, cfg)
-        state, parts = PmEbState(cfg.alpha1), []
-        for chunk in np.split(flags, sorted(min(c, flags.size) for c in cuts)):
-            l_q, state = quantile_lower(state, chunk, stats, cfg)
-            parts.append(l_q)
-        assert np.concatenate(parts).tobytes() == whole.tobytes()
-        assert repr(state) == repr(whole_state)
+        whole = MonitorState(SELECTOR, stats, cfg)
+        whole_l_q = whole.feed(flags)
+        state = MonitorState(SELECTOR, stats, cfg)
+        parts = [state.feed(chunk) for chunk in np.split(flags, sorted(min(c, flags.size) for c in cuts))]
+        assert np.concatenate(parts).tobytes() == whole_l_q.tobytes()
+        assert repr(state.selection_cs) == repr(whole.selection_cs)
+        assert (state.t, state.n_selected) == (whole.t, whole.n_selected) == (flags.size, flags.sum())
+        assert state.phi_q_time == whole.phi_q_time == first_alarm_time(whole_l_q - stats.u_q, 0.0)
+        assert state.phi_q2_time == whole.phi_q2_time == first_alarm_time(whole_l_q - stats.u_q2, 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.sampled_from([0.0, 0.1, 0.3]),
+        p_hat=st.sampled_from([0.3, 0.5, 0.8]),
+        shift=st.floats(0.0, 0.6),
+        cuts=st.lists(st.integers(0, 600), max_size=5),
+    )
+    def test_phi_q2_never_alarms_after_phi_q(self, seed, noise, p_hat, shift, cuts):
+        """With source stats from ``source_statistics``, u_q2 <= u_q, so
+        phi_q2 latches no later than phi_q on any stream and any cuts."""
+        rng = np.random.default_rng(seed)
+        errors = rng.random(200)
+        scores = errors + rng.normal(0.0, noise, 200)
+        source = Dataset(rng.random((200, 1)), errors, scores)
+        selector = Selector(q=0.6, q_hat=float(np.quantile(scores, p_hat)), p=0.6, p_hat=p_hat)
+        cfg = MonitorConfig()
+        state = MonitorState(selector, source_statistics(source, selector, cfg), cfg)
+        stream = rng.random(600) + shift
+        for chunk in np.split(stream, sorted(cuts)):
+            state.observe(chunk)
+            if state.phi_q:
+                assert state.phi_q2 and state.phi_q2_time <= state.phi_q_time
 
     def test_trajectory_exports(self, tmp_path):
         state = MonitorState(Selector(0.5, 0.5, 0.7, 0.5), _stats(), MonitorConfig())
