@@ -90,11 +90,11 @@ def calibrate(grid: GridSpec, data: Dataset) -> CalibrationResult:
     if data.errors is None or data.scores is None:
         raise InvalidInput("calibration needs both true errors and scores")
 
+    q_hats = [empirical_quantile(p_hat, data.scores) for p_hat in grid.p_hat_values]
     report: List[GridCell] = []
     for p in grid.p_values:
         q = empirical_quantile(p, data.errors)
-        for p_hat in grid.p_hat_values:
-            q_hat = empirical_quantile(p_hat, data.scores)
+        for p_hat, q_hat in zip(grid.p_hat_values, q_hats):
             selector = Selector(q=q, q_hat=q_hat, p=p, p_hat=p_hat)
             power, fdp, n_pos, n_sel = _power_fdp(selector, data.errors, data.scores)
             report.append(

@@ -25,12 +25,17 @@ class KnnModel:
 
     Constant columns get std 1 so standardization never divides by zero.
     Distance ties are broken by lower training index, which makes
-    prediction fully deterministic. Prediction picks each row's k nearest
-    by a partition, orders them by (distance, training index), and falls
-    back to a stable sort of the whole row only when more than k training
-    rows lie at or below the k-th distance; the neighbours, their order
-    and so the summed score are those of a stable sort of every distance.
-    The training rows' squared norms are computed once, here, and reused
+    prediction fully deterministic. Prediction scores the queries in blocks
+    of about 8 MB of distances. It splits each distance row into groups of
+    up to 8 strided columns, at least k groups, and takes the k-th
+    smallest group minimum as a bound: k distances of the row lie at or
+    below it, so the k nearest do. The few training rows at or below the
+    bound are the candidates, and a stable sort of their distances, in
+    training order, picks the k nearest. A row whose bound is NaN, or
+    that has more than k and more than an eighth of the training rows at
+    or below it, is sorted whole instead. The neighbours, their order and
+    so the summed score are those of a stable sort of every distance. The
+    training rows' squared norms are computed once, here, and reused
     by every prediction. A row's score depends on that row alone, not on
     the rest of its batch, so callers may score each distinct row once, or
     a stream chunk by chunk. Fitting rejects a feature whose mean or std is
@@ -77,14 +82,35 @@ def fit_knn(train: Dataset, k: int) -> KnnModel:
 def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
     """Column indices of the k smallest entries of each row of ``d2``,
     ordered by (value, column): the first k columns of a stable argsort."""
-    idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    dist = np.take_along_axis(d2, idx, axis=1)
-    idx = np.take_along_axis(idx, np.lexsort((idx, dist), axis=1), axis=1)
-    # the candidates are the only choice when exactly k entries lie at or
-    # below the k-th distance (a NaN k-th distance counts none)
-    tied = np.count_nonzero(d2 <= dist.max(axis=1)[:, None], axis=1) != k
-    if tied.any():
-        idx[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    m, n = d2.shape
+    # the k-th smallest of g group minima is an entry at or above the row's
+    # k-th smallest, so every neighbour lies at or below it
+    w = max(1, min(8, n // k))
+    g = n // w
+    mins = d2[:, : g * w].reshape(m, w, g).min(axis=1)
+    mins.partition(k - 1, axis=1)
+    bound = mins[:, k - 1]
+    flat = np.flatnonzero(d2 <= bound[:, None])
+    rows = flat // n
+    counts = np.bincount(rows, minlength=m)
+    # a NaN bound selects nothing, and a row tied at the bound with more
+    # than an eighth of the columns would widen the padded arrays of the
+    # whole block: such rows are padded to k here and sorted whole below
+    whole = np.isnan(bound) | (counts > max(k, n // 8))
+    if whole.any():
+        keep = ~whole[rows]
+        flat, rows = flat[keep], rows[keep]
+        counts[whole] = 0
+    c = max(k, int(counts.max()))
+    pos = np.arange(flat.size) - (np.cumsum(counts) - counts)[rows]
+    cand = np.full((m, c), np.inf)
+    cand[rows, pos] = d2.ravel()[flat]
+    cand_cols = np.full((m, c), n)
+    cand_cols[rows, pos] = flat % n
+    # candidates sit in column order, ahead of the padding
+    idx = np.take_along_axis(cand_cols, np.argsort(cand, axis=1, kind="stable")[:, :k], axis=1)
+    if whole.any():
+        idx[whole] = np.argsort(d2[whole], axis=1, kind="stable")[:, :k]
     return idx
 
 
@@ -111,8 +137,8 @@ def predict_many(model: KnnModel, x) -> np.ndarray:
             "(the squared standardized norm is not finite)"
         )
     out = np.empty(z.shape[0])
-    # chunked to bound the distance-matrix footprint
-    chunk = max(1, int(2_000_000 // max(1, model.train_features.shape[0])))
+    # chunked to bound the distance-matrix footprint at about 8 MB
+    chunk = max(1, int(1_000_000 // max(1, model.train_features.shape[0])))
     for lo in range(0, z.shape[0], chunk):
         zc = z[lo : lo + chunk]
         d2 = 2.0 * zc @ model.train_features.T
@@ -120,6 +146,7 @@ def predict_many(model: KnnModel, x) -> np.ndarray:
         d2 += model.train_sq_norms
         idx = _nearest(d2, model.k)
         out[lo : lo + chunk] = model.train_errors[idx].mean(axis=1)
+        del d2  # freed before the next block is built, so one block is live at a time
     return out
 
 

@@ -330,6 +330,8 @@ def run_suite(
         for scenario in scenarios
         for seed in seeds
     ]
+    # a pool forks all its workers at the first submit, so never more than there are jobs
+    workers = min(workers, len(jobs))
     if workers <= 1:
         return [_run_one(job) for job in jobs]
     # imported here, so that only runs with workers pay for loading multiprocessing

@@ -1,13 +1,16 @@
 """k-NN error estimator, R^2 diagnostic, and external score ingestion."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shiftwatch import Dataset, fit_knn
 from shiftwatch.errors import DegenerateError, InvalidInput
-from shiftwatch.estimator import predict_many, r_squared, score_dataset, split_half
+from shiftwatch.estimator import _nearest, predict_many, r_squared, score_dataset, split_half
 
 
 def one_d(values, errors) -> Dataset:
@@ -25,7 +28,7 @@ def _stable_argsort_scores(model, x):
     or below its k-th distance."""
     z = (np.asarray(x, dtype=float) - model.feature_means) / model.feature_stds
     train = model.train_features
-    chunk = max(1, int(2_000_000 // train.shape[0]))
+    chunk = max(1, int(1_000_000 // train.shape[0]))
     scores, at_or_below = [], []
     for lo in range(0, z.shape[0], chunk):
         zc = z[lo : lo + chunk]
@@ -79,9 +82,10 @@ class TestKnn:
         assert predict(model, [1.0]) == 0.1
 
     def test_per_row_scores_equal_chunked_scores(self):
-        # 1,500 queries cross predict_many's distance chunks (2e6 // 3,000 =
-        # 666 rows) twice; integer features and duplicate train rows force
-        # exact distance ties, which only the stable argsort resolves
+        # 1,500 queries cross predict_many's distance chunks (1e6 // 3,000 =
+        # 333 rows) four times; integer features and duplicate train rows
+        # force exact distance ties, which only the (distance, index) order
+        # of the candidates resolves
         rng = np.random.default_rng(11)
         features = rng.integers(0, 4, size=(3000, 3)).astype(float)
         features[1500:] = features[:1500]
@@ -95,9 +99,9 @@ class TestKnn:
     def test_partition_top_k_equals_stable_argsort(self, k):
         # 1,000 unique continuous train rows far from 500 distinct integer
         # lattice points, each present twice; lattice queries tie at the k-th
-        # distance, which only the stable fallback resolves, continuous ones
-        # do not. 2,100 queries cross the 1,000-row distance chunks
-        # (2e6 // 2,000) twice.
+        # distance, which only the (distance, index) order of the candidates
+        # resolves, continuous ones do not. 2,100 queries cross the 500-row
+        # distance chunks (1e6 // 2,000) four times.
         rng = np.random.default_rng(12)
         grid = np.indices((10, 10, 10)).reshape(3, -1).T.astype(float)
         lattice = grid[rng.choice(len(grid), 500, replace=False)]
@@ -108,8 +112,41 @@ class TestKnn:
         queries[1::2] = rng.uniform(20.0, 24.0, size=(1050, 3))
         expected, at_or_below = _stable_argsort_scores(model, queries)
         assert np.array_equal(predict_many(model, queries).view(np.int64), expected.view(np.int64))
-        if k < 2000:  # both the tied and the untied branch ran
+        if k < 2000:  # rows with and without ties at the k-th distance ran
             assert (at_or_below > k).any() and (at_or_below == k).any()
+
+    def test_predict_many_peak_memory_stays_near_one_distance_block(self):
+        # monitor-knn's shape; the distance block is 1e6 // 3,000 = 333 rows
+        # of 3,000 float64. An (m, n) index array or a second live block
+        # beside it would double the peak.
+        rng = np.random.default_rng(15)
+        model = fit_knn(Dataset(rng.random((3000, 10)), rng.random(3000)), k=10)
+        queries = rng.random((3000, 10))
+        block = (1_000_000 // 3000) * 3000 * 8
+        tracemalloc.start()
+        try:
+            predict_many(model, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block
+
+    def test_predict_many_peak_memory_with_every_distance_tied(self):
+        # identical train rows tie every distance at the bound; padding the
+        # whole block's candidate arrays to n columns held about 8 blocks,
+        # a partition of the 2e6-entry block 6
+        rng = np.random.default_rng(16)
+        features = np.repeat(rng.random((1, 10)), 3000, axis=0)
+        model = fit_knn(Dataset(features, rng.random(3000)), k=10)
+        block = (1_000_000 // 3000) * 3000 * 8
+        tracemalloc.start()
+        try:
+            scores = predict_many(model, features)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * block
+        assert np.array_equal(scores, np.full(3000, model.train_errors[:10].mean()))
 
     @pytest.mark.parametrize("value", [1e200, -1e200, 1e308, np.inf, np.nan])
     def test_query_too_far_to_standardize_is_rejected(self, value):
@@ -167,6 +204,47 @@ class TestKnn:
         data = Dataset(rng.random((30, 2)), rng.random(30))
         scored = score_dataset(fit_knn(data, k=3), data)
         assert scored.scores is not None and scored.scores.shape == (30,)
+
+
+@st.composite
+def _distance_rows(draw):
+    """A (m, n) matrix over a few values, so ties are frequent, with some
+    NaN and +-inf, and a k in [1, n]."""
+    n = draw(st.integers(1, 200))
+    m = draw(st.integers(1, 6))
+    values = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 4.0, 5.0, np.nan, np.inf, -np.inf])
+    plain = st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    d2 = draw(arrays(np.float64, (m, n), elements=st.one_of(plain, values)))
+    return d2, draw(st.integers(1, n))
+
+
+def _crowded_row():
+    # n = 200, k = 10: g = 25 groups of w = 8 strided columns, each group
+    # holding 8 consecutive values, so the bound is 72 and 73 entries lie
+    # at or below it
+    return (np.arange(200.0).reshape(25, 8).T.ravel()[None, :], 10)
+
+
+def _nan_bound_row():
+    # n = 16, k = 2: both strided groups hold a NaN, so the bound is NaN
+    # though 14 entries are finite; the second row has a finite bound
+    d2 = np.vstack([np.r_[np.nan, np.nan, np.arange(14.0)[::-1]], np.arange(16.0)])
+    return (d2, 2)
+
+
+class TestNearest:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_distance_rows())
+    @example(case=(np.ones((3, 50)), 5))  # all-equal rows
+    @example(case=(np.tile(np.arange(200.0), (2, 1)), 10))  # sorted ascending
+    @example(case=_crowded_row())  # the neighbours crowd into few groups
+    @example(case=(np.tile([3.0, 1.0, 1.0, 0.0, 2.0, 1.0, 0.0], (2, 1)), 4))  # n < 8k: w = 1
+    @example(case=_nan_bound_row())  # the NaN-bound fallback
+    @example(case=(np.full((2, 9), np.nan), 3))
+    @example(case=(np.vstack([np.zeros(64), np.arange(64.0)]), 2))  # one row sorted whole
+    def test_equals_stable_argsort(self, case):
+        d2, k = case
+        assert np.array_equal(_nearest(d2, k), np.argsort(d2, axis=1, kind="stable")[:, :k])
 
 
 class TestRSquared:

@@ -239,3 +239,37 @@ class TestRunExperiment:
             for workers in (1, 2)
         )
         assert serial == parallel
+
+    @pytest.mark.parametrize(
+        "workers, n_runs, pool", [(500, 2, 4), (3, 2, 3), (500, 1, None), (2, 1, None)]
+    )
+    def test_pool_never_has_more_workers_than_jobs(self, small_run, monkeypatch, workers, n_runs, pool):
+        # a fork pool starts all max_workers children at the first submit;
+        # the stand-in records the size and runs the jobs in this process
+        import concurrent.futures
+
+        sizes = []
+
+        class StandIn:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandIn)
+        data, scenario, schedule, config = small_run
+        # n_runs scenarios by n_runs seeds: 4 jobs or 1
+        scenarios = [scenario, ShiftScenario(1, "below_median")][:n_runs]
+        seeds = [0, 1][:n_runs]
+        reports = run_suite(data, scenarios, schedule, config, seeds=seeds, workers=workers)
+        assert sizes == ([] if pool is None else [pool])
+        assert reports_to_json(reports, include_margins=True) == reports_to_json(
+            run_suite(data, scenarios, schedule, config, seeds=seeds), include_margins=True
+        )
