@@ -28,11 +28,16 @@ from click.testing import CliRunner
 
 from shiftwatch import Dataset, cli, core
 from shiftwatch.core import write_dataset
-from shiftwatch.shiftsim import make_subgroup_dataset
+from shiftwatch.shiftsim import make_subgroup_dataset, subgroup_feature_kinds
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden.json"
 RECORD = os.environ.get("SHIFTWATCH_RECORD_GOLDEN") == "1"
 SUITE = "--horizon 1000 --onset 100 --n-seeds 4"
+# a driver column and two 0/1 category columns, so the suite has category splits
+CATEGORICAL_GEN = dict(
+    n_noise_features=0, base_error=0.05, error_ratio=10.0, error_noise=0.03, immune_frac=0.1, masked_frac=0.1, seed=11
+)
+CATEGORICAL_KINDS = "continuous,categorical,categorical"
 
 
 def _sha(data: bytes) -> str:
@@ -50,13 +55,15 @@ def inputs(tmp_path_factory):
     fresh = make_subgroup_dataset(3000, seed=4)
     rows = np.concatenate([np.arange(1000), np.argsort(-fresh.errors, kind="stable")[:1000]])
     noise = np.random.default_rng(7).normal(0.0, 0.05, source.n + rows.size)
-    paths = {name: root / f"{name}.csv" for name in ("knn", "scored", "prod_knn", "prod_scored", "suite")}
+    paths = {name: root / f"{name}.csv" for name in ("knn", "scored", "prod_knn", "prod_scored", "suite", "categorical")}
     write_dataset(paths["knn"], source)
     write_dataset(paths["scored"], source.with_scores(source.errors + noise[: source.n]))
     write_dataset(paths["prod_knn"], Dataset(fresh.features[rows]))
     write_dataset(paths["prod_scored"], Dataset(fresh.features[rows], None, fresh.errors[rows] + noise[source.n :]))
     suite = make_subgroup_dataset(2000, subgroup_frac=0.3, base_error=0.05, error_ratio=10.0, error_noise=0.03, seed=9)
     write_dataset(paths["suite"], suite)
+    assert subgroup_feature_kinds(**CATEGORICAL_GEN) == CATEGORICAL_KINDS.split(",")
+    write_dataset(paths["categorical"], make_subgroup_dataset(2000, **CATEGORICAL_GEN))
     return paths
 
 
@@ -69,6 +76,7 @@ CASES = {
     "monitor_scored_stdin": ("monitor --source {scored} --production -", "prod_scored"),
     "simulate": ("simulate --source {knn} --horizon 200 --onset 50", None),
     "evaluate": ("evaluate --source {suite} " + SUITE, None),
+    "evaluate_categorical": ("evaluate --source {categorical} --feature-kinds " + CATEGORICAL_KINDS + " " + SUITE, None),
     "sweep": ("sweep --source {suite} " + SUITE + " --eps-tol-grid 0,0.05 --eps-harm-grid 0,0.1", None),
 }
 
