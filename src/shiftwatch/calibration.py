@@ -2,7 +2,10 @@
 
 Sweeps a grid of quantile levels, computes selector power and false
 discovery proportion for every cell on held-out labeled source data, and
-picks the maximum-power cell among those with FDP under the cap.
+picks the maximum-power cell among those with FDP under the cap. The
+grid is counted in one pass: one sort each of the errors and the scores
+gives every threshold, and one integer matrix product every cell's true
+positives.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from typing import List, Tuple
+
+import numpy as np
 
 from .core import Dataset, Selector, empirical_quantile
 from .errors import CalibrationInfeasible, ConfigError, InvalidInput
@@ -63,40 +68,34 @@ class CalibrationResult:
     grid_report: Tuple[GridCell, ...] = field(repr=False)
 
 
-def _power_fdp(selector: Selector, errors, scores) -> Tuple[float, float, int, int]:
-    """(power, fdp, n_pos, n_sel) of the high-error flag against
-    the true-error flag 1{E > q}.
-
-    Conventions: power := 1 when nothing exceeds q; fdp := 0 when nothing
-    is selected.
-    """
-    selected = selector.select(scores)
-    positive = errors > selector.q
-    n_pos = int(positive.sum())
-    n_sel = int(selected.sum())
-    power = 1.0 if n_pos == 0 else float((selected & positive).sum()) / n_pos
-    fdp = 0.0 if n_sel == 0 else float((selected & ~positive).sum()) / n_sel
-    return power, fdp, n_pos, n_sel
-
-
 def calibrate(grid: GridSpec, data: Dataset) -> CalibrationResult:
     """Evaluate every grid cell and return the best qualifying selector.
 
-    Qualifying = FDP strictly under the cap, with at least one positive and
-    one selection (cells where a 0/0 convention decided the value are
-    reported but never chosen).
+    A cell's power is the share of the errors above q whose score is above
+    q_hat, and its FDP the share of the scores above q_hat whose error is
+    not above q; power := 1 when no error exceeds q, fdp := 0 when no score
+    exceeds q_hat. Qualifying = FDP strictly under the cap, with at least
+    one positive and one selection (cells where a 0/0 convention decided
+    the value are reported but never chosen).
     Ties break toward lowest FDP, then largest p, then smallest p_hat.
     """
     if data.errors is None or data.scores is None:
         raise InvalidInput("calibration needs both true errors and scores")
 
-    q_hats = [empirical_quantile(p_hat, data.scores) for p_hat in grid.p_hat_values]
+    qs = empirical_quantile(grid.p_values, data.errors)
+    q_hats = empirical_quantile(grid.p_hat_values, data.scores)
+    # one row per level: the positives 1{E > q} and the selections
+    # 1{score > q_hat}; an int64 product counts every cell's true positives
+    positive = data.errors > np.array(qs)[:, None]
+    selected = data.scores > np.array(q_hats)[:, None]
+    true_pos = (positive.astype(np.int64) @ selected.T.astype(np.int64)).tolist()
+    n_pos = np.count_nonzero(positive, axis=1).tolist()
+    n_sel = np.count_nonzero(selected, axis=1).tolist()
     report: List[GridCell] = []
-    for p in grid.p_values:
-        q = empirical_quantile(p, data.errors)
-        for p_hat, q_hat in zip(grid.p_hat_values, q_hats):
-            selector = Selector(q=q, q_hat=q_hat, p=p, p_hat=p_hat)
-            power, fdp, n_pos, n_sel = _power_fdp(selector, data.errors, data.scores)
+    for p, q, pos, hits in zip(grid.p_values, qs, n_pos, true_pos):
+        for p_hat, q_hat, sel, tp in zip(grid.p_hat_values, q_hats, n_sel, hits):
+            power = 1.0 if pos == 0 else tp / pos
+            fdp = 0.0 if sel == 0 else (sel - tp) / sel
             report.append(
                 GridCell(
                     p=p,
@@ -105,7 +104,7 @@ def calibrate(grid: GridSpec, data: Dataset) -> CalibrationResult:
                     q_hat=q_hat,
                     power=power,
                     fdp=fdp,
-                    qualifying=fdp < grid.fdp_max and n_pos > 0 and n_sel > 0,
+                    qualifying=fdp < grid.fdp_max and pos > 0 and sel > 0,
                 )
             )
 

@@ -10,11 +10,18 @@ on a fresh state. ``pmeb_update`` keeps the order of operations of the
 one-observation-at-a-time recurrence and routes both logarithms through
 libm ``math.log`` (numpy's vectorized ``np.log`` can differ in the last
 bit), so its bounds equal that recurrence's bit for bit; the tests hold
-them to a scalar reference.
+them to a scalar reference. The step logarithms log(t + 1) depend only on
+where a chunk starts and how long it is, so ``_log_next_steps`` keeps the
+last chunk's array: every pass of a suite run covers steps 1..horizon and
+reads it from there, while a monitor's chunks each start anew and the
+cache holds one array no longer than a chunk. The steps are integers
+below 2**53, exact as floats, so a cached array holds the same libm bits
+a fresh one would.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -73,6 +80,15 @@ def _libm_log(values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, values.tolist()), float, values.size)
 
 
+@functools.lru_cache(maxsize=1)
+def _log_next_steps(t: int, n: int) -> np.ndarray:
+    """libm logs of t + 2 .. t + n + 1, read-only: log(step + 1) for the
+    n steps after step t."""
+    logs = _libm_log(np.arange(t + 2.0, t + n + 2.0))
+    logs.flags.writeable = False
+    return logs
+
+
 def pmeb_update(state: PmEbState, xs) -> Tuple[np.ndarray, PmEbState]:
     """Feed a chunk of observations in [0, 1] into the confidence sequence.
 
@@ -97,7 +113,7 @@ def pmeb_update(state: PmEbState, xs) -> Tuple[np.ndarray, PmEbState]:
     mu_new = (0.5 + sum_x[1:]) / (tn + 1.0)
     sum_dev = _running(state.sum_dev, (xs - mu_new) * (xs - mu_new))
     sig2_prev = (0.25 + sum_dev[:-1]) / tn
-    lam = np.sqrt(2.0 * log_inv_alpha / (sig2_prev * tn * _libm_log(tn + 1.0)))
+    lam = np.sqrt(2.0 * log_inv_alpha / (sig2_prev * tn * _log_next_steps(state.t, xs.size)))
     np.minimum(lam, 0.5, out=lam)
     v = 4.0 * (xs - mu_prev) * (xs - mu_prev)
     psi = (-_libm_log(1.0 - lam) - lam) / 4.0

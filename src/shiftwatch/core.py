@@ -104,19 +104,29 @@ class Dataset:
         return Dataset(self.features, self.errors, scores)
 
 
-def empirical_quantile(p: float, values) -> float:
-    """k-th smallest element with k = ceil(p * n), 1-indexed.
+def empirical_quantile(p, values):
+    """k-th smallest element with k = ceil(p * n), 1-indexed, for a level
+    ``p``; for a sequence of levels, the list of them, read off one sort.
 
     No interpolation: the result is always a member of ``values``, so
     thresholds built from it give exact integer selection counts.
     """
-    if not 0.0 < p < 1.0:
+    levels = np.asarray(p, dtype=float)
+    if not np.all((levels > 0.0) & (levels < 1.0)):
         raise InvalidInput(f"quantile level must lie in (0, 1), got {p}")
     values = np.asarray(values, dtype=float).ravel()
     if values.size == 0:
         raise InvalidInput("cannot take a quantile of an empty multiset")
-    k = math.ceil(p * values.size)
-    return float(np.sort(values)[k - 1])
+    k = np.ceil(levels * values.size).astype(np.intp)
+    return np.sort(values)[k - 1].tolist()
+
+
+def sorted_distinct(values) -> np.ndarray:
+    """The distinct values of a 1-d array, ascending, as np.unique finds
+    them (a sort and a neighbour-inequality mask), without its masked-array
+    check, which imports numpy.ma: no command needs that module."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
 def _feature_columns(header: Sequence[str], where) -> list:

@@ -90,17 +90,26 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
     mins = d2[:, : g * w].reshape(m, w, g).min(axis=1)
     mins.partition(k - 1, axis=1)
     bound = mins[:, k - 1]
-    flat = np.flatnonzero(d2 <= bound[:, None])
-    rows = flat // n
-    counts = np.bincount(rows, minlength=m)
+    mask = d2 <= bound[:, None]
     # a NaN bound selects nothing, and a row tied at the bound with more
     # than an eighth of the columns would widen the padded arrays of the
-    # whole block: such rows are padded to k here and sorted whole below
-    whole = np.isnan(bound) | (counts > max(k, n // 8))
-    if whole.any():
-        keep = ~whole[rows]
+    # whole block: such rows are padded to k here and sorted whole below.
+    # Past that many candidates in all, rows are counted before any entry
+    # is indexed, so the tied rows' entries never are.
+    limit = max(k, n // 8)
+    whole = np.isnan(bound)
+    if np.count_nonzero(mask) > m * limit:
+        whole |= np.count_nonzero(mask, axis=1) > limit
+        mask[whole] = False
+    flat = np.flatnonzero(mask)
+    rows = flat // n
+    counts = np.bincount(rows, minlength=m)
+    over = counts > limit
+    if over.any():
+        whole |= over
+        keep = ~over[rows]
         flat, rows = flat[keep], rows[keep]
-        counts[whole] = 0
+        counts[over] = 0
     c = max(k, int(counts.max()))
     pos = np.arange(flat.size) - (np.cumsum(counts) - counts)[rows]
     cand = np.full((m, c), np.inf)
@@ -109,8 +118,8 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
     cand_cols[rows, pos] = flat % n
     # candidates sit in column order, ahead of the padding
     idx = np.take_along_axis(cand_cols, np.argsort(cand, axis=1, kind="stable")[:, :k], axis=1)
-    if whole.any():
-        idx[whole] = np.argsort(d2[whole], axis=1, kind="stable")[:, :k]
+    for i in np.flatnonzero(whole):  # row by row, so no copy of the block is made
+        idx[i] = np.argsort(d2[i], kind="stable")[:k]
     return idx
 
 

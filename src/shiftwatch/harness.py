@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .calibration import GridSpec, calibrate
-from .core import Dataset, Selector
+from .core import Dataset, Selector, sorted_distinct
 from .errors import CalibrationInfeasible, DegenerateError, InvalidInput
 from .estimator import DEFAULT_K, fit_knn, predict_many, r_squared, score_dataset, split_half
 from .monitor import (
@@ -279,6 +279,26 @@ def suite_metrics(
     )
 
 
+def _linear_quantiles(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """``np.quantile(values, levels)`` of finite values by its default
+    (linear) rule, in its order of operations, so the same bits, with
+    ``sorted_distinct`` where np.quantile calls np.unique."""
+    pos = (values.size - 1) * levels
+    below = np.floor(pos)
+    above = below + 1
+    last = pos >= values.size - 1
+    below[last] = above[last] = -1  # the largest value, indexed as np.quantile does
+    gamma = pos - below
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    # partitioned at np.quantile's sorted distinct positions, so that equal
+    # values (0.0 and -0.0) land where they land there
+    values = np.array(values)
+    values.partition(sorted_distinct(np.concatenate(([0, -1], below, above))))
+    a, b = values[below], values[above]
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+
+
 def suite_metrics_by_r2(
     reports: Sequence[RunReport], detector: str, eps_harm: float
 ) -> List[dict]:
@@ -288,7 +308,7 @@ def suite_metrics_by_r2(
     if not usable:
         return []
     r2s = np.array([r.r2 for r in usable])
-    edges = np.quantile(r2s, np.linspace(0.0, 1.0, R2_BINS + 1))
+    edges = _linear_quantiles(r2s, np.linspace(0.0, 1.0, R2_BINS + 1))
     bins = np.clip(np.searchsorted(edges, r2s, side="right") - 1, 0, R2_BINS - 1)
     out = []
     for b in range(R2_BINS):

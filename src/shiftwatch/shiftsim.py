@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Dataset, empirical_quantile
+from .core import Dataset, empirical_quantile, sorted_distinct
 from .errors import ConfigError, InvalidInput
 
 CONTINUOUS = "continuous"
@@ -129,7 +129,7 @@ def enumerate_scenarios(
             ]
         elif kind == CATEGORICAL:
             candidates = [
-                ShiftScenario(j, "category", float(v), ablation_fraction=1.0) for v in np.unique(col)
+                ShiftScenario(j, "category", v, ablation_fraction=1.0) for v in sorted_distinct(col).tolist()
             ]
         else:
             raise ConfigError("feature_kinds", f"unknown kind {kind!r} for feature {j}")

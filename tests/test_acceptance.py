@@ -14,7 +14,6 @@ import pytest
 from click.testing import CliRunner
 
 from shiftwatch import Dataset, GridSpec, MonitorConfig, MonitorState, calibrate, fit_knn, source_statistics
-from shiftwatch.calibration import _power_fdp
 from shiftwatch.cli import main as cli_main
 from shiftwatch.confidence import hoeffding_halfwidth, pmeb_best_lower_path
 from shiftwatch.core import Selector, empirical_quantile, write_dataset
@@ -30,6 +29,7 @@ from shiftwatch.shiftsim import (
     sigmoid_mixture,
     subgroup_feature_kinds,
 )
+from test_calibration import power_fdp
 
 # Generator settings for the feature-split shift suite shared by the
 # quantile-vs-mean, dominance, and delta tests. The design packs several
@@ -177,9 +177,9 @@ def test_calibration_fdp_generalization():
             continue
         held = score_dataset(model, _flagged_dataset(2000, 10_000 + s))
         prod = score_dataset(model, _flagged_dataset(2000, 20_000 + s))
-        if _power_fdp(result.selector, held.errors, held.scores)[1] < 0.2:
+        if power_fdp(result.selector, held.errors, held.scores)[1] < 0.2:
             ok_held += 1
-        if _power_fdp(result.selector, prod.errors, prod.scores)[1] < 0.3:
+        if power_fdp(result.selector, prod.errors, prod.scores)[1] < 0.3:
             ok_prod += 1
     elapsed = time.time() - start
     _verdict(
@@ -334,7 +334,7 @@ def test_unit_exactness():
         np.array([0.1, 0.2, 0.3, 0.8, 0.9]),
         np.array([0.05, 0.5, 0.1, 0.6, 0.7]),
     )
-    power, fdp, _, _ = _power_fdp(Selector(0.3, 0.45, 0.6, 0.6), data.errors, data.scores)
+    power, fdp, _, _ = power_fdp(Selector(0.3, 0.45, 0.6, 0.6), data.errors, data.scores)
     checks.append(power == 1.0 and math.isclose(fdp, 1.0 / 3.0, rel_tol=1e-12))
     checks.append(empirical_quantile(0.5, [1, 2, 3, 4]) == 2.0)
     checks.append(

@@ -2,11 +2,29 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shiftwatch import Dataset, GridSpec, calibrate
-from shiftwatch.calibration import _power_fdp
-from shiftwatch.core import Selector
+from shiftwatch.core import Selector, empirical_quantile
 from shiftwatch.errors import CalibrationInfeasible, InvalidInput
+
+
+def power_fdp(selector, errors, scores):
+    """(power, fdp, n_pos, n_sel) of one selector's high-error flag against
+    the true-error flag 1{E > q}, counted cell by cell: the reference that
+    every cell of ``calibrate``'s grid is held to.
+
+    Conventions: power := 1 when nothing exceeds q; fdp := 0 when nothing
+    is selected.
+    """
+    selected = selector.select(scores)
+    positive = errors > selector.q
+    n_pos = int(positive.sum())
+    n_sel = int(selected.sum())
+    power = 1.0 if n_pos == 0 else float((selected & positive).sum()) / n_pos
+    fdp = 0.0 if n_sel == 0 else float((selected & ~positive).sum()) / n_sel
+    return power, fdp, n_pos, n_sel
 
 
 class TestGridSpec:
@@ -29,7 +47,7 @@ class TestGridSpec:
 
 def _metrics(selector, data):
     """(power, fdp) of ``selector`` on ``data``."""
-    return _power_fdp(selector, data.errors, data.scores)[:2]
+    return power_fdp(selector, data.errors, data.scores)[:2]
 
 
 class TestSelectorMetrics:
@@ -121,6 +139,45 @@ class TestCalibrate:
             mapped.selector.p,
             mapped.selector.p_hat,
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 60).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.5, 0.75, 1.0]), min_size=n, max_size=n),
+                st.lists(st.sampled_from([-1.0, 0.0, 0.2, 0.2, 0.5, 3.0]), min_size=n, max_size=n),
+            )
+        ),
+        st.floats(0.01, 0.99),
+    )
+    @example(([0.5], [0.2]), 0.2)
+    @example(([0.1, 0.9], [0.5, 0.5]), 0.2)
+    @example(([0.5, 0.5, 0.5], [0.0, 0.2, 3.0]), 0.2)
+    @example(([0.0, 0.25, 1.0], [3.0, 0.2, -1.0]), 0.2)
+    def test_every_cell_equals_the_per_cell_count(self, columns, fdp_max):
+        """Every grid cell's thresholds, power, FDP and qualifying flag are
+        those of the per-cell reference, bit for bit; values drawn from a
+        small set tie at the quantiles, and n from 1 leaves cells with no
+        positive or no selection."""
+        errors, scores = (np.array(c) for c in columns)
+        data = Dataset(np.zeros((errors.size, 1)), errors, scores)
+        grid = GridSpec(fdp_max=fdp_max)
+        try:
+            report = calibrate(grid, data).grid_report
+        except CalibrationInfeasible as exc:
+            report, best_fdp = None, exc.best_fdp
+        cells = []
+        for p in grid.p_values:
+            for p_hat in grid.p_hat_values:
+                q, q_hat = empirical_quantile(p, errors), empirical_quantile(p_hat, scores)
+                power, fdp, n_pos, n_sel = power_fdp(Selector(q, q_hat, p, p_hat), errors, scores)
+                cells.append((p, p_hat, q, q_hat, power, fdp, fdp < fdp_max and n_pos > 0 and n_sel > 0))
+        if report is None:
+            assert not any(cell[-1] for cell in cells)
+            assert best_fdp == min((cell[5], -cell[4]) for cell in cells)[0]
+            return
+        assert [(c.p, c.p_hat, c.q, c.q_hat, c.power, c.fdp, c.qualifying) for c in report] == cells
+        assert all(type(v) is float for c in report for v in (c.q, c.q_hat, c.power, c.fdp))
 
     def test_requires_labeled_scored_data(self):
         with pytest.raises(InvalidInput):

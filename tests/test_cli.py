@@ -547,6 +547,29 @@ def test_start_up_imports_no_worker_processes():
     assert proc.stdout.strip() == "[]"
 
 
+def test_evaluate_with_category_splits_never_imports_numpy_ma(tmp_path):
+    """numpy's ``np.unique`` imports ``numpy.ma`` for its masked-array
+    check; no command needs masked arrays, so a suite with category splits
+    leaves the module out."""
+    from shiftwatch.shiftsim import make_subgroup_dataset, subgroup_feature_kinds
+
+    keywords = dict(n_noise_features=1, immune_frac=0.2, seed=3)
+    write_dataset(tmp_path / "src.csv", make_subgroup_dataset(300, **keywords))
+    args = ["evaluate", "--source", str(tmp_path / "src.csv"), "--out-dir", str(tmp_path / "out"),
+            "--horizon", "50", "--feature-kinds", ",".join(subgroup_feature_kinds(**keywords))]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys; from shiftwatch.cli import main\n"
+        f"try:\n    main({args!r})\nexcept SystemExit:\n    pass\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "category" in (tmp_path / "out" / "runs.json").read_text()
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("command, expected", [("monitor", 2), ("evaluate", 0)])
 def test_tracer_spans_are_benchmark_layers(tmp_path, command, expected):
     """perfbench/trace_cli.py runs each benchmarked command to its own exit

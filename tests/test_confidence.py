@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shiftwatch import MonitorConfig, MonitorState
 from shiftwatch.confidence import (
     PmEbState,
+    _log_next_steps,
     hoeffding_halfwidth,
     pmeb_best_lower_path,
     pmeb_update,
 )
+from shiftwatch.core import Selector
 from shiftwatch.errors import InvalidInput
+from shiftwatch.monitor import SourceStats
 
 REL = 1e-12
 
@@ -226,3 +230,51 @@ class TestBatchPathBitIdentity:
         # 9,637 and 14,559 of this stream respectively.
         xs = np.random.default_rng(103).random(15_000)
         assert pmeb_update(PmEbState(0.05), xs)[0].tobytes() == _scalar_run(xs, 0.05)[0].tobytes()
+
+
+class TestStepLogCache:
+    """``_log_next_steps`` keeps the step logs of the last (start, length)."""
+
+    def test_cut_streams_miss_and_match_one_call(self):
+        rng = np.random.default_rng(19)
+        xs = rng.random(2000)
+        _log_next_steps.cache_clear()
+        whole, final = pmeb_update(PmEbState(0.05), xs)
+        for _ in range(5):
+            state, parts = PmEbState(0.05), []
+            misses = _log_next_steps.cache_info().misses
+            chunks = [c for c in np.split(xs, _random_cuts(xs.size, rng)) if c.size]
+            for chunk in chunks:
+                lowers, state = pmeb_update(state, chunk)
+                parts.append(lowers)
+            assert _log_next_steps.cache_info().misses >= misses + len(chunks) - 1
+            assert np.concatenate(parts).tobytes() == whole.tobytes()
+            assert state == final
+
+    def test_repeated_call_hits_and_matches(self):
+        xs = np.random.default_rng(20).random(1500)
+        state = pmeb_update(PmEbState(0.05), xs[:500])[1]
+        first = pmeb_update(state, xs[500:])
+        hits = _log_next_steps.cache_info().hits
+        second = pmeb_update(state, xs[500:])
+        assert _log_next_steps.cache_info().hits == hits + 1
+        assert second[0].tobytes() == first[0].tobytes() and second[1] == first[1]
+        assert _log_next_steps(500, 1000).tobytes() == np.array([math.log(t + 1.0) for t in range(501, 1501)]).tobytes()
+
+    def test_cached_array_is_read_only(self):
+        logs = _log_next_steps(0, 10)
+        assert not logs.flags.writeable
+        with pytest.raises(ValueError):
+            logs[0] = 0.0
+        assert _log_next_steps(0, 10) is logs
+
+    def test_monitor_stream_keeps_at_most_one_array(self):
+        stats = SourceStats(
+            n=100, rate_above_q=0.2, rate_true_discovery=0.15, rate_false_discovery=0.1, w_source=0.05, w_fd=0.05
+        )
+        state = MonitorState(Selector(q=0.5, q_hat=0.5, p=0.7, p_hat=0.5), stats, MonitorConfig())
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            state.observe(rng.random(int(rng.integers(1, 50))))
+        assert state.t > 100
+        assert _log_next_steps.cache_info().currsize <= 1

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shiftwatch import Dataset
 from shiftwatch import harness as harness_module
@@ -89,6 +91,24 @@ class TestSuiteMetrics:
         ]
         groups = suite_metrics_by_r2(reports, "phi_q2", eps_harm=0.0)
         assert sum(g["count"] for g in groups) == 40
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from([-3.0, -0.0, 0.0, 0.25, 0.5, 1.0]), st.floats(-1e6, 1.0, width=64)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @example([0.5])
+    @example([0.5, 0.5, 0.5])
+    @example([1e6 * (i % 3) - 3.0 for i in range(11)])
+    def test_r2_edges_are_np_quantile(self, values):
+        """The decile edges equal np.quantile's, bit for bit, on ties,
+        signed zeros, one value and n on either side of the bin count."""
+        values = np.array(values)
+        levels = np.linspace(0.0, 1.0, harness_module.R2_BINS + 1)
+        assert harness_module._linear_quantiles(values, levels).tobytes() == np.quantile(values, levels).tobytes()
 
 
 def _record(monkeypatch, *names):
