@@ -290,8 +290,8 @@ def _linear_quantiles(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
     below[last] = above[last] = -1  # the largest value, indexed as np.quantile does
     gamma = pos - below
     below, above = below.astype(np.intp), above.astype(np.intp)
-    # partitioned at np.quantile's sorted distinct positions, so that equal
-    # values (0.0 and -0.0) land where they land there
+    # partitioned at the positions np.quantile partitions at, so that 0.0
+    # and -0.0, which compare equal, take the places they take there
     values = np.array(values)
     values.partition(sorted_distinct(np.concatenate(([0, -1], below, above))))
     a, b = values[below], values[above]
