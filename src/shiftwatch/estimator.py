@@ -17,6 +17,8 @@ from .core import Dataset
 from .errors import DegenerateError, InvalidInput, QueryRowError
 
 DEFAULT_K = 10
+# distance entries per block: 1 MB of float64, inside a 2 MB per-core L2
+BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -25,23 +27,29 @@ class KnnModel:
 
     Constant columns get std 1 so standardization never divides by zero.
     Distance ties are broken by lower training index, which makes
-    prediction fully deterministic. Prediction scores the queries in blocks
-    of about 8 MB of distances. It splits each distance row into groups of
-    up to 8 strided columns, at least k groups, and takes the k-th
-    smallest group minimum as a bound: k distances of the row lie at or
-    below it, so the k nearest do. The few training rows at or below the
-    bound are the candidates, and a stable sort of their distances, in
-    training order, picks the k nearest. A row whose bound is NaN, or
-    that has more than k and more than an eighth of the training rows at
-    or below it, is sorted whole instead. The neighbours, their order and
-    so the summed score are those of a stable sort of every distance. The
-    training rows' squared norms are computed once, here, and reused
-    by every prediction. A row's score depends on that row alone, not on
-    the rest of its batch, so callers may score each distinct row once, or
-    a stream chunk by chunk. Fitting rejects a feature whose mean or std is
-    not finite, and prediction a query row whose squared standardized norm
-    is not finite: either would turn every distance to NaN and the score
-    into the mean of the first k training rows.
+    prediction fully deterministic. Prediction builds the distances in
+    blocks of BLOCK entries, 1 MB, one block at a time. It splits each
+    distance row into groups of up to 8 strided columns, at least k
+    groups, and takes the k-th smallest group minimum as a bound: k
+    distances of the row lie at or below it, so the k nearest do. The few
+    training rows at or below the bound are the row's candidates. A row
+    whose bound is NaN, or that has more than k and more than an eighth of
+    the training rows at or below it, is sorted whole instead, as its
+    block is scanned. The other rows' candidates are held, as (row,
+    column, distance), across blocks, and selected together before the
+    padded (rows, widest row) arrays of a selection would pass BLOCK // 4
+    entries, and when the batch ends: a stable sort of each row's
+    candidate distances, in training order, picks its k nearest. A block
+    never splits a row, so every row is selected with all of its
+    candidates. The neighbours, their order and so the summed score are
+    those of a stable sort of every distance. The training rows' squared
+    norms are computed once, here, and reused by every prediction. A row's
+    score depends on that row alone, not on the rest of its batch, so
+    callers may score each distinct row once, or a stream chunk by chunk.
+    Fitting rejects a feature whose mean or std is not finite, and
+    prediction a query row whose squared standardized norm is not finite:
+    either would turn every distance to NaN and the score into the mean of
+    the first k training rows.
     """
 
     k: int
@@ -79,9 +87,10 @@ def fit_knn(train: Dataset, k: int) -> KnnModel:
     )
 
 
-def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of the k smallest entries of each row of ``d2``,
-    ordered by (value, column): the first k columns of a stable argsort."""
+def _candidates(d2: np.ndarray, k: int):
+    """One block of distance rows: the rows to sort whole, the flat indices
+    of the other rows' candidates in row-major order, and each row's count
+    of them."""
     m, n = d2.shape
     # the k-th smallest of g group minima is an entry at or above the row's
     # k-th smallest, so every neighbour lies at or below it
@@ -92,10 +101,10 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
     bound = mins[:, k - 1]
     mask = d2 <= bound[:, None]
     # a NaN bound selects nothing, and a row tied at the bound with more
-    # than an eighth of the columns would widen the padded arrays of the
-    # whole block: such rows are padded to k here and sorted whole below.
-    # Past that many candidates in all, rows are counted before any entry
-    # is indexed, so the tied rows' entries never are.
+    # than an eighth of the columns would widen the padded arrays of every
+    # row selected with it: such rows are sorted whole instead. Past that
+    # many candidates in all, rows are counted before any entry is
+    # indexed, so the tied rows' entries never are.
     limit = max(k, n // 8)
     whole = np.isnan(bound)
     if np.count_nonzero(mask) > m * limit:
@@ -107,27 +116,76 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
     over = counts > limit
     if over.any():
         whole |= over
-        keep = ~over[rows]
-        flat, rows = flat[keep], rows[keep]
+        flat = flat[~over[rows]]
         counts[over] = 0
+    return np.flatnonzero(whole), flat, counts
+
+
+def _select(held: list, idx: np.ndarray, n: int) -> None:
+    """Write into ``idx`` the k nearest of every row in ``held``, a list of
+    (row numbers, per-row counts, columns, values) arrays in row-major
+    order, and empty ``held``."""
+    rows, counts, cols, values = (np.concatenate(a) for a in zip(*held))
+    held.clear()
+    k = idx.shape[1]
     c = max(k, int(counts.max()))
-    pos = np.arange(flat.size) - (np.cumsum(counts) - counts)[rows]
-    cand = np.full((m, c), np.inf)
-    cand[rows, pos] = d2.ravel()[flat]
-    cand_cols = np.full((m, c), n)
-    cand_cols[rows, pos] = flat % n
+    # a candidate's place in the padded (rows, c) arrays, row by row
+    shift = np.arange(0, rows.size * c, c) - (np.cumsum(counts) - counts)
+    dest = np.arange(cols.size) + np.repeat(shift, counts)
+    cand = np.full((rows.size, c), np.inf)
+    cand.ravel()[dest] = values
+    cand_cols = np.full((rows.size, c), n)
+    cand_cols.ravel()[dest] = cols
     # candidates sit in column order, ahead of the padding
-    idx = np.take_along_axis(cand_cols, np.argsort(cand, axis=1, kind="stable")[:, :k], axis=1)
-    for i in np.flatnonzero(whole):  # row by row, so no copy of the block is made
-        idx[i] = np.argsort(d2[i], kind="stable")[:k]
+    order = np.argsort(cand, axis=1, kind="stable")[:, :k]
+    idx[rows] = np.take_along_axis(cand_cols, order, axis=1)
+
+
+def _nearest(blocks, m: int, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries of each row of an (m, n)
+    matrix given as consecutive blocks of rows, ordered by (value,
+    column): the first k columns of a stable argsort."""
+    idx = np.empty((m, k), dtype=np.intp)
+    held, held_rows, held_width, lo = [], 0, 0, 0
+    for d2 in blocks:
+        r, n = d2.shape
+        whole, flat, counts = _candidates(d2, k)
+        for i in whole:  # row by row, so no copy of the block is made
+            idx[lo + i] = np.argsort(d2[i], kind="stable")[:k]
+        rows = np.flatnonzero(counts)
+        cands = (lo + rows, counts[rows], flat % n, d2.ravel()[flat])
+        del d2  # freed before a selection or the next block, so one block is live at a time
+        lo += r
+        if not rows.size:
+            continue
+        width = int(counts.max())
+        # a selection's padded arrays stay within BLOCK // 4 entries, or
+        # within one block's when that block alone is wider
+        if held and (held_rows + rows.size) * max(held_width, width) > BLOCK // 4:
+            _select(held, idx, n)
+            held_rows = held_width = 0
+        held.append(cands)
+        held_rows += rows.size
+        held_width = max(held_width, width)
+    if held:
+        _select(held, idx, n)
     return idx
 
 
+def _distances(model: KnnModel, z: np.ndarray, zz: np.ndarray) -> np.ndarray:
+    """|z|^2 - 2 z.t + |t|^2 for a block of standardized query rows, built
+    in the buffer the matrix product returns, in that order of operations."""
+    d2 = 2.0 * z @ model.train_features.T
+    np.subtract(zz[:, None], d2, out=d2)
+    d2 += model.train_sq_norms
+    return d2
+
+
 def predict_many(model: KnnModel, x) -> np.ndarray:
-    """Scores for a batch of query rows (m, d); a row too far to score
-    raises QueryRowError with its index. The distances |z|^2 - 2 z.t +
-    |t|^2 are built in the buffer the matrix product returns, in that order
-    of operations."""
+    """Scores for a batch of query rows (m, d), shape (m,); a row too far
+    to score raises QueryRowError with its index. The distances are built
+    BLOCK // n rows at a time, and the neighbours selected as the KnnModel
+    docstring says."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.train_features.shape[1]:
         raise InvalidInput(
@@ -145,18 +203,10 @@ def predict_many(model: KnnModel, x) -> np.ndarray:
             i, f"feature f{j} = {float(x[i, j])!r} is too far from the training data "
             "(the squared standardized norm is not finite)"
         )
-    out = np.empty(z.shape[0])
-    # chunked to bound the distance-matrix footprint at about 8 MB
-    chunk = max(1, int(1_000_000 // max(1, model.train_features.shape[0])))
-    for lo in range(0, z.shape[0], chunk):
-        zc = z[lo : lo + chunk]
-        d2 = 2.0 * zc @ model.train_features.T
-        np.subtract(zz[lo : lo + chunk, None], d2, out=d2)
-        d2 += model.train_sq_norms
-        idx = _nearest(d2, model.k)
-        out[lo : lo + chunk] = model.train_errors[idx].mean(axis=1)
-        del d2  # freed before the next block is built, so one block is live at a time
-    return out
+    m = z.shape[0]
+    step = max(1, BLOCK // model.train_features.shape[0])
+    blocks = (_distances(model, z[lo : lo + step], zz[lo : lo + step]) for lo in range(0, m, step))
+    return model.train_errors[_nearest(blocks, m, model.k)].mean(axis=1)
 
 
 def score_dataset(model: KnnModel, data: Dataset) -> Dataset:

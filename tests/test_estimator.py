@@ -22,6 +22,17 @@ def predict(model, x) -> float:
     return float(predict_many(model, [x])[0])
 
 
+def traced_peak(model, x):
+    """predict_many's scores for x and the peak bytes numpy allocated
+    while computing them."""
+    tracemalloc.start()
+    try:
+        scores = predict_many(model, x)
+        return scores, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _stable_argsort_scores(model, x):
     """The scorer predict_many replaced: a stable argsort of every distance
     row. Returns the scores and, per query row, how many train rows lie at
@@ -82,8 +93,8 @@ class TestKnn:
         assert predict(model, [1.0]) == 0.1
 
     def test_per_row_scores_equal_chunked_scores(self):
-        # 1,500 queries cross predict_many's distance chunks (1e6 // 3,000 =
-        # 333 rows) four times; integer features and duplicate train rows
+        # 1,500 queries cross predict_many's distance blocks (BLOCK // 3,000
+        # = 43 rows) 34 times; integer features and duplicate train rows
         # force exact distance ties, which only the (distance, index) order
         # of the candidates resolves
         rng = np.random.default_rng(11)
@@ -100,8 +111,8 @@ class TestKnn:
         # 1,000 unique continuous train rows far from 500 distinct integer
         # lattice points, each present twice; lattice queries tie at the k-th
         # distance, which only the (distance, index) order of the candidates
-        # resolves, continuous ones do not. 2,100 queries cross the 500-row
-        # distance chunks (1e6 // 2,000) four times.
+        # resolves, continuous ones do not. 2,100 queries cross the 65-row
+        # distance blocks (BLOCK // 2,000) 32 times.
         rng = np.random.default_rng(12)
         grid = np.indices((10, 10, 10)).reshape(3, -1).T.astype(float)
         lattice = grid[rng.choice(len(grid), 500, replace=False)]
@@ -115,39 +126,90 @@ class TestKnn:
         if k < 2000:  # rows with and without ties at the k-th distance ran
             assert (at_or_below > k).any() and (at_or_below == k).any()
 
+    def test_scores_cross_block_and_selection_boundaries(self):
+        # 3,000 train rows: 300 copies of hub a (a query there ties them,
+        # under the n // 8 = 375 cutoff), 400 of hub b (sorted whole) and
+        # 2,300 integer lattice rows. The padded arrays of near-tied rows
+        # fill a selection every 90-100 rows, so 1,200 queries cross the
+        # 43-row distance blocks 27 times and the selections 9 times, and
+        # rows sorted whole sit between rows selected from candidates.
+        rng = np.random.default_rng(19)
+        hubs = rng.uniform(10.0, 11.0, size=(2, 3))
+        features = np.vstack([np.repeat(hubs, [300, 400], axis=0), rng.integers(0, 4, size=(2300, 3))])
+        model = fit_knn(Dataset(features[rng.permutation(3000)], rng.random(3000)), k=10)
+        kind = rng.integers(0, 4, size=1200)
+        queries = rng.integers(0, 4, size=(1200, 3)).astype(float)
+        queries[kind == 0] = hubs[0]
+        queries[kind == 1] = hubs[1]
+        queries[kind == 3] = rng.uniform(0.0, 3.0, size=(np.count_nonzero(kind == 3), 3))
+        batch = predict_many(model, queries)
+        expected, at_or_below = _stable_argsort_scores(model, queries)
+        assert np.array_equal(batch.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(batch, [predict(model, x) for x in queries])
+        assert (at_or_below[kind == 0] == 300).all() and (at_or_below[kind == 1] == 400).all()
+
+    def test_empty_batch_scores_to_an_empty_array(self):
+        rng = np.random.default_rng(20)
+        model = fit_knn(Dataset(rng.random((50, 3)), rng.random(50)), k=5)
+        scores = predict_many(model, np.empty((0, 3)))
+        assert scores.shape == (0,) and scores.dtype == np.float64
+
     def test_predict_many_peak_memory_stays_near_one_distance_block(self):
-        # monitor-knn's shape; the distance block is 1e6 // 3,000 = 333 rows
-        # of 3,000 float64. An (m, n) index array or a second live block
-        # beside it would double the peak.
+        # monitor-knn's shape; one distance block is BLOCK // 3,000 = 43
+        # rows of 3,000 float64, about 1 MB. An (m, n) index array or a
+        # second live block would pass the bound.
         rng = np.random.default_rng(15)
         model = fit_knn(Dataset(rng.random((3000, 10)), rng.random(3000)), k=10)
-        queries = rng.random((3000, 10))
-        block = (1_000_000 // 3000) * 3000 * 8
-        tracemalloc.start()
-        try:
-            predict_many(model, queries)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * block
+        _, peak = traced_peak(model, rng.random((3000, 10)))
+        assert peak < 4_000_000
+
+    def test_predict_many_peak_memory_with_a_long_batch(self):
+        # four times monitor-knn's batch: only the (m, k) neighbour index
+        # grows with m, and candidates held for the whole batch would pass
+        # the bound
+        rng = np.random.default_rng(15)
+        model = fit_knn(Dataset(rng.random((3000, 10)), rng.random(3000)), k=10)
+        _, peak = traced_peak(model, rng.random((12000, 10)))
+        assert peak < 8_000_000
 
     def test_predict_many_peak_memory_with_every_distance_tied(self):
-        # identical train rows tie every distance at the bound; padding the
-        # whole block's candidate arrays to n columns held about 8 blocks,
-        # and indexing every entry of the block before sending its rows to
-        # the whole-row sort 3.3
+        # identical train rows tie every distance at the bound, so every
+        # row is sorted whole, one row at a time; padding candidate arrays
+        # to n columns, or indexing every tied entry, would pass the bound
         rng = np.random.default_rng(16)
         features = np.repeat(rng.random((1, 10)), 3000, axis=0)
         model = fit_knn(Dataset(features, rng.random(3000)), k=10)
-        block = (1_000_000 // 3000) * 3000 * 8
-        tracemalloc.start()
-        try:
-            scores = predict_many(model, features)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * block
+        scores, peak = traced_peak(model, features)
+        assert peak < 4_000_000
         assert np.array_equal(scores, np.full(3000, model.train_errors[:10].mean()))
+
+    def test_predict_many_peak_memory_with_near_tied_rows(self):
+        # each of 12,000 queries ties the 300 copies of one of 10 train
+        # points, just under the n // 8 = 375 cutoff: 3.6 million
+        # candidates, about 58 MB as (column, distance) pairs, are selected
+        # about 100 rows at a time
+        rng = np.random.default_rng(17)
+        points = rng.random((10, 10))
+        model = fit_knn(Dataset(points[np.arange(3000) % 10], rng.random(3000)), k=10)
+        queries = points[rng.integers(0, 10, 12000)]
+        scores, peak = traced_peak(model, queries)
+        assert peak < 8_000_000
+        assert np.array_equal(scores, _stable_argsort_scores(model, queries)[0])
+
+    def test_predict_many_peak_memory_with_a_few_near_tied_rows(self):
+        # one near-tied row among a thousand ordinary ones widens the padded
+        # arrays of every row selected with it to 300 columns: a selection
+        # bounded by its count of candidates, not by its padded size, held
+        # about 3,000 rows x 300 columns, 26 MB
+        rng = np.random.default_rng(18)
+        features = rng.random((3000, 10))
+        features[:300] = 5.0
+        model = fit_knn(Dataset(features, rng.random(3000)), k=10)
+        queries = rng.random((12000, 10))
+        queries[::1000] = 5.0
+        scores, peak = traced_peak(model, queries)
+        assert peak < 8_000_000
+        assert np.array_equal(scores, _stable_argsort_scores(model, queries)[0])
 
     @pytest.mark.parametrize("value", [1e200, -1e200, 1e308, np.inf, np.nan])
     def test_query_too_far_to_standardize_is_rejected(self, value):
@@ -245,7 +307,10 @@ class TestNearest:
     @example(case=(np.vstack([np.zeros(64), np.arange(64.0)]), 2))  # one row sorted whole
     def test_equals_stable_argsort(self, case):
         d2, k = case
-        assert np.array_equal(_nearest(d2, k), np.argsort(d2, axis=1, kind="stable")[:, :k])
+        expected = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(_nearest([d2], len(d2), k), expected)
+        # in blocks of one row, so candidates of several blocks are selected together
+        assert np.array_equal(_nearest(np.split(d2, len(d2)), len(d2), k), expected)
 
 
 class TestRSquared:
