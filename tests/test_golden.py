@@ -5,8 +5,10 @@ Each case runs one command in process on small inputs built from
 of its stdout and of its exit code with ``tests/golden.json``. For
 ``evaluate`` the table also holds the digest of
 ``reports_to_json(reports, include_margins=True)``, the margin
-trajectories of every detector. An optimization that moves one bit of an
-output fails here.
+trajectories of every detector. The generator itself has cases too: the
+sha256 of the features and errors of one build and its kinds list, for
+each optional segment on and off. An optimization that moves one bit of
+an output fails here.
 
 Re-record the table only for a change that is meant to move outputs:
 
@@ -21,6 +23,7 @@ import hashlib
 import json
 import os
 import pathlib
+import runpy
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from click.testing import CliRunner
 from shiftwatch import Dataset, cli, core
 from shiftwatch.core import write_dataset
 from shiftwatch.shiftsim import make_subgroup_dataset, subgroup_feature_kinds
+from test_acceptance import SUITE_GEN
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden.json"
 RECORD = os.environ.get("SHIFTWATCH_RECORD_GOLDEN") == "1"
@@ -104,12 +108,74 @@ def _digests(case, paths, out, monkeypatch):
     return digests
 
 
-@pytest.mark.parametrize("case", list(CASES))
-def test_outputs_match_recorded_digests(case, inputs, tmp_path, monkeypatch):
-    digests = _digests(case, inputs, tmp_path / "out", monkeypatch)
-    table = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"cases": {}}
+def _check(section, case, digests):
+    table = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     if RECORD:
         table["numpy"] = np.__version__
-        table["cases"][case] = digests
+        table.setdefault(section, {})[case] = digests
         GOLDEN.write_text(json.dumps(table, sort_keys=True, indent=2) + "\n")
-    assert digests == table["cases"][case], f"recorded with numpy {table['numpy']}, running numpy {np.__version__}"
+    assert digests == table[section][case], f"recorded with numpy {table['numpy']}, running numpy {np.__version__}"
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_outputs_match_recorded_digests(case, inputs, tmp_path, monkeypatch):
+    _check("cases", case, _digests(case, inputs, tmp_path / "out", monkeypatch))
+
+
+# per case: the generator keywords. The first sets are those the tests and
+# perfbench/gen.py build with; the rest turn each optional segment on
+# alone or together with the others.
+SECOND = dict(second_zone_frac=0.15, immune_anchor="second")
+GENERATOR_CASES = {
+    "default": {},
+    "golden_suite": dict(subgroup_frac=0.3, base_error=0.05, error_ratio=10.0, error_noise=0.03),
+    "golden_categorical": CATEGORICAL_GEN,
+    "acceptance_suite": SUITE_GEN,
+    "immune": dict(immune_frac=0.3),
+    "immune_error": dict(immune_frac=0.2, immune_error=0.4, zone_noise=0.12),
+    "masked": dict(masked_frac=0.15, masked_error=0.7),
+    "second_continuous": dict(second_zone_frac=0.1),
+    "second_continuous_error_segments": dict(
+        second_zone_frac=0.15, second_zone_error=0.4, immune_frac=0.1, immune_error=0.3, masked_frac=0.1
+    ),
+    "second_anchor_alone": dict(immune_anchor="second"),
+    "second_categorical": SECOND,
+    "second_categorical_immune": dict(SECOND, immune_frac=0.1),
+    "second_categorical_masked": dict(SECOND, masked_frac=0.1, second_zone_error=0.3),
+    "second_categorical_both": dict(SECOND, immune_frac=0.05, masked_frac=0.08, zone_noise=0.02),
+    "hidden": dict(hidden_prob=0.2),
+    "coin": dict(coin_prob=0.3),
+    "grade": dict(grade_coef=0.05),
+    "boosts_with_segments": dict(
+        hidden_prob=0.15, coin_prob=0.2, grade_coef=0.04, immune_frac=0.1, masked_frac=0.1, n_noise_features=1
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GENERATOR_CASES))
+def test_generator_matches_recorded_digests(case):
+    keywords = dict({"seed": 5}, **GENERATOR_CASES[case])
+    data = make_subgroup_dataset(700, **keywords)
+    digests = {
+        "features": _sha(data.features.tobytes()),
+        "errors": _sha(data.errors.tobytes()),
+        "kinds": ",".join(subgroup_feature_kinds(**keywords)),
+    }
+    _check("generator", case, digests)
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.parametrize("workload", ["evaluate-suite", "monitor-knn"])
+@pytest.mark.parametrize("variant", [0, 5, 10, 15])
+def test_benchmark_inputs_match_reference(workload, variant, tmp_path):
+    """perfbench/gen.py regenerates the benchmark's inputs with the
+    generator; each file matches its digest in perfbench/reference.json,
+    so a generator change that would move a benchmark input fails here
+    rather than only in a full benchmark run. run_path compiles gen.py
+    without writing bytecode under perfbench/."""
+    write_inputs = runpy.run_path(str(PERFBENCH / "gen.py"))["write_inputs"]
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    manifest = write_inputs(workload, variant, reference["sizes"][workload], str(tmp_path))
+    assert manifest["sha256"] == reference["workloads"][workload][str(variant)]["inputs"]

@@ -312,7 +312,7 @@ class TestSubgroupGenerator:
             subgroup_feature_kinds(grade_coeff=0.1)
 
     def test_immune_anchor_validation(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="^unknown immune anchor 'nowhere'$"):
             make_subgroup_dataset(100, immune_anchor="nowhere")
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="^anchoring to the second zone requires one$"):
             make_subgroup_dataset(100, immune_anchor="second", immune_frac=0.1)
