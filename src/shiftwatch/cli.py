@@ -256,7 +256,7 @@ def _run_suite_from_config(cfg: AppConfig):
 @main.command("evaluate")
 @_flags(
     "source", "out_dir", "seed", "k", "fdp_max", "alpha_source", "alpha_prod", "eps_tol", "delta_corr",
-    "schedule", "horizon", "onset", "feature_kinds", "n_seeds", "workers",
+    "schedule", "horizon", "onset", "feature_kinds", "ablation_fraction", "n_seeds", "workers",
 )
 def cmd_evaluate(config_file, **flags):
     """Run the full shift suite and emit per-detector metrics JSON."""
@@ -285,7 +285,8 @@ def cmd_evaluate(config_file, **flags):
 # no --eps-tol: each row's tolerance comes from --eps-tol-grid
 @_flags(
     "source", "out_dir", "seed", "k", "fdp_max", "alpha_source", "alpha_prod", "delta_corr",
-    "schedule", "horizon", "onset", "feature_kinds", "n_seeds", "workers", "eps_harm_grid", "eps_tol_grid",
+    "schedule", "horizon", "onset", "feature_kinds", "ablation_fraction", "n_seeds", "workers",
+    "eps_harm_grid", "eps_tol_grid",
 )
 def cmd_sweep(config_file, **flags):
     """Sweep harmfulness-threshold and tolerance grids over one suite run."""

@@ -73,7 +73,6 @@ class SourceStats:
     rate inside the production lower bound.
     """
 
-    n: int
     rate_above_q: float
     rate_true_discovery: float
     rate_false_discovery: float
@@ -101,7 +100,6 @@ def source_statistics(source: Dataset, selector: Selector, config: MonitorConfig
     above = source.errors > selector.q
     selected = selector.select(source.scores)
     return SourceStats(
-        n=n,
         rate_above_q=float(above.sum()) / n,
         rate_true_discovery=float((selected & above).sum()) / n,
         rate_false_discovery=float((selected & ~above).sum()) / n,

@@ -239,93 +239,85 @@ def _build_subgroup_dataset(
     """Synthetic subgroup-failure dataset and the kind of each of its
     feature columns, built together.
 
-    Feature f0 drives membership in a failure zone (top ``subgroup_frac``
-    of f0) whose members have mean error ``error_ratio`` times the base
-    with their own noise scale ``zone_noise`` (defaults to the global
-    ``error_noise``). With ``hidden_prob`` > 0 a medium-error group is
-    added: membership is an unobserved Bernoulli(hidden_prob) draw adding
-    ``hidden_boost`` to the error, and an observed carrier feature is
-    skewed toward 1 for members (u ** (1/hidden_skew) versus uniform u),
-    so the carrier enriches the group under a split without revealing
-    individual membership. ``coin_prob`` > 0 adds a second boosted group
-    (exclusive of the hidden group) with no observable trace at all,
-    which keeps a large share of the error variance irreducible.
-    ``grade_coef`` > 0 adds a feature with a small linear error gradient,
-    giving feature splits of marginal harmfulness. Error noise is bounded
-    uniform (plus or minus the scale), so the error distribution forms
-    separated bands when boosts and noise scales are small.
-    With ``second_zone_frac`` > 0 a second zone with error level
-    ``second_zone_error`` (defaults to the primary zone level) is added,
-    modeling a milder but still predictable failure mode: it is driven
-    by its own continuous feature (top ``second_zone_frac``) when
-    ``immune_anchor`` is "zone" and by a categorical marker feature when
-    it is "second". With
-    ``immune_frac`` > 0 a categorical segment is added that shares the
-    feature neighborhood of a failure zone (the primary zone's boundary
-    band of width ``IMMUNE_BAND`` under the "zone" anchor, the second
-    zone's categorical marker under "second") yet keeps the base error
-    rate: a model segment that looks like a failure zone but is immune
-    to it (its error level is ``immune_error``, defaulting to the base). With ``masked_frac`` > 0 the opposite segment is added: a
-    categorical group with elevated error ``masked_error`` but otherwise
-    unremarkable features, so its error level is visible only through
-    its own category flag.
-    Remaining features are pure noise, which keeps any estimator trained
-    on them deliberately weak.
+    Feature f0, the driver, puts its top ``subgroup_frac`` in a failure
+    zone whose members have mean error ``error_ratio`` times
+    ``base_error`` and noise scale ``zone_noise`` (default
+    ``error_noise``). Error noise is bounded uniform (plus or minus the
+    scale), so the errors form separated bands when boosts and noise
+    scales are small. The last ``n_noise_features`` features are pure
+    noise, which keeps any estimator trained on them deliberately weak.
+
+    Second zone (``second_zone_frac`` > 0): a milder but still predictable
+    failure mode at error ``second_zone_error`` (default the primary
+    zone's level). Under the "zone" ``immune_anchor`` it is the top
+    ``second_zone_frac`` of its own continuous driver; under "second" it
+    is a Bernoulli(``second_zone_frac``) draw, flagged by a categorical
+    marker feature.
+
+    The immune and masked segments are boolean masks over the rows, all
+    False when their fraction is 0. One uniform draw assigns them, so they
+    never overlap, and neither is part of a zone. Each adds a categorical
+    flag column when its fraction is above 0.
+
+    Immune (``immune_frac``): looks like a failure zone but is immune to
+    it. Under the "zone" anchor its driver lies in the band of width
+    ``IMMUNE_BAND`` just below the primary zone; under "second" its driver
+    lies anywhere below the zone and it shares the second zone's marker.
+    It keeps the base error, or ``immune_error`` when given, with the
+    zone noise scale.
+
+    Masked (``masked_frac``): the opposite, error ``masked_error`` with a
+    driver anywhere below the zone, so its error level shows only through
+    its own flag.
+
+    Hidden group (``hidden_prob`` > 0): an unobserved
+    Bernoulli(``hidden_prob``) draw adds ``hidden_boost`` to the error,
+    and an observed carrier feature is skewed toward 1 for members
+    (u ** (1/hidden_skew) versus uniform u), so the carrier enriches the
+    group under a split without revealing individual membership.
+
+    Coin group (``coin_prob`` > 0): a second boosted group, exclusive of
+    the hidden one, with no observable trace at all, which keeps a large
+    share of the error variance irreducible.
+
+    Grade (``grade_coef`` > 0): a feature with a small linear error
+    gradient, giving feature splits of marginal harmfulness.
+
+    The boosts and the grade apply only to rows outside the zones and
+    the segments.
     """
     if immune_anchor not in ("zone", "second"):
         raise InvalidInput(f"unknown immune anchor {immune_anchor!r}")
     if immune_anchor == "second" and immune_frac > 0.0 and second_zone_frac <= 0.0:
         raise InvalidInput("anchoring to the second zone requires one")
     rng = np.random.default_rng(seed)
+    edge = 1.0 - subgroup_frac
     driver = rng.random(n)
     categorical_second = immune_anchor == "second" and second_zone_frac > 0.0
-    driver2 = None
-    if second_zone_frac > 0.0 and not categorical_second:
-        driver2 = rng.random(n)
-    immune = None
-    masked = None
+    driver2 = rng.random(n) if second_zone_frac > 0.0 and not categorical_second else None
+    immune = masked = np.zeros(n, dtype=bool)
     if immune_frac > 0.0 or masked_frac > 0.0:
         seg = rng.random(n)
         placement = rng.random(n)
-        if immune_frac > 0.0:
-            immune = seg < immune_frac
-            if immune_anchor == "zone":
-                edge = 1.0 - subgroup_frac
-                driver = np.where(immune, edge - IMMUNE_BAND * placement, driver)
-            else:
-                # keep immune members out of the primary zone; they share
-                # the second zone's marker instead of a driver band
-                driver = np.where(
-                    immune, (1.0 - subgroup_frac) * placement, driver
-                )
-        if masked_frac > 0.0:
-            masked = (seg >= immune_frac) & (seg < immune_frac + masked_frac)
-            driver = np.where(masked, (1.0 - subgroup_frac) * placement, driver)
-    zone = driver > 1.0 - subgroup_frac
-    cols = [(driver, CONTINUOUS)]
-    zone2 = np.zeros(n, dtype=bool)
-    if driver2 is not None:
-        zone2 = driver2 > 1.0 - second_zone_frac
-    elif categorical_second:
+        immune = seg < immune_frac
+        masked = (seg >= immune_frac) & (seg < immune_frac + masked_frac)
+        below = edge * placement  # anywhere below the zone
+        band = edge - IMMUNE_BAND * placement if immune_anchor == "zone" else below
+        driver = np.where(immune, band, np.where(masked, below, driver))
+    zone = driver > edge
+    zone2 = np.zeros(n, dtype=bool) if driver2 is None else driver2 > 1.0 - second_zone_frac
+    if categorical_second:
         zone2 = rng.random(n) < second_zone_frac
-    if immune is not None:
-        zone2 = zone2 & ~immune
-    if masked is not None:
-        zone2 = zone2 & ~masked
+    zone2 = zone2 & ~immune & ~masked
     if second_zone_error is None:
         second_zone_error = base_error * error_ratio
-    failing = zone | zone2
-    errors = np.where(
-        zone, base_error * error_ratio, np.where(zone2, second_zone_error, base_error)
-    )
-    if masked is not None:
-        errors = np.where(masked, masked_error, errors)
-        failing = failing | masked
-    if immune is not None and immune_error is not None:
+    failing = zone | zone2 | masked
+    errors = np.where(zone, base_error * error_ratio, np.where(zone2, second_zone_error, base_error))
+    errors = np.where(masked, masked_error, errors)
+    if immune_error is not None:
         errors = np.where(immune & ~failing, immune_error, errors)
-    boostable = ~failing
-    if immune is not None:
-        boostable = boostable & ~immune
+    boostable = ~failing & ~immune
+    cols = [(driver, CONTINUOUS)]
     if hidden_prob > 0.0 or coin_prob > 0.0:
         latent = rng.random(n)
         coin = latent < coin_prob
@@ -334,29 +326,24 @@ def _build_subgroup_dataset(
         errors = errors + hidden_boost * (hidden & boostable)
         if hidden_prob > 0.0:
             u = rng.random(n)
-            carrier = np.where(hidden, u ** (1.0 / hidden_skew), u)
-            cols.append((carrier, CONTINUOUS))
+            cols.append((np.where(hidden, u ** (1.0 / hidden_skew), u), CONTINUOUS))
     if grade_coef > 0.0:
         graded = rng.random(n)
         errors = errors + grade_coef * graded * boostable
         cols.append((graded, CONTINUOUS))
-    if immune is not None:
+    if immune_frac > 0.0:
         cols.append((immune.astype(float), CATEGORICAL))
-    if masked is not None:
+    if masked_frac > 0.0:
         cols.append((masked.astype(float), CATEGORICAL))
     if driver2 is not None:
         cols.append((driver2, CONTINUOUS))
     elif categorical_second:
-        marker = zone2 if immune is None else (zone2 | immune)
-        cols.append((marker.astype(float), CATEGORICAL))
+        cols.append(((zone2 | immune).astype(float), CATEGORICAL))
     cols += [(noise, CONTINUOUS) for noise in rng.random((n, n_noise_features)).T]
     if zone_noise is None:
         zone_noise = error_noise
-    scale = np.where(failing, zone_noise, error_noise)
-    if immune is not None:
-        scale = np.where(immune & ~failing, zone_noise, scale)
-    errors = errors + scale * rng.uniform(-1.0, 1.0, n)
-    errors = np.clip(errors, 0.0, 1.0)
+    scale = np.where(failing | immune, zone_noise, error_noise)
+    errors = np.clip(errors + scale * rng.uniform(-1.0, 1.0, n), 0.0, 1.0)
     columns, kinds = zip(*cols)
     return Dataset(np.column_stack(columns), errors), list(kinds)
 

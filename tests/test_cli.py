@@ -744,6 +744,26 @@ class TestEvaluateCommand:
         assert set(payload["detectors"]) == {"phi_q", "phi_q2", "mean"}
 
 
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_ablation_fraction_flag_equals_config_file(self, runner, tmp_path, command):
+        """--ablation-fraction sets the key as a config file line does, and
+        moves the outputs off the default fraction's."""
+        from shiftwatch.shiftsim import make_subgroup_dataset
+
+        src = tmp_path / "src.csv"
+        write_dataset(src, make_subgroup_dataset(500, seed=9))
+        (tmp_path / "c.cfg").write_text("ablation_fraction = 0.5\n")
+        common = [command, "--source", str(src), "--horizon", "150", "--onset", "40"]
+        extra = {"flag": ["--ablation-fraction", "0.5"], "file": ["--config", str(tmp_path / "c.cfg")], "default": []}
+        outputs = {}
+        for name, args in extra.items():
+            out = tmp_path / name
+            result = runner.invoke(main, common + args + ["--out-dir", str(out)])
+            assert result.exit_code == 0, result.output
+            outputs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert outputs["flag"] == outputs["file"]
+        assert outputs["flag"] != outputs["default"]
+
     def test_horizon_one_without_onset(self, runner, tmp_path):
         # a shifting schedule without an onset shifts at half the horizon,
         # and at least at t = 1

@@ -270,7 +270,7 @@ class TestStepLogCache:
 
     def test_monitor_stream_keeps_at_most_one_array(self):
         stats = SourceStats(
-            n=100, rate_above_q=0.2, rate_true_discovery=0.15, rate_false_discovery=0.1, w_source=0.05, w_fd=0.05
+            rate_above_q=0.2, rate_true_discovery=0.15, rate_false_discovery=0.1, w_source=0.05, w_fd=0.05
         )
         state = MonitorState(Selector(q=0.5, q_hat=0.5, p=0.7, p_hat=0.5), stats, MonitorConfig())
         rng = np.random.default_rng(21)

@@ -226,23 +226,47 @@ def test_every_key_is_read_by_the_cli():
     assert sorted(KNOWN_KEYS - _cfg_reads(CLI_TREE)) == []
 
 
+CLI_FUNCTIONS = {node.name: node for node in CLI_TREE.body if isinstance(node, ast.FunctionDef)}
+
+
+def _function_reads(name, seen):
+    """Keys a cli.py function reads, in its own body or in a cli.py helper
+    it calls."""
+    seen.add(name)
+    keys = _cfg_reads(CLI_FUNCTIONS[name])
+    for sub in ast.walk(CLI_FUNCTIONS[name]):
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name):
+            callee = sub.func.id
+            if callee in CLI_FUNCTIONS and callee not in seen:
+                keys |= _function_reads(callee, seen)
+    return keys
+
+
+def _reads_and_flags():
+    """Per command: the keys it reads and the keys it has a flag for."""
+    return {
+        name: (_function_reads(command.callback.__name__, set()), {p.name for p in command.params} - {"config_file"})
+        for name, command in cli.main.commands.items()
+    }
+
+
 def test_every_flag_is_read_by_its_command():
     """A flag that its command never reads as ``cfg.<key>``, in its own body
     or in a cli.py helper it calls, would be accepted and then ignored."""
-    functions = {node.name: node for node in CLI_TREE.body if isinstance(node, ast.FunctionDef)}
-
-    def reads(name, seen):
-        seen.add(name)
-        keys = _cfg_reads(functions[name])
-        for sub in ast.walk(functions[name]):
-            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name):
-                callee = sub.func.id
-                if callee in functions and callee not in seen:
-                    keys |= reads(callee, seen)
-        return keys
-
-    unread = {
-        name: sorted({p.name for p in command.params} - {"config_file"} - reads(command.callback.__name__, set()))
-        for name, command in cli.main.commands.items()
-    }
+    unread = {name: sorted(flags - reads) for name, (reads, flags) in _reads_and_flags().items()}
     assert unread == {name: [] for name in cli.main.commands}
+
+
+# keys with no flag on any command (README, "Command line"), and sweep's
+# eps_tol, which reads its tolerances from --eps-tol-grid instead
+FLAGLESS = {"alpha1", "p_values", "p_hat_values"}
+NO_FLAG = {name: FLAGLESS | ({"eps_tol"} if name == "sweep" else set()) for name in cli.main.commands}
+
+
+def test_every_key_a_command_reads_has_a_flag():
+    """A key that its command reads can be set from the command line, save
+    the flag-less keys a config file sets."""
+    missing = {
+        name: sorted((reads & KNOWN_KEYS) - flags - NO_FLAG[name]) for name, (reads, flags) in _reads_and_flags().items()
+    }
+    assert missing == {name: [] for name in cli.main.commands}

@@ -90,7 +90,6 @@ class TestSourceStatistics:
 
 def _stats(**kwargs) -> SourceStats:
     base = dict(
-        n=100,
         rate_above_q=0.2,
         rate_true_discovery=0.15,
         rate_false_discovery=0.1,
