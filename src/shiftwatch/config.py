@@ -84,7 +84,8 @@ def _read_config_file(path: str) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}")
     values = {}
-    for lineno, line in enumerate(text.split("\n"), 1):
+    # a byte-order mark (U+FEFF) would start the first key
+    for lineno, line in enumerate(text.removeprefix("\ufeff").split("\n"), 1):
         line = _COMMENT.split(line, 1)[0].strip()
         if not line:
             continue

@@ -3,8 +3,9 @@
 A ``Dataset`` stores its columns as numpy arrays whose row order is the
 file order. ``read_chunks`` is the one CSV reader: ``read_dataset`` joins
 its chunks and the monitor consumes them one by one. A chunk holds the
-rows of at most ``CHUNK_ROWS`` lines; blank lines are skipped. Each chunk
-is parsed by one ``np.loadtxt`` call, or, where that parse could differ
+rows of at most ``CHUNK_ROWS`` lines, 1,024; blank lines are skipped, and
+a UTF-8 byte-order mark before the header is dropped. Each chunk is
+parsed by one ``np.loadtxt`` call, or, where that parse could differ
 from reading cell by cell with csv and ``float()``, cell by cell; only
 the per-cell parse reports a bad line. ``_feature_columns`` is the one
 check that a CSV header names its feature columns f0..f{d-1} in order.
@@ -23,8 +24,9 @@ import numpy as np
 
 from .errors import IngestError, InvalidInput
 
-# Lines per chunk of ``read_chunks``; bounds the memory of a streaming read.
-CHUNK_ROWS = 4096
+# Lines per chunk of ``read_chunks``; bounds the memory of a streaming read:
+# each chunk's line list, its joined text and np.loadtxt's buffers.
+CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -147,7 +149,8 @@ def read_chunks(path, where) -> Iterator[Dataset]:
     """Read a CSV of the dataset schema, f0..f{d-1}, [error], [score], as
     Datasets of the rows of at most ``CHUNK_ROWS`` lines each, in file
     order; ``path`` '-' reads stdin, in the same chunks. ``where`` names
-    the input in errors.
+    the input in errors. A byte-order mark (U+FEFF) that starts the header
+    is dropped.
 
     Every cell of a feature, ``error`` or ``score`` column in the header
     must be a finite number; otherwise IngestError names the line and the
@@ -156,7 +159,8 @@ def read_chunks(path, where) -> Iterator[Dataset]:
     csv's field size limit, and a file that cannot be opened, read or
     decoded are IngestErrors too."""
     lines = _lines(path, where)
-    reader = csv.reader(lines)
+    head = [line.removeprefix("\ufeff") for line in itertools.islice(lines, 1)]
+    reader = csv.reader(itertools.chain(head, lines))
     try:
         header = next(reader, None)
     except csv.Error as exc:

@@ -26,27 +26,32 @@ class KnnModel:
     """k-NN error regressor over z-scored features.
 
     Constant columns get std 1 so standardization never divides by zero.
-    Distance ties are broken by lower training index, which makes
-    prediction fully deterministic. Prediction builds the distances in
-    blocks of BLOCK entries, 1 MB, one block at a time. It splits each
-    distance row into groups of up to 8 strided columns, at least k
-    groups, and takes the k-th smallest group minimum as a bound: k
+    Distance ties are broken by lower training index, which makes prediction
+    fully deterministic. Prediction standardizes the query rows and builds
+    their distances in blocks of BLOCK entries, 1 MB, one block at a time.
+    It splits each distance row into groups of up to 8 strided columns, at
+    least k groups, and takes the k-th smallest group minimum as a bound: k
     distances of the row lie at or below it, so the k nearest do. The few
     training rows at or below the bound are the row's candidates. A row
     whose bound is NaN, or that has more than k and more than an eighth of
-    the training rows at or below it, is sorted whole instead, as its
-    block is scanned. The other rows' candidates are held, as (row,
-    column, distance), across blocks, and selected together before the
-    padded (rows, widest row) arrays of a selection would pass BLOCK // 4
-    entries, and when the batch ends: a stable sort of each row's
-    candidate distances, in training order, picks its k nearest. A block
-    never splits a row, so every row is selected with all of its
-    candidates. The neighbours, their order and so the summed score are
-    those of a stable sort of every distance. The training rows' squared
+    the training rows at or below it, is sorted whole instead, as its block
+    is scanned. The other rows' candidates are held, as (row, column,
+    distance), across blocks, and selected together before the padded (rows,
+    widest row) arrays of a selection would pass BLOCK // 16 entries, and
+    when the batch ends: a stable sort of each row's candidate distances, in
+    training order, picks its k nearest. A block never splits a row, so
+    every row is selected with all of its candidates. The neighbours, their
+    order and so the summed score are those of a stable sort of every
+    distance. Each row's score, the mean of its neighbours' errors, is
+    written as soon as its selection or its whole-row sort finishes, so no
+    array but the scores grows with the batch. The training rows' squared
     norms are computed once, here, and reused by every prediction. A row's
     score depends on that row alone, not on the rest of its batch, so
-    callers may score each distinct row once, or a stream chunk by chunk.
-    Fitting rejects a feature whose mean or std is not finite, and
+    callers may score each distinct row once, or a stream chunk by chunk;
+    that holds as far as the matrix product rounds a row's distances alike
+    in every block shape, and OpenBLAS can round identical training rows
+    apart in some shapes, which moves a query tied between them (ROADMAP
+    item 4). Fitting rejects a feature whose mean or std is not finite, and
     prediction a query row whose squared standardized norm is not finite:
     either would turn every distance to NaN and the score into the mean of
     the first k training rows.
@@ -121,13 +126,12 @@ def _candidates(d2: np.ndarray, k: int):
     return np.flatnonzero(whole), flat, counts
 
 
-def _select(held: list, idx: np.ndarray, n: int) -> None:
-    """Write into ``idx`` the k nearest of every row in ``held``, a list of
-    (row numbers, per-row counts, columns, values) arrays in row-major
-    order, and empty ``held``."""
+def _select(held: list, k: int, n: int):
+    """The k nearest of every row in ``held``, a list of (row numbers,
+    per-row counts, columns, values) arrays in row-major order, as (row
+    numbers, (rows, k) columns); empties ``held``."""
     rows, counts, cols, values = (np.concatenate(a) for a in zip(*held))
     held.clear()
-    k = idx.shape[1]
     c = max(k, int(counts.max()))
     # a candidate's place in the padded (rows, c) arrays, row by row
     shift = np.arange(0, rows.size * c, c) - (np.cumsum(counts) - counts)
@@ -138,20 +142,21 @@ def _select(held: list, idx: np.ndarray, n: int) -> None:
     cand_cols.ravel()[dest] = cols
     # candidates sit in column order, ahead of the padding
     order = np.argsort(cand, axis=1, kind="stable")[:, :k]
-    idx[rows] = np.take_along_axis(cand_cols, order, axis=1)
+    return rows, np.take_along_axis(cand_cols, order, axis=1)
 
 
-def _nearest(blocks, m: int, k: int) -> np.ndarray:
-    """Column indices of the k smallest entries of each row of an (m, n)
-    matrix given as consecutive blocks of rows, ordered by (value,
-    column): the first k columns of a stable argsort."""
-    idx = np.empty((m, k), dtype=np.intp)
+def _nearest(blocks, k: int):
+    """For an (m, n) matrix given as consecutive blocks of rows, yield
+    (row numbers, (rows, k) columns): the column indices of the k smallest
+    entries of each row, ordered by (value, column), which are the first k
+    columns of a stable argsort. Each row is yielded once, as soon as its
+    whole-row sort or its selection finishes."""
     held, held_rows, held_width, lo = [], 0, 0, 0
     for d2 in blocks:
         r, n = d2.shape
         whole, flat, counts = _candidates(d2, k)
         for i in whole:  # row by row, so no copy of the block is made
-            idx[lo + i] = np.argsort(d2[i], kind="stable")[:k]
+            yield [lo + i], np.argsort(d2[i], kind="stable")[None, :k]
         rows = np.flatnonzero(counts)
         cands = (lo + rows, counts[rows], flat % n, d2.ravel()[flat])
         del d2  # freed before a selection or the next block, so one block is live at a time
@@ -159,39 +164,24 @@ def _nearest(blocks, m: int, k: int) -> np.ndarray:
         if not rows.size:
             continue
         width = int(counts.max())
-        # a selection's padded arrays stay within BLOCK // 4 entries, or
+        # a selection's padded arrays stay within BLOCK // 16 entries, or
         # within one block's when that block alone is wider
-        if held and (held_rows + rows.size) * max(held_width, width) > BLOCK // 4:
-            _select(held, idx, n)
+        if held and (held_rows + rows.size) * max(held_width, width) > BLOCK // 16:
+            yield _select(held, k, n)
             held_rows = held_width = 0
         held.append(cands)
         held_rows += rows.size
         held_width = max(held_width, width)
     if held:
-        _select(held, idx, n)
-    return idx
+        yield _select(held, k, n)
 
 
-def _distances(model: KnnModel, z: np.ndarray, zz: np.ndarray) -> np.ndarray:
-    """|z|^2 - 2 z.t + |t|^2 for a block of standardized query rows, built
-    in the buffer the matrix product returns, in that order of operations."""
-    d2 = 2.0 * z @ model.train_features.T
-    np.subtract(zz[:, None], d2, out=d2)
-    d2 += model.train_sq_norms
-    return d2
-
-
-def predict_many(model: KnnModel, x) -> np.ndarray:
-    """Scores for a batch of query rows (m, d), shape (m,); a row too far
-    to score raises QueryRowError with its index. The distances are built
-    BLOCK // n rows at a time, and the neighbours selected as the KnnModel
-    docstring says."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != model.train_features.shape[1]:
-        raise InvalidInput(
-            f"query dimension {x.shape[1]} does not match model dimension "
-            f"{model.train_features.shape[1]}"
-        )
+def _distances(model: KnnModel, x: np.ndarray, lo: int) -> np.ndarray:
+    """|z|^2 - 2 z.t + |t|^2 for a block of query rows ``x``, which starts
+    at row ``lo`` of its batch, standardized here as z; built in the
+    buffer the matrix product returns, in that order of operations. A row
+    whose squared standardized norm is not finite raises QueryRowError
+    with its index in the batch."""
     with np.errstate(over="ignore", invalid="ignore"):
         z = (x - model.feature_means) / model.feature_stds
         zz = (z * z).sum(axis=1)
@@ -200,13 +190,34 @@ def predict_many(model: KnnModel, x) -> np.ndarray:
         i = int(np.argmax(bad))
         j = int(np.argmax(np.abs(z[i])))
         raise QueryRowError(
-            i, f"feature f{j} = {float(x[i, j])!r} is too far from the training data "
+            lo + i, f"feature f{j} = {float(x[i, j])!r} is too far from the training data "
             "(the squared standardized norm is not finite)"
         )
-    m = z.shape[0]
+    d2 = 2.0 * z @ model.train_features.T
+    np.subtract(zz[:, None], d2, out=d2)
+    d2 += model.train_sq_norms
+    return d2
+
+
+def predict_many(model: KnnModel, x) -> np.ndarray:
+    """Scores for a batch of query rows (m, d), shape (m,); the first row
+    too far to score raises QueryRowError with its index in the batch.
+    The rows are standardized and their distances built BLOCK // n rows
+    at a time, and the neighbours selected as the KnnModel docstring
+    says; besides ``x``, only the (m,) output grows with the batch."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[1] != model.train_features.shape[1]:
+        raise InvalidInput(
+            f"query dimension {x.shape[1]} does not match model dimension "
+            f"{model.train_features.shape[1]}"
+        )
+    m = x.shape[0]
     step = max(1, BLOCK // model.train_features.shape[0])
-    blocks = (_distances(model, z[lo : lo + step], zz[lo : lo + step]) for lo in range(0, m, step))
-    return model.train_errors[_nearest(blocks, m, model.k)].mean(axis=1)
+    blocks = (_distances(model, x[lo : lo + step], lo) for lo in range(0, m, step))
+    scores = np.empty(m)
+    for rows, idx in _nearest(blocks, model.k):
+        scores[rows] = model.train_errors[idx].mean(axis=1)
+    return scores
 
 
 def score_dataset(model: KnnModel, data: Dataset) -> Dataset:

@@ -285,11 +285,30 @@ def _build_subgroup_dataset(
 
     The boosts and the grade apply only to rows outside the zones and
     the segments.
+
+    Each fraction and probability must lie in [0, 1], and the segments'
+    (``immune_frac + masked_frac``) and the boosted groups'
+    (``hidden_prob + coin_prob``) must not exceed 1 together; otherwise
+    InvalidInput names the keywords.
     """
     if immune_anchor not in ("zone", "second"):
         raise InvalidInput(f"unknown immune anchor {immune_anchor!r}")
     if immune_anchor == "second" and immune_frac > 0.0 and second_zone_frac <= 0.0:
         raise InvalidInput("anchoring to the second zone requires one")
+    fractions = {
+        "subgroup_frac": subgroup_frac,
+        "immune_frac": immune_frac,
+        "masked_frac": masked_frac,
+        "second_zone_frac": second_zone_frac,
+        "hidden_prob": hidden_prob,
+        "coin_prob": coin_prob,
+    }
+    for name, value in fractions.items():
+        if not 0.0 <= value <= 1.0:
+            raise InvalidInput(f"{name} must lie in [0, 1], got {value!r}")
+    for a, b in (("immune_frac", "masked_frac"), ("hidden_prob", "coin_prob")):
+        if fractions[a] + fractions[b] > 1.0:
+            raise InvalidInput(f"{a} + {b} must not exceed 1, got {fractions[a]!r} + {fractions[b]!r}")
     rng = np.random.default_rng(seed)
     edge = 1.0 - subgroup_frac
     driver = rng.random(n)

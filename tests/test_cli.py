@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,6 +341,48 @@ class TestMonitorCommand:
             result, "production stream:", f"dimension {len(header)} ", "dimension 4"
         )
         assert "event" not in result.output
+
+    def test_memory_is_flat_over_stream_length(self, runner, tmp_path):
+        # a long run holds one chunk of rows at a time: ten times the
+        # stream, 49 chunks of CHUNK_ROWS lines against 5, peaks alike
+        src = _scored_source(tmp_path / "src.csv")
+        rng = np.random.default_rng(7)
+        peaks = []
+        for n in (5_000, 50_000):
+            prod = tmp_path / f"prod{n}.csv"
+            cells = rng.integers(0, 1000, size=(n, 3)) / 1000
+            cells[:, 2] *= 0.5  # the source's score range
+            np.savetxt(prod, cells, fmt="%.4f", delimiter=",", header="f0,f1,score", comments="")
+            args = ["monitor", "--source", str(src), "--production", str(prod), "--out-dir", str(tmp_path / f"o{n}")]
+            tracemalloc.start()
+            try:
+                result = runner.invoke(main, args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert result.exit_code in (0, 2), result.output
+            assert len((tmp_path / f"o{n}" / "trajectory.csv").read_text().splitlines()) == n + 1
+        assert abs(peaks[1] - peaks[0]) < 1_000_000, peaks
+
+    def test_byte_order_marks_are_dropped(self, runner, tmp_path):
+        # a UTF-8 BOM before the source and production headers and the
+        # config file's first key: the same bytes out as without one
+        src = _knn_source(tmp_path / "src.csv")
+        rng = np.random.default_rng(8)
+        prod = tmp_path / "prod.csv"
+        write_dataset(prod, Dataset(rng.random((300, 2))))
+        outputs = []
+        for bom in ("", "\ufeff"):
+            source = tmp_path / f"src{len(bom)}.csv"
+            source.write_text(bom + src.read_text(), newline="")
+            config = tmp_path / f"monitor{len(bom)}.cfg"
+            config.write_text(f"{bom}source = {source}\nk = 7\n")
+            out = tmp_path / f"out{len(bom)}"
+            args = ["monitor", "--config", str(config), "--production", "-", "--out-dir", str(out)]
+            result = runner.invoke(main, args, input=bom + prod.read_text())
+            assert result.exit_code in (0, 2), result.output
+            outputs.append((result.exit_code, (out / "trajectory.csv").read_bytes(), (out / "monitor.json").read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestUnreadableFiles:

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from shiftwatch import Dataset, fit_knn
-from shiftwatch.errors import DegenerateError, InvalidInput
-from shiftwatch.estimator import _nearest, predict_many, r_squared, score_dataset, split_half
+from shiftwatch import Dataset, estimator, fit_knn
+from shiftwatch.errors import DegenerateError, InvalidInput, QueryRowError
+from shiftwatch.estimator import BLOCK, KnnModel, _nearest, predict_many, r_squared, score_dataset, split_half
 
 
 def one_d(values, errors) -> Dataset:
@@ -129,10 +129,10 @@ class TestKnn:
     def test_scores_cross_block_and_selection_boundaries(self):
         # 3,000 train rows: 300 copies of hub a (a query there ties them,
         # under the n // 8 = 375 cutoff), 400 of hub b (sorted whole) and
-        # 2,300 integer lattice rows. The padded arrays of near-tied rows
-        # fill a selection every 90-100 rows, so 1,200 queries cross the
-        # 43-row distance blocks 27 times and the selections 9 times, and
-        # rows sorted whole sit between rows selected from candidates.
+        # 2,300 integer lattice rows. The padded arrays of a block's
+        # near-tied rows fill a selection, so 1,200 queries cross the 43-row
+        # distance blocks and the selections 27 times each, and rows sorted
+        # whole sit between rows selected from candidates.
         rng = np.random.default_rng(19)
         hubs = rng.uniform(10.0, 11.0, size=(2, 3))
         features = np.vstack([np.repeat(hubs, [300, 400], axis=0), rng.integers(0, 4, size=(2300, 3))])
@@ -164,13 +164,23 @@ class TestKnn:
         assert peak < 4_000_000
 
     def test_predict_many_peak_memory_with_a_long_batch(self):
-        # four times monitor-knn's batch: only the (m, k) neighbour index
-        # grows with m, and candidates held for the whole batch would pass
-        # the bound
+        # four times monitor-knn's batch: only the (m,) scores grow with m,
+        # and candidates held for the whole batch would pass the bound
         rng = np.random.default_rng(15)
         model = fit_knn(Dataset(rng.random((3000, 10)), rng.random(3000)), k=10)
         _, peak = traced_peak(model, rng.random((12000, 10)))
-        assert peak < 8_000_000
+        assert peak < 4_000_000
+
+    def test_predict_many_peak_memory_with_a_hundred_thousand_rows(self):
+        # the (m,) scores, 0.8 MB, are the only array that grows with the
+        # batch; a standardized copy of the queries (8 MB) or an (m, k)
+        # neighbour index (8 MB) would pass the bound
+        rng = np.random.default_rng(15)
+        model = fit_knn(Dataset(rng.random((3000, 10)), rng.random(3000)), k=10)
+        queries = rng.random((100_000, 10))
+        scores, peak = traced_peak(model, queries)
+        assert peak < 4_000_000
+        assert np.array_equal(scores[::997], predict_many(model, queries[::997]))
 
     def test_predict_many_peak_memory_with_every_distance_tied(self):
         # identical train rows tie every distance at the bound, so every
@@ -187,13 +197,13 @@ class TestKnn:
         # each of 12,000 queries ties the 300 copies of one of 10 train
         # points, just under the n // 8 = 375 cutoff: 3.6 million
         # candidates, about 58 MB as (column, distance) pairs, are selected
-        # about 100 rows at a time
+        # about 27 rows at a time
         rng = np.random.default_rng(17)
         points = rng.random((10, 10))
         model = fit_knn(Dataset(points[np.arange(3000) % 10], rng.random(3000)), k=10)
         queries = points[rng.integers(0, 10, 12000)]
         scores, peak = traced_peak(model, queries)
-        assert peak < 8_000_000
+        assert peak < 4_000_000
         assert np.array_equal(scores, _stable_argsort_scores(model, queries)[0])
 
     def test_predict_many_peak_memory_with_a_few_near_tied_rows(self):
@@ -208,8 +218,29 @@ class TestKnn:
         queries = rng.random((12000, 10))
         queries[::1000] = 5.0
         scores, peak = traced_peak(model, queries)
-        assert peak < 8_000_000
+        assert peak < 4_000_000
         assert np.array_equal(scores, _stable_argsort_scores(model, queries)[0])
+
+    def test_selections_stay_within_a_sixteenth_of_a_block(self, monkeypatch):
+        # monitor-knn's shape: about 15 candidates a row, 43 rows a block,
+        # so a selection holds about 12 blocks' rows; its padded (rows,
+        # widest row) arrays pass BLOCK // 16 entries only when they hold
+        # one block's rows alone
+        rng = np.random.default_rng(15)
+        model = fit_knn(Dataset(rng.random((3000, 10)), rng.random(3000)), k=10)
+        selections = []
+        select = estimator._select
+
+        def recorded(held, k, n):
+            rows = sum(h[0].size for h in held)
+            widest = max(k, *(int(h[1].max()) for h in held))
+            selections.append((rows * widest, len(held)))
+            return select(held, k, n)
+
+        monkeypatch.setattr(estimator, "_select", recorded)
+        predict_many(model, rng.random((3000, 10)))
+        assert max(blocks for _, blocks in selections) > 1
+        assert all(entries <= BLOCK // 16 or blocks == 1 for entries, blocks in selections)
 
     @pytest.mark.parametrize("value", [1e200, -1e200, 1e308, np.inf, np.nan])
     def test_query_too_far_to_standardize_is_rejected(self, value):
@@ -295,6 +326,18 @@ def _nan_bound_row():
     return (d2, 2)
 
 
+def _nearest_indices(blocks, m, k):
+    """The (m, k) columns that _nearest yields for the rows of ``blocks``;
+    a row yielded twice, or never, fails."""
+    idx = np.full((m, k), -1, dtype=np.intp)
+    seen = np.zeros(m, dtype=int)
+    for rows, cols in _nearest(blocks, k):
+        idx[rows] = cols
+        seen[rows] += 1
+    assert (seen == 1).all()
+    return idx
+
+
 class TestNearest:
     @settings(max_examples=300, deadline=None)
     @given(case=_distance_rows())
@@ -308,9 +351,71 @@ class TestNearest:
     def test_equals_stable_argsort(self, case):
         d2, k = case
         expected = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        assert np.array_equal(_nearest([d2], len(d2), k), expected)
+        assert np.array_equal(_nearest_indices([d2], len(d2), k), expected)
         # in blocks of one row, so candidates of several blocks are selected together
-        assert np.array_equal(_nearest(np.split(d2, len(d2)), len(d2), k), expected)
+        assert np.array_equal(_nearest_indices(np.split(d2, len(d2)), len(d2), k), expected)
+
+
+@st.composite
+def _scoring_cases(draw):
+    """A k-NN model over integer lattice rows (exact ties and duplicate
+    rows) and two hubs of identical rows: a query at the first ties its
+    copies at the bound and is selected from them, a query at the second
+    has more than n // 8 rows at the bound and is sorted whole. Up to
+    three BLOCK // n-row distance blocks and a row of queries among the
+    hubs, lattice and other points cross the blocks and the selections;
+    sorted cut points of the batch; and a non-finite cell to plant, as
+    (row, column, value), past the first block when the batch is.
+
+    Every value is a multiple of 1/16 and every mean and std a power of
+    two or an integer, so each distance is exact whatever the matrix
+    product's kernel: the product of a BLAS can round identical train
+    rows apart by their column and by the batch's row count, which would
+    test the kernel, not the blocks."""
+    n = draw(st.integers(100, 600))
+    k = draw(st.integers(1, 12))
+    limit = max(k, n // 8)
+    copies = [draw(st.integers(k, limit)), draw(st.integers(limit + 1, 2 * limit))]
+    step = BLOCK // n
+    m = draw(st.integers(1, 3 * step + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    means, stds = np.array([1.0, 2.0, 0.0]), np.array([1.0, 2.0, 0.5])
+    hubs = rng.integers(10, 12, size=(2, 3)) + [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]  # never equal
+    raw = np.vstack([np.repeat(hubs, copies, axis=0), rng.integers(0, 4, size=(n - sum(copies), 3))])
+    train = (raw[rng.permutation(n)] - means) / stds
+    model = KnnModel(k, train, rng.random(n), means, stds, (train * train).sum(axis=1))
+    kind = rng.integers(0, 4, size=m)
+    queries = rng.integers(0, 4, size=(m, 3)).astype(float)
+    queries[kind == 0] = hubs[0]
+    queries[kind == 1] = hubs[1]
+    queries[kind == 3] = rng.integers(0, 48, size=(np.count_nonzero(kind == 3), 3)) / 16
+    cuts = sorted(draw(st.lists(st.integers(0, m), max_size=6)))
+    bad = (
+        draw(st.integers(min(step, m - 1), m - 1)),
+        draw(st.integers(0, 2)),
+        draw(st.sampled_from([np.inf, -np.inf, np.nan, 1e200])),
+    )
+    return model, queries, cuts, bad
+
+
+class TestBlockScoring:
+    @settings(max_examples=25, deadline=None)
+    @given(case=_scoring_cases())
+    def test_blocks_equal_stable_argsort_and_any_cut(self, case):
+        model, queries, cuts, (row, column, value) = case
+        scores = predict_many(model, queries)
+        expected, _ = _stable_argsort_scores(model, queries)
+        assert np.array_equal(scores.view(np.int64), expected.view(np.int64))
+        pieces = np.concatenate([predict_many(model, q) for q in np.split(queries, cuts)])
+        assert np.array_equal(pieces.view(np.int64), scores.view(np.int64))
+        # the first non-finite row, in whichever block, is named by its
+        # index in the whole batch; a later one is never reached
+        queries[row, column] = value
+        queries[row + 1 :: 7, 0] = np.nan
+        with pytest.raises(QueryRowError) as exc:
+            predict_many(model, queries)
+        assert exc.value.row == row
+        assert exc.value.message.startswith(f"feature f{column} = {value!r}")
 
 
 class TestRSquared:

@@ -316,3 +316,28 @@ class TestSubgroupGenerator:
             make_subgroup_dataset(100, immune_anchor="nowhere")
         with pytest.raises(InvalidInput, match="^anchoring to the second zone requires one$"):
             make_subgroup_dataset(100, immune_anchor="second", immune_frac=0.1)
+
+    @pytest.mark.parametrize(
+        "keywords, message",
+        [
+            ({"subgroup_frac": -0.1}, "subgroup_frac must lie in [0, 1], got -0.1"),
+            ({"immune_frac": 1.2, "masked_frac": 0.3}, "immune_frac must lie in [0, 1], got 1.2"),
+            ({"masked_frac": 1.5}, "masked_frac must lie in [0, 1], got 1.5"),
+            ({"second_zone_frac": float("nan")}, "second_zone_frac must lie in [0, 1], got nan"),
+            ({"hidden_prob": 2.0}, "hidden_prob must lie in [0, 1], got 2.0"),
+            ({"coin_prob": -1.0}, "coin_prob must lie in [0, 1], got -1.0"),
+            ({"immune_frac": 0.8, "masked_frac": 0.3}, "immune_frac + masked_frac must not exceed 1, got 0.8 + 0.3"),
+            ({"hidden_prob": 0.8, "coin_prob": 0.5}, "hidden_prob + coin_prob must not exceed 1, got 0.8 + 0.5"),
+        ],
+    )
+    def test_fractions_are_checked(self, keywords, message):
+        # out-of-range fractions built silently: immune_frac 1.2 flagged
+        # every row immune and left the masked flag column all zero
+        with pytest.raises(InvalidInput) as exc:
+            make_subgroup_dataset(1000, seed=1, **keywords)
+        assert str(exc.value) == message
+
+    def test_fractions_at_their_limits_build(self):
+        limits = ({"subgroup_frac": 1.0}, {"immune_frac": 0.7, "masked_frac": 0.3}, {"hidden_prob": 0.5, "coin_prob": 0.5})
+        for keywords in limits:
+            assert make_subgroup_dataset(50, seed=1, **keywords).n == 50
