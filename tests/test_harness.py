@@ -12,6 +12,7 @@ from shiftwatch.estimator import predict_many
 from shiftwatch.harness import (
     ExperimentConfig,
     RunReport,
+    SuiteMetrics,
     reports_to_json,
     run_experiment,
     run_suite,
@@ -36,6 +37,52 @@ def _report(i, oracle_max, plugin_max, r2=0.5):
         traces[key] = margins(m)
     return RunReport(
         scenario_id=f"s{i}", seed=i, horizon=2, eps_tol=0.0, r2=r2, traces=traces
+    )
+
+
+_FAMILY_KEYS = (("plugin_q", "oracle_q"), ("plugin_q2", "oracle_q2"), ("plugin_mean", "oracle_mean"))
+_KEYS = [key for pair in _FAMILY_KEYS for key in pair]
+# thresholds and margins are drawn from one palette, so that margins touch them
+_LEVELS = (-0.1, 0.0, 0.05, 0.25)
+
+
+def _first_above(margins, eps):
+    return next((t for t, m in enumerate(margins, 1) if m > eps), None)
+
+
+def _reference_metrics(reports, family, plugin_key, oracle_key, eps_harm, eps_tol):
+    """Suite metrics counted run by run: a run is harmful when its oracle
+    margin ever exceeds eps_harm, alarmed when its plug-in margin exceeds
+    the tolerance, detected when both."""
+    n_runs = n_harmful = n_alarms = true_pos = false_pos = 0
+    det_times, gaps = [], []
+    for r in reports:
+        if r.uncalibratable:
+            continue
+        n_runs += 1
+        tol = r.eps_tol if eps_tol is None else eps_tol
+        harmful = any(m > eps_harm for m in r.traces[oracle_key])
+        t_plugin = _first_above(r.traces[plugin_key], tol)
+        t_oracle = _first_above(r.traces[oracle_key], tol)
+        n_harmful += harmful
+        if t_plugin is not None:
+            n_alarms += 1
+            true_pos += harmful
+            false_pos += not harmful
+            if harmful:
+                det_times.append(t_plugin)
+            if t_oracle is not None:
+                gaps.append(abs(t_plugin - t_oracle))
+    return SuiteMetrics(
+        detector=family,
+        eps_harm=eps_harm,
+        n_runs=n_runs,
+        n_harmful=n_harmful,
+        n_alarms=n_alarms,
+        power=None if n_harmful == 0 else true_pos / n_harmful,
+        fdp=None if n_alarms == 0 else false_pos / n_alarms,
+        mean_detection_time=None if not det_times else float(np.mean(det_times)),
+        mean_oracle_time_gap=None if not gaps else float(np.mean(gaps)),
     )
 
 
@@ -84,6 +131,32 @@ class TestSuiteMetrics:
             suite_metrics([], "phi_q2", 0.0)
         with pytest.raises(InvalidInput):
             suite_metrics([_report(0, 0.1, 0.1)], "phi_q3", 0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_per_run_reference(self, data):
+        """Every SuiteMetrics field, for each family with and without an
+        eps_tol override, equals a plain per-run count over non-decreasing
+        margins that cross, touch or miss eps_harm and eps_tol."""
+        eps_harm = data.draw(st.sampled_from(_LEVELS), label="eps_harm")
+        eps_tol = data.draw(st.sampled_from(_LEVELS[1:]), label="eps_tol")
+        horizon = data.draw(st.integers(1, 6), label="horizon")
+        values = st.one_of(st.sampled_from(_LEVELS), st.floats(-1.0, 1.0))
+        # one report: uncalibratable (None), or one sorted row of margins per trace key
+        margins = st.none() | st.lists(values, min_size=6 * horizon, max_size=6 * horizon).map(
+            lambda v: np.sort(np.reshape(v, (6, horizon)), axis=1)
+        )
+        drawn = data.draw(st.lists(st.tuples(st.sampled_from(_LEVELS[1:]), margins), min_size=1, max_size=30))
+        reports = []
+        for i, (report_tol, rows) in enumerate(drawn):
+            report = RunReport(f"s{i}", i, horizon, report_tol, uncalibratable=rows is None)
+            if rows is not None:
+                report.traces = dict(zip(_KEYS, rows))
+            reports.append(report)
+        for family, (plugin_key, oracle_key) in zip(("phi_q", "phi_q2", "mean"), _FAMILY_KEYS):
+            for tol in (None, eps_tol):
+                expected = _reference_metrics(reports, family, plugin_key, oracle_key, eps_harm, tol)
+                assert suite_metrics(reports, family, eps_harm, tol) == expected
 
     def test_r2_deciles_partition_reports(self):
         reports = [
@@ -163,6 +236,19 @@ class TestRunExperiment:
         }
         assert all(m.shape == (400,) for m in report.traces.values())
         assert report.calib_fdp < 0.2
+
+    @pytest.mark.parametrize("kind, seed", [("sudden", 2), ("sigmoid", 2), ("none", 5)])
+    def test_margins_are_non_decreasing(self, small_run, kind, seed):
+        """Each trace is a running maximum less constants (floored at 0 for
+        the quantile detectors), so it never falls, and its last entry is
+        its maximum."""
+        data, scenario, _, config = small_run
+        report = run_experiment(data, scenario, Schedule(kind, 600, onset=100), config, seed=seed)
+        assert not report.uncalibratable
+        for key, margins in report.traces.items():
+            assert margins.size == 600
+            assert np.all(np.diff(margins) >= 0.0), key
+            assert report.max_margin(key) == margins[-1]
 
     def test_benign_ablation_rarely_alarms(self):
         # ablating a pure-noise feature split leaves the error distribution
