@@ -35,14 +35,18 @@ from .shiftsim import SPLIT_KINDS, Schedule, ShiftScenario, build_stream, split_
 
 SCHEMA_VERSION = 1
 
-PLUGIN_DETECTORS = ("phi_q", "phi_q2", "mean")
+# By detector family, in the order of sweep's rows: its plug-in and oracle trace keys
+_TRACE_KEYS = {
+    "phi_q": ("plugin_q", "oracle_q"),
+    "phi_q2": ("plugin_q2", "oracle_q2"),
+    "mean": ("plugin_mean", "oracle_mean"),
+}
+PLUGIN_DETECTORS = tuple(_TRACE_KEYS)
 # Shares of the shuffled retained pool: the first TRAIN_FRAC is left unused,
 # the next TEST_FRAC feeds the production stream and the rest calibrates.
 TRAIN_FRAC = 0.6
 TEST_FRAC = 0.2
 R2_BINS = 10
-_ORACLE_KEY = {"phi_q": "oracle_q", "phi_q2": "oracle_q2", "mean": "oracle_mean"}
-_PLUGIN_KEY = {"phi_q": "plugin_q", "phi_q2": "plugin_q2", "mean": "plugin_mean"}
 
 
 @dataclass(frozen=True)
@@ -79,36 +83,20 @@ class RunReport:
         return first_alarm_time(self.traces[key], eps)
 
     def max_margin(self, key: str) -> float:
-        margins = self.traces[key]
-        return float(margins.max()) if margins.size else float("-inf")
+        return float(self.traces[key].max())  # a calibrated run's traces hold horizon >= 1 entries
 
     def to_dict(self, include_margins: bool = False) -> dict:
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "scenario_id": self.scenario_id,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "eps_tol": self.eps_tol,
-            "uncalibratable": self.uncalibratable,
-            "r2": self.r2,
-            "calib_power": self.calib_power,
-            "calib_fdp": self.calib_fdp,
-            "selector": None
-            if self.selector is None
-            else dataclasses.asdict(self.selector),
-            "delta": self.delta,
-            "n_clipped": self.n_clipped,
-            "detectors": {
-                key: {
-                    "first_alarm": self.first_alarm(key),
-                    "max_margin": self.max_margin(key),
-                }
-                for key in sorted(self.traces)
-            },
+        """The runs.json record: every field but ``traces``, which gives
+        each detector's first alarm and maximum margin (and its margins)."""
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "traces"}
+        if self.selector is not None:
+            out["selector"] = dataclasses.asdict(self.selector)
+        out["schema_version"] = SCHEMA_VERSION
+        out["detectors"] = {
+            key: {"first_alarm": self.first_alarm(key), "max_margin": self.max_margin(key)}
+            | ({"margins": margins.tolist()} if include_margins else {})
+            for key, margins in self.traces.items()
         }
-        if include_margins:
-            for key, margins in self.traces.items():
-                out["detectors"][key]["margins"] = margins.tolist()
         return out
 
 
@@ -244,28 +232,25 @@ def suite_metrics(
         raise InvalidInput("suite metrics need at least one run report")
     if detector not in PLUGIN_DETECTORS:
         raise InvalidInput(f"unknown detector family {detector!r}")
-    plugin_key = _PLUGIN_KEY[detector]
-    oracle_key = _ORACLE_KEY[detector]
+    plugin_key, oracle_key = _TRACE_KEYS[detector]
 
     usable = [r for r in reports if not r.uncalibratable]
-    harmful, alarmed, det_times, gaps = [], [], [], []
+    n_harmful = n_alarms = 0
+    det_times, gaps = [], []  # a detection is an alarmed harmful run
     for r in usable:
         is_harmful = r.max_margin(oracle_key) > eps_harm
+        n_harmful += int(is_harmful)
         t_plugin = r.first_alarm(plugin_key, eps_tol)
-        harmful.append(is_harmful)
-        alarmed.append(t_plugin is not None)
-        if t_plugin is not None and is_harmful:
+        if t_plugin is None:
+            continue
+        n_alarms += 1
+        if is_harmful:
             det_times.append(t_plugin)
         t_oracle = r.first_alarm(oracle_key, eps_tol)
-        if t_plugin is not None and t_oracle is not None:
+        if t_oracle is not None:
             gaps.append(abs(t_plugin - t_oracle))
 
-    harmful = np.array(harmful, dtype=bool)
-    alarmed = np.array(alarmed, dtype=bool)
-    n_harmful = int(harmful.sum())
-    n_alarms = int(alarmed.sum())
-    true_pos = int((alarmed & harmful).sum())
-    false_pos = int((alarmed & ~harmful).sum())
+    true_pos = len(det_times)
     return SuiteMetrics(
         detector=detector,
         eps_harm=eps_harm,
@@ -273,7 +258,7 @@ def suite_metrics(
         n_harmful=n_harmful,
         n_alarms=n_alarms,
         power=None if n_harmful == 0 else true_pos / n_harmful,
-        fdp=None if n_alarms == 0 else false_pos / n_alarms,
+        fdp=None if n_alarms == 0 else (n_alarms - true_pos) / n_alarms,
         mean_detection_time=None if not det_times else float(np.mean(det_times)),
         mean_oracle_time_gap=None if not gaps else float(np.mean(gaps)),
     )
