@@ -42,12 +42,29 @@ def _read_source(cfg: AppConfig):
     return read_dataset(cfg.source)
 
 
-def _scenarios(cfg: AppConfig):
+def _check_sizes(horizon: int, d: int, runs: int) -> None:
+    """Refuse a suite that cannot fit in physical memory before anything of
+    its size is allocated. The estimate is a lower bound: one run's stream,
+    horizon x (d + 2) float64s, plus the six margin traces of horizon
+    float64s that each of ``runs`` reports keeps."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    stream, margins = 8 * horizon * (d + 2), 8 * 6 * horizon
+    beyond = f"more than the {memory / 2**30:,.1f} GiB of physical memory"
+    if stream + margins * min(runs, 1) > memory:
+        raise ConfigError("horizon", f"one run of {horizon} events needs {beyond}")
+    if stream + margins * runs > memory:
+        raise ConfigError("n_seeds", f"{runs} runs of {horizon} events need {beyond}")
+
+
+def _scenarios(cfg: AppConfig, runs_per_scenario: int = 0):
     """The source and its feature-split scenarios, for simulate, evaluate
-    and sweep."""
+    and sweep, once the sizes of ``runs_per_scenario`` runs of each
+    scenario are checked."""
     source = _read_source(cfg)
     kinds = (CONTINUOUS,) * source.d if cfg.feature_kinds is None else cfg.feature_kinds
-    return source, enumerate_scenarios(source, kinds, cfg.ablation_fraction)
+    scenarios = enumerate_scenarios(source, kinds, cfg.ablation_fraction)
+    _check_sizes(cfg.horizon, source.d, len(scenarios) * runs_per_scenario)
+    return source, scenarios
 
 
 def _calibration_pipeline(cfg: AppConfig):
@@ -230,7 +247,7 @@ def cmd_simulate(config_file, **flags):
 
 
 def _run_suite_from_config(cfg: AppConfig):
-    source, scenarios = _scenarios(cfg)
+    source, scenarios = _scenarios(cfg, cfg.n_seeds)
     if not scenarios:
         n_half = source.n // 2
         raise InvalidInput(f"no feature split excludes between {MIN_SUBGROUP} and n/2 = {n_half} source rows")

@@ -522,6 +522,32 @@ class TestPackageErrors:
         _assert_one_line_error(runner.invoke(main, args), "no feature split excludes between 10 and n/2 = 7")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, key",
+        [("evaluate", "horizon"), ("sweep", "horizon"), ("simulate", "horizon"), ("evaluate", "n_seeds"), ("sweep", "n_seeds")],
+    )
+    def test_suite_larger_than_memory_is_refused_before_allocating(self, runner, tmp_path, command, key):
+        """A stream of horizon x (d + 2) float64s alone passes physical
+        memory, or each run fits but n_seeds runs' margins (6 x horizon
+        float64s each) do not: one Error: line under the key, no --out-dir,
+        and nothing large allocated."""
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if key == "horizon":
+            sizes = ["--horizon", str(memory // 8)]
+        else:
+            sizes = ["--horizon", "1000", "--n-seeds", str(memory // (8 * 6 * 1000) + 1)]
+        out = tmp_path / "made" / "out"
+        args = [command, "--source", str(_scored_source(tmp_path / "src.csv")), "--out-dir", str(out), *sizes]
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _assert_one_line_error(result, f"Error: {key}: ", "GiB of physical memory")
+        assert not (tmp_path / "made").exists()
+        assert peak < 10_000_000, peak
+
     def test_empty_sweep_grid_is_config_error(self, runner, tmp_path):
         src = _scored_source(tmp_path / "src.csv")
         result = runner.invoke(

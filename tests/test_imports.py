@@ -1,6 +1,7 @@
 """Every module of the package and every test file uses what it
 imports, every top-level function and class of the package has a reader,
-and the package root exports only names the README uses.
+the package root exports only names the README uses, and the README's
+library example runs as written.
 
 ``__init__.py`` only re-exports, so the first two checks skip it;
 ``from __future__ import annotations`` is never a use.
@@ -10,6 +11,7 @@ import ast
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -104,3 +106,19 @@ def test_every_definition_has_a_reader():
             named |= _named(stmt) - own
     unread = [f"{module}: {name}" for module, name in defined if name not in named | readme]
     assert not unread, f"definitions that nothing reads: {unread}"
+
+
+def test_readme_library_example_runs():
+    """The ``## Library`` block of README.md runs as written, on small
+    synthetic ``features``, ``errors`` and ``production_feature_chunks``
+    whose error rises with f0 and whose production rows drift to high f0,
+    so the alarm latches and the loop breaks."""
+    section = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    rng = np.random.default_rng(0)
+    features = rng.random((400, 3))
+    drifted = rng.random((2000, 3)) * [0.3, 1.0, 1.0] + [0.7, 0.0, 0.0]
+    names = {"features": features, "errors": 0.9 * features[:, 0], "production_feature_chunks": np.split(drifted, 20)}
+    exec(compile(code, "README.md", "exec"), names)
+    state = names["state"]
+    assert state.phi_q2 and state.t < 2000 and len(names["rows"]) == 100
