@@ -17,44 +17,51 @@ from .core import Dataset
 from .errors import DegenerateError, InvalidInput, QueryRowError
 
 DEFAULT_K = 10
-# distance entries per block: 1 MB of float64, inside a 2 MB per-core L2
-BLOCK = 1 << 17
+# screen entries per block: 1 MB of float32, inside a 2 MB per-core L2
+BLOCK = 1 << 18
+# a row whose error scale passes this is not screened: below it no float32
+# value of its screen passes 2^102, far from overflow
+SCREEN_LIMIT = 2.0**100
 
 
 @dataclass(frozen=True)
 class KnnModel:
     """k-NN error regressor over z-scored features.
 
-    Constant columns get std 1 so standardization never divides by zero.
-    Distance ties are broken by lower training index, which makes prediction
-    fully deterministic. Prediction standardizes the query rows and builds
-    their distances in blocks of BLOCK entries, 1 MB, one block at a time.
-    It splits each distance row into groups of up to 8 strided columns, at
-    least k groups, and takes the k-th smallest group minimum as a bound: k
-    distances of the row lie at or below it, so the k nearest do. The few
-    training rows at or below the bound are the row's candidates. A row
-    whose bound is NaN, or that has more than k and more than an eighth of
-    the training rows at or below it, is sorted whole instead, as its block
-    is scanned. The other rows' candidates are held, as (row, column,
-    distance), across blocks, and selected together before the padded (rows,
-    widest row) arrays of a selection would pass BLOCK // 16 entries, and
-    when the batch ends: a stable sort of each row's candidate distances, in
-    training order, picks its k nearest. A block never splits a row, so
-    every row is selected with all of its candidates. The neighbours, their
-    order and so the summed score are those of a stable sort of every
-    distance. Each row's score, the mean of its neighbours' errors, is
-    written as soon as its selection or its whole-row sort finishes, so no
-    array but the scores grows with the batch. The training rows' squared
-    norms are computed once, here, and reused by every prediction. A row's
-    score depends on that row alone, not on the rest of its batch, so
-    callers may score each distinct row once, or a stream chunk by chunk;
-    that holds as far as the matrix product rounds a row's distances alike
-    in every block shape, and OpenBLAS can round identical training rows
-    apart in some shapes, which moves a query tied between them (ROADMAP
-    item 4). Fitting rejects a feature whose mean or std is not finite, and
+    Constant columns get std 1 so standardization never divides by zero. A
+    query row's neighbours are the k training rows nearest by exact
+    distance, d2 = sum over p of (z_p - t_p)^2 summed in float64 in the
+    order p = 0, 1, ..., ties broken by lower training index, and its score
+    is the mean of their errors. d2 is built elementwise, so its bits depend
+    on the query row and the training row alone, not on the BLAS kernel or
+    on the rest of the batch: a row's score depends on that row alone, and
+    callers may score each distinct row once, or a stream chunk by chunk.
+
+    Prediction computes d2 only for a few candidates. It standardizes the
+    query rows in blocks of BLOCK // n rows and screens each block with one
+    float32 matrix product of [-2z, 1] against ``screen``, [t^T; |t|^2],
+    built here: the screen value s = |t|^2 - 2 z.t is d2 less |z|^2, which
+    is constant along a row. It splits each screen row into groups of up to
+    8 strided columns, at least k groups, and takes the k-th smallest group
+    minimum: k training rows lie at or below it. Widened by twice the
+    screen's rounding error and rounded up to float32 (``_nearest`` derives
+    the term), it bounds the screen values of the row's k nearest, and the
+    training rows at or below it are the row's candidates. A row whose
+    values could overflow float32, or that has more than k and more than an
+    eighth of the training rows at or below its bound, has every d2
+    computed and sorted instead, as its block is scanned. The other rows'
+    candidates are held, as (row, column, d2), across blocks, and selected
+    together before the padded (rows, widest row) arrays of a selection
+    would pass BLOCK // 64 entries, and when the batch ends: a stable sort
+    of each row's candidate d2, in training order, picks its k nearest. A
+    block never splits a row, so every row is selected with all of its
+    candidates. Each row's score is written as soon as its selection or its
+    whole-row sort finishes, so no array but the scores grows with the
+    batch. Fitting rejects a feature whose mean or std is not finite, and
     prediction a query row whose squared standardized norm is not finite:
     either would turn every distance to NaN and the score into the mean of
-    the first k training rows.
+    the first k training rows. A far but finite query still scores so, as
+    z - t rounds to z and every d2 of its row ties (ROADMAP item 4).
     """
 
     k: int
@@ -62,7 +69,7 @@ class KnnModel:
     train_errors: np.ndarray  # (n,)
     feature_means: np.ndarray
     feature_stds: np.ndarray
-    train_sq_norms: np.ndarray  # (train_features * train_features).sum(axis=1), (n,)
+    screen: np.ndarray  # float32 (d + 1, n): train_features.T over the rows' squared norms
 
 
 def fit_knn(train: Dataset, k: int) -> KnnModel:
@@ -88,23 +95,26 @@ def fit_knn(train: Dataset, k: int) -> KnnModel:
         train_errors=train.errors.copy(),
         feature_means=means,
         feature_stds=stds,
-        train_sq_norms=(z * z).sum(axis=1),
+        screen=np.vstack([z.T, (z * z).sum(axis=1)]).astype(np.float32),
     )
 
 
-def _candidates(d2: np.ndarray, k: int):
-    """One block of distance rows: the rows to sort whole, the flat indices
-    of the other rows' candidates in row-major order, and each row's count
-    of them."""
-    m, n = d2.shape
+def _candidates(s: np.ndarray, widen: np.ndarray, k: int, mask: np.ndarray):
+    """One block of screen rows, each widened by ``widen`` (NaN for a row
+    not screened), and a boolean buffer of its shape: the rows to sort
+    whole, the flat indices of the other rows' candidates in row-major
+    order, and each row's count of them."""
+    m, n = s.shape
     # the k-th smallest of g group minima is an entry at or above the row's
-    # k-th smallest, so every neighbour lies at or below it
+    # k-th smallest, so k screen values lie at or below it
     w = max(1, min(8, n // k))
     g = n // w
-    mins = d2[:, : g * w].reshape(m, w, g).min(axis=1)
+    mins = s[:, : g * w].reshape(m, w, g).min(axis=1)
     mins.partition(k - 1, axis=1)
-    bound = mins[:, k - 1]
-    mask = d2 <= bound[:, None]
+    bound = mins[:, k - 1] + widen
+    # rounded to float32 and raised one ulp, so at or above the float64 sum
+    bound32 = np.nextafter(bound.astype(np.float32), np.float32(np.inf))
+    np.less_equal(s, bound32[:, None], out=mask)
     # a NaN bound selects nothing, and a row tied at the bound with more
     # than an eighth of the columns would widen the padded arrays of every
     # row selected with it: such rows are sorted whole instead. Past that
@@ -128,7 +138,7 @@ def _candidates(d2: np.ndarray, k: int):
 
 def _select(held: list, k: int, n: int):
     """The k nearest of every row in ``held``, a list of (row numbers,
-    per-row counts, columns, values) arrays in row-major order, as (row
+    per-row counts, columns, d2) arrays in row-major order, as (row
     numbers, (rows, k) columns); empties ``held``."""
     rows, counts, cols, values = (np.concatenate(a) for a in zip(*held))
     held.clear()
@@ -145,43 +155,10 @@ def _select(held: list, k: int, n: int):
     return rows, np.take_along_axis(cand_cols, order, axis=1)
 
 
-def _nearest(blocks, k: int):
-    """For an (m, n) matrix given as consecutive blocks of rows, yield
-    (row numbers, (rows, k) columns): the column indices of the k smallest
-    entries of each row, ordered by (value, column), which are the first k
-    columns of a stable argsort. Each row is yielded once, as soon as its
-    whole-row sort or its selection finishes."""
-    held, held_rows, held_width, lo = [], 0, 0, 0
-    for d2 in blocks:
-        r, n = d2.shape
-        whole, flat, counts = _candidates(d2, k)
-        for i in whole:  # row by row, so no copy of the block is made
-            yield [lo + i], np.argsort(d2[i], kind="stable")[None, :k]
-        rows = np.flatnonzero(counts)
-        cands = (lo + rows, counts[rows], flat % n, d2.ravel()[flat])
-        del d2  # freed before a selection or the next block, so one block is live at a time
-        lo += r
-        if not rows.size:
-            continue
-        width = int(counts.max())
-        # a selection's padded arrays stay within BLOCK // 16 entries, or
-        # within one block's when that block alone is wider
-        if held and (held_rows + rows.size) * max(held_width, width) > BLOCK // 16:
-            yield _select(held, k, n)
-            held_rows = held_width = 0
-        held.append(cands)
-        held_rows += rows.size
-        held_width = max(held_width, width)
-    if held:
-        yield _select(held, k, n)
-
-
-def _distances(model: KnnModel, x: np.ndarray, lo: int) -> np.ndarray:
-    """|z|^2 - 2 z.t + |t|^2 for a block of query rows ``x``, which starts
-    at row ``lo`` of its batch, standardized here as z; built in the
-    buffer the matrix product returns, in that order of operations. A row
-    whose squared standardized norm is not finite raises QueryRowError
-    with its index in the batch."""
+def _standardized(model: KnnModel, x: np.ndarray, lo: int):
+    """z and |z|^2 for a block of query rows ``x``, which starts at row
+    ``lo`` of its batch. A row whose squared standardized norm is not
+    finite raises QueryRowError with its index in the batch."""
     with np.errstate(over="ignore", invalid="ignore"):
         z = (x - model.feature_means) / model.feature_stds
         zz = (z * z).sum(axis=1)
@@ -193,18 +170,88 @@ def _distances(model: KnnModel, x: np.ndarray, lo: int) -> np.ndarray:
             lo + i, f"feature f{j} = {float(x[i, j])!r} is too far from the training data "
             "(the squared standardized norm is not finite)"
         )
-    d2 = 2.0 * z @ model.train_features.T
-    np.subtract(zz[:, None], d2, out=d2)
-    d2 += model.train_sq_norms
-    return d2
+    return z, zz
+
+
+def _exact_d2(z: np.ndarray, train: np.ndarray, rows, cols) -> np.ndarray:
+    """d2 of query rows ``z[rows]`` to training rows ``train[cols]``, pair
+    by pair, summed over the features in order: each pair's bits are the
+    same whatever else is computed with it."""
+    return sum((z[:, p][rows] - train[:, p][cols]) ** 2 for p in range(z.shape[1]))
+
+
+def _nearest(model: KnnModel, blocks):
+    """For query rows given as consecutive blocks, yield (row numbers,
+    (rows, k) columns): the indices of each row's k nearest training rows
+    by (d2, index), as the KnnModel docstring says, each row once, as soon
+    as its whole-row sort or its selection finishes. The first row too far
+    to score raises QueryRowError with its index among all the blocks.
+
+    The screen's rounding error. Let u = 2^-24 and g_j = j u / (1 - j u).
+    For a query row z and a training row t the product sums d + 1 terms
+    a_p b_p of the float32 operands a = fl(-2z) and b = fl([t; |t|^2]), so
+    in any order of summation, fused or not, it lies within
+    g_{d+1} sum |a_p b_p| of a.b (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 3.1). Rounding the operands moves
+    a.b by at most g_2 M from s = |t|^2 - 2 z.t, where M = 2 sum |z_p t_p|
+    + |t|^2 <= (|z| + |t|)^2 by Cauchy-Schwarz, and sum |a_p b_p| <=
+    (1 + g_2) M. So the screen value is within e = g_{d+3} (|z| + sqrt T)^2
+    of s for every training row, T the largest |t|^2. The k training rows
+    at or below the group-minimum bound b then have s <= b + e, so the k-th
+    smallest d2 is at most |z|^2 + b + e, and each of the k nearest has s <=
+    b + e and a screen value at most b + 2e. The widening is 2 g_{d+6}
+    ((|z| + sqrt T)^2 + 1): the extra 3u covers T read from the float32
+    norms and the float64 rounding of d2, of |z|^2 and of the bound, each
+    below 2^-50 of the scale, and the 1 covers float32 underflow, whose
+    error is absolute."""
+    k, train, screen = model.k, model.train_features, model.screen
+    n, d = train.shape
+    gamma = (d + 6) * 2.0**-24 / (1.0 - (d + 6) * 2.0**-24)
+    root_t = np.sqrt(screen[-1].max(), dtype=float)
+    held, held_rows, held_width, lo, buffers = [], 0, 0, 0, None
+    for x in blocks:
+        z, zz = _standardized(model, x, lo)
+        r = len(z)
+        scale = (np.sqrt(zz) + root_t) ** 2 + 1.0
+        screened = scale <= SCREEN_LIMIT
+        a = np.zeros((r, d + 1), dtype=np.float32)
+        np.multiply(z, -2.0, out=a[:, :d], where=screened[:, None], casting="same_kind")
+        a[:, d] = 1.0
+        # the first block is the largest: one screen and one mask serve every block
+        if buffers is None:
+            buffers = np.empty((r, n), dtype=np.float32), np.empty((r, n), dtype=bool)
+        s = np.matmul(a, screen, out=buffers[0][:r])
+        widen = np.where(screened, 2.0 * gamma * scale, np.nan)
+        whole, flat, counts = _candidates(s, widen, k, buffers[1][:r])
+        for i in whole:  # row by row, so no (rows, n) d2 is made
+            yield [lo + i], np.argsort(_exact_d2(z, train, i, slice(None)), kind="stable")[None, :k]
+        rows = np.flatnonzero(counts)
+        local, cols = np.divmod(flat, n)
+        cands = (lo + rows, counts[rows], cols, _exact_d2(z, train, local, cols))
+        lo += r
+        if not rows.size:
+            continue
+        width = int(counts.max())
+        # a selection's padded arrays stay within BLOCK // 64 entries, a
+        # sixteenth of the block's bytes as a float64 and an int64 array,
+        # or within one block's rows when that block alone is wider; a
+        # smaller selection pads fewer rows to its widest
+        if held and (held_rows + rows.size) * max(held_width, width) > BLOCK // 64:
+            yield _select(held, k, n)
+            held_rows = held_width = 0
+        held.append(cands)
+        held_rows += rows.size
+        held_width = max(held_width, width)
+    if held:
+        yield _select(held, k, n)
 
 
 def predict_many(model: KnnModel, x) -> np.ndarray:
     """Scores for a batch of query rows (m, d), shape (m,); the first row
     too far to score raises QueryRowError with its index in the batch.
-    The rows are standardized and their distances built BLOCK // n rows
-    at a time, and the neighbours selected as the KnnModel docstring
-    says; besides ``x``, only the (m,) output grows with the batch."""
+    The rows are standardized and screened BLOCK // n rows at a time, and
+    the neighbours selected as the KnnModel docstring says; besides ``x``,
+    only the (m,) output grows with the batch."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.train_features.shape[1]:
         raise InvalidInput(
@@ -213,9 +260,8 @@ def predict_many(model: KnnModel, x) -> np.ndarray:
         )
     m = x.shape[0]
     step = max(1, BLOCK // model.train_features.shape[0])
-    blocks = (_distances(model, x[lo : lo + step], lo) for lo in range(0, m, step))
     scores = np.empty(m)
-    for rows, idx in _nearest(blocks, model.k):
+    for rows, idx in _nearest(model, (x[lo : lo + step] for lo in range(0, m, step))):
         scores[rows] = model.train_errors[idx].mean(axis=1)
     return scores
 

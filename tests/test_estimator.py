@@ -1,16 +1,30 @@
 """k-NN error estimator, R^2 diagnostic, and external score ingestion."""
 
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 
 from shiftwatch import Dataset, estimator, fit_knn
 from shiftwatch.errors import DegenerateError, InvalidInput, QueryRowError
 from shiftwatch.estimator import BLOCK, KnnModel, _nearest, predict_many, r_squared, score_dataset, split_half
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def _has_avx2() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("AVX2"))
 
 
 def one_d(values, errors) -> Dataset:
@@ -33,17 +47,28 @@ def traced_peak(model, x):
         tracemalloc.stop()
 
 
-def _stable_argsort_scores(model, x):
-    """The scorer predict_many replaced: a stable argsort of every distance
-    row. Returns the scores and, per query row, how many train rows lie at
-    or below its k-th distance."""
+def _exact_d2(model, x):
+    """Every exact distance of query rows ``x``, shape (m, n): the squares
+    of z_p - t_p summed in float64 in feature order, as prediction decides
+    neighbours."""
     z = (np.asarray(x, dtype=float) - model.feature_means) / model.feature_stds
-    train = model.train_features
-    chunk = max(1, int(1_000_000 // train.shape[0]))
+    d2 = np.zeros((z.shape[0], model.train_features.shape[0]))
+    diff = np.empty_like(d2)
+    for p in range(z.shape[1]):
+        np.subtract(z[:, p, None], model.train_features[:, p], out=diff)
+        d2 += np.square(diff, out=diff)
+    return d2
+
+
+def _stable_argsort_scores(model, x):
+    """The reference scorer: a stable argsort of every exact distance row.
+    Returns the scores and, per query row, how many train rows lie at or
+    below its k-th distance."""
+    x = np.asarray(x, dtype=float)
+    chunk = max(1, 1_000_000 // model.train_features.shape[0])
     scores, at_or_below = [], []
-    for lo in range(0, z.shape[0], chunk):
-        zc = z[lo : lo + chunk]
-        d2 = (zc * zc).sum(axis=1)[:, None] - 2.0 * zc @ train.T + (train * train).sum(axis=1)[None, :]
+    for lo in range(0, x.shape[0], chunk):
+        d2 = _exact_d2(model, x[lo : lo + chunk])
         order = np.argsort(d2, axis=1, kind="stable")
         kth = np.take_along_axis(d2, order[:, model.k - 1 : model.k], axis=1)
         scores.append(model.train_errors[order[:, : model.k]].mean(axis=1))
@@ -93,8 +118,8 @@ class TestKnn:
         assert predict(model, [1.0]) == 0.1
 
     def test_per_row_scores_equal_chunked_scores(self):
-        # 1,500 queries cross predict_many's distance blocks (BLOCK // 3,000
-        # = 43 rows) 34 times; integer features and duplicate train rows
+        # 1,500 queries cross predict_many's screen blocks (BLOCK // 3,000
+        # = 87 rows) 17 times; integer features and duplicate train rows
         # force exact distance ties, which only the (distance, index) order
         # of the candidates resolves
         rng = np.random.default_rng(11)
@@ -111,8 +136,8 @@ class TestKnn:
         # 1,000 unique continuous train rows far from 500 distinct integer
         # lattice points, each present twice; lattice queries tie at the k-th
         # distance, which only the (distance, index) order of the candidates
-        # resolves, continuous ones do not. 2,100 queries cross the 65-row
-        # distance blocks (BLOCK // 2,000) 32 times.
+        # resolves, continuous ones do not. 2,100 queries cross the 131-row
+        # screen blocks (BLOCK // 2,000) 16 times.
         rng = np.random.default_rng(12)
         grid = np.indices((10, 10, 10)).reshape(3, -1).T.astype(float)
         lattice = grid[rng.choice(len(grid), 500, replace=False)]
@@ -130,8 +155,8 @@ class TestKnn:
         # 3,000 train rows: 300 copies of hub a (a query there ties them,
         # under the n // 8 = 375 cutoff), 400 of hub b (sorted whole) and
         # 2,300 integer lattice rows. The padded arrays of a block's
-        # near-tied rows fill a selection, so 1,200 queries cross the 43-row
-        # distance blocks and the selections 27 times each, and rows sorted
+        # near-tied rows fill a selection, so 1,200 queries cross the 87-row
+        # screen blocks and the selections 13 times each, and rows sorted
         # whole sit between rows selected from candidates.
         rng = np.random.default_rng(19)
         hubs = rng.uniform(10.0, 11.0, size=(2, 3))
@@ -148,6 +173,48 @@ class TestKnn:
         assert np.array_equal(batch, [predict(model, x) for x in queries])
         assert (at_or_below[kind == 0] == 300).all() and (at_or_below[kind == 1] == 400).all()
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_row_scores_do_not_depend_on_the_batch(self, seed):
+        # 84 identical train rows at one random point among 358, k = 1: the
+        # float64 matrix product that picked neighbours rounded one of them
+        # apart from the rest in products of 16 or more query rows, not of
+        # 8 or fewer, so a query near them took another neighbour in a
+        # batch of 32 than alone
+        rng = np.random.default_rng(seed)
+        hub = rng.uniform(0.0, 1.0, 10)
+        features = rng.uniform(0.0, 1.0, (358, 10))
+        features[rng.choice(358, 84, replace=False)] = hub
+        model = fit_knn(Dataset(features, rng.random(358)), k=1)
+        queries = hub + rng.uniform(-0.01, 0.01, (32, 10))
+        assert np.array_equal(predict_many(model, queries), [predict(model, x) for x in queries])
+
+    @pytest.mark.skipif(not _has_avx2(), reason="the Haswell kernels need an x86-64 CPU with AVX2")
+    def test_scores_do_not_depend_on_the_blas_kernel(self):
+        # queries halfway between two train rows tie in exact arithmetic;
+        # OpenBLAS's Sandybridge kernels multiply and add, its Haswell ones
+        # fuse, so a product of the two rounds such ties apart differently
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from shiftwatch import Dataset, fit_knn\n"
+            "from shiftwatch.estimator import predict_many\n"
+            "rng = np.random.default_rng(0)\n"
+            "train = rng.standard_normal((400, 10))\n"
+            "model = fit_knn(Dataset(train, rng.random(400)), k=1)\n"
+            "i, j = rng.integers(0, 400, size=(2, 3000))\n"
+            "sys.stdout.write(predict_many(model, (train[i] + train[j]) / 2).tobytes().hex())\n"
+        )
+        outputs = []
+        for core in ("Sandybridge", "Haswell"):
+            env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1")
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_empty_batch_scores_to_an_empty_array(self):
         rng = np.random.default_rng(20)
         model = fit_knn(Dataset(rng.random((50, 3)), rng.random(50)), k=5)
@@ -155,9 +222,9 @@ class TestKnn:
         assert scores.shape == (0,) and scores.dtype == np.float64
 
     def test_predict_many_peak_memory_stays_near_one_distance_block(self):
-        # monitor-knn's shape; one distance block is BLOCK // 3,000 = 43
-        # rows of 3,000 float64, about 1 MB. An (m, n) index array or a
-        # second live block would pass the bound.
+        # monitor-knn's shape; one screen block is BLOCK // 3,000 = 87
+        # rows of 3,000 float32, about 1 MB, and its mask 0.26 MB. An
+        # (m, n) index array would pass the bound.
         rng = np.random.default_rng(15)
         model = fit_knn(Dataset(rng.random((3000, 10)), rng.random(3000)), k=10)
         _, peak = traced_peak(model, rng.random((3000, 10)))
@@ -197,7 +264,7 @@ class TestKnn:
         # each of 12,000 queries ties the 300 copies of one of 10 train
         # points, just under the n // 8 = 375 cutoff: 3.6 million
         # candidates, about 58 MB as (column, distance) pairs, are selected
-        # about 27 rows at a time
+        # about 13 rows at a time
         rng = np.random.default_rng(17)
         points = rng.random((10, 10))
         model = fit_knn(Dataset(points[np.arange(3000) % 10], rng.random(3000)), k=10)
@@ -222,10 +289,11 @@ class TestKnn:
         assert np.array_equal(scores, _stable_argsort_scores(model, queries)[0])
 
     def test_selections_stay_within_a_sixteenth_of_a_block(self, monkeypatch):
-        # monitor-knn's shape: about 15 candidates a row, 43 rows a block,
-        # so a selection holds about 12 blocks' rows; its padded (rows,
-        # widest row) arrays pass BLOCK // 16 entries only when they hold
-        # one block's rows alone
+        # monitor-knn's shape: about 10 candidates a row, 87 rows a block,
+        # so a selection holds 3 or 4 blocks' rows; its padded (rows,
+        # widest row) arrays pass BLOCK // 64 entries, a sixteenth of the
+        # block's bytes as a float64 and an int64 array, only when they
+        # hold one block's rows alone
         rng = np.random.default_rng(15)
         model = fit_knn(Dataset(rng.random((3000, 10)), rng.random(3000)), k=10)
         selections = []
@@ -240,7 +308,7 @@ class TestKnn:
         monkeypatch.setattr(estimator, "_select", recorded)
         predict_many(model, rng.random((3000, 10)))
         assert max(blocks for _, blocks in selections) > 1
-        assert all(entries <= BLOCK // 16 or blocks == 1 for entries, blocks in selections)
+        assert all(entries <= BLOCK // 64 or blocks == 1 for entries, blocks in selections)
 
     @pytest.mark.parametrize("value", [1e200, -1e200, 1e308, np.inf, np.nan])
     def test_query_too_far_to_standardize_is_rejected(self, value):
@@ -300,38 +368,73 @@ class TestKnn:
         assert scored.scores is not None and scored.scores.shape == (30,)
 
 
+def _far_queries(model, m, rng):
+    """m query rows 10^0 to 10^150 standard deviations from the training
+    mean: past about 10^15 their screen values could overflow float32."""
+    d = len(model.feature_means)
+    signs = rng.choice([-1.0, 1.0], size=(m, d))
+    return model.feature_means + model.feature_stds * signs * 10.0 ** rng.uniform(0.0, 150.0, size=(m, 1))
+
+
 @st.composite
-def _distance_rows(draw):
-    """A (m, n) matrix over a few values, so ties are frequent, with some
-    NaN and +-inf, and a k in [1, n]."""
-    n = draw(st.integers(1, 200))
-    m = draw(st.integers(1, 6))
-    values = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 4.0, 5.0, np.nan, np.inf, -np.inf])
-    plain = st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-    d2 = draw(arrays(np.float64, (m, n), elements=st.one_of(plain, values)))
-    return d2, draw(st.integers(1, n))
+def _screen_cases(draw):
+    """A k-NN model and query rows that stress the screen's bound: a tight
+    cluster of rows away from the training mean, whose distances to a
+    query nearby differ by less than the float32 screen's rounding error;
+    copies of cluster rows, which tie at the bound; and queries at a
+    cluster row, halfway between two (a near-tie), near the cluster, in
+    the bulk, or far enough out to take the overflow fallback."""
+    d = draw(st.integers(1, 6))
+    n_bulk, n_cluster, copies = draw(st.integers(0, 60)), draw(st.integers(1, 40)), draw(st.integers(0, 30))
+    spread = draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cluster = rng.uniform(5.0, 20.0, d) + spread * rng.standard_normal((n_cluster, d))
+    features = np.vstack([rng.standard_normal((n_bulk, d)), cluster, cluster[rng.integers(0, n_cluster, copies)]])
+    n = len(features)
+    model = fit_knn(Dataset(features[rng.permutation(n)], rng.random(n)), k=draw(st.integers(1, n)))
+    m = draw(st.integers(1, 8))
+
+    def at_cluster():
+        return cluster[rng.integers(0, n_cluster, m)]
+
+    kind = rng.integers(0, 5, size=(m, 1))
+    choices = [
+        at_cluster(),
+        (at_cluster() + at_cluster()) / 2,
+        at_cluster() + spread * rng.standard_normal((m, d)),
+        rng.standard_normal((m, d)),
+    ]
+    queries = np.select([kind == 0, kind == 1, kind == 2, kind == 3], choices, _far_queries(model, m, rng))
+    return model, queries
 
 
-def _crowded_row():
+def _one_d_case(values, k, queries):
+    model = fit_knn(one_d(values, np.linspace(0.0, 1.0, len(values))), k=k)
+    return model, np.asarray(queries, dtype=float).reshape(-1, 1)
+
+
+def _crowded_case():
     # n = 200, k = 10: g = 25 groups of w = 8 strided columns, each group
-    # holding 8 consecutive values, so the bound is 72 and 73 entries lie
-    # at or below it
-    return (np.arange(200.0).reshape(25, 8).T.ravel()[None, :], 10)
+    # holding 8 consecutive values, so the query at the smallest has 73
+    # train rows at or below its unwidened bound
+    return _one_d_case(np.arange(200.0).reshape(25, 8).T.ravel(), 10, [0.0, 3.5])
 
 
-def _nan_bound_row():
-    # n = 16, k = 2: both strided groups hold a NaN, so the bound is NaN
-    # though 14 entries are finite; the second row has a finite bound
-    d2 = np.vstack([np.r_[np.nan, np.nan, np.arange(14.0)[::-1]], np.arange(16.0)])
-    return (d2, 2)
+def _far_case():
+    # a 50-row fit: the far rows are sorted whole, the others screened
+    rng = np.random.default_rng(13)
+    model = fit_knn(Dataset(rng.random((50, 3)), rng.random(50)), k=3)
+    queries = rng.random((6, 3))
+    queries[::2, 0] = [1e16, 1e20, 1e100]
+    return model, queries
 
 
-def _nearest_indices(blocks, m, k):
+def _nearest_indices(model, blocks, m):
     """The (m, k) columns that _nearest yields for the rows of ``blocks``;
     a row yielded twice, or never, fails."""
-    idx = np.full((m, k), -1, dtype=np.intp)
+    idx = np.full((m, model.k), -1, dtype=np.intp)
     seen = np.zeros(m, dtype=int)
-    for rows, cols in _nearest(blocks, k):
+    for rows, cols in _nearest(model, blocks):
         idx[rows] = cols
         seen[rows] += 1
     assert (seen == 1).all()
@@ -340,20 +443,18 @@ def _nearest_indices(blocks, m, k):
 
 class TestNearest:
     @settings(max_examples=300, deadline=None)
-    @given(case=_distance_rows())
-    @example(case=(np.ones((3, 50)), 5))  # all-equal rows
-    @example(case=(np.tile(np.arange(200.0), (2, 1)), 10))  # sorted ascending
-    @example(case=_crowded_row())  # the neighbours crowd into few groups
-    @example(case=(np.tile([3.0, 1.0, 1.0, 0.0, 2.0, 1.0, 0.0], (2, 1)), 4))  # n < 8k: w = 1
-    @example(case=_nan_bound_row())  # the NaN-bound fallback
-    @example(case=(np.full((2, 9), np.nan), 3))
-    @example(case=(np.vstack([np.zeros(64), np.arange(64.0)]), 2))  # one row sorted whole
+    @given(case=_screen_cases())
+    @example(case=_one_d_case(np.full(50, 0.3), 5, [0.3, 0.3, 0.3]))  # all tied
+    @example(case=_one_d_case(np.arange(200.0), 10, [0.0, 0.0]))  # sorted ascending
+    @example(case=_crowded_case())  # the neighbours crowd into few groups
+    @example(case=_one_d_case([3.0, 1.0, 1.0, 0.0, 2.0, 1.0, 0.0], 4, [0.5, 1.0]))  # n < 8k: w = 1
+    @example(case=_far_case())  # the overflow fallback
     def test_equals_stable_argsort(self, case):
-        d2, k = case
-        expected = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        assert np.array_equal(_nearest_indices([d2], len(d2), k), expected)
+        model, queries = case
+        expected = np.argsort(_exact_d2(model, queries), axis=1, kind="stable")[:, : model.k]
+        assert np.array_equal(_nearest_indices(model, [queries], len(queries)), expected)
         # in blocks of one row, so candidates of several blocks are selected together
-        assert np.array_equal(_nearest_indices(np.split(d2, len(d2)), len(d2), k), expected)
+        assert np.array_equal(_nearest_indices(model, np.split(queries, len(queries)), len(queries)), expected)
 
 
 @st.composite
@@ -362,16 +463,14 @@ def _scoring_cases(draw):
     rows) and two hubs of identical rows: a query at the first ties its
     copies at the bound and is selected from them, a query at the second
     has more than n // 8 rows at the bound and is sorted whole. Up to
-    three BLOCK // n-row distance blocks and a row of queries among the
+    three BLOCK // n-row screen blocks and a row of queries among the
     hubs, lattice and other points cross the blocks and the selections;
     sorted cut points of the batch; and a non-finite cell to plant, as
     (row, column, value), past the first block when the batch is.
 
     Every value is a multiple of 1/16 and every mean and std a power of
-    two or an integer, so each distance is exact whatever the matrix
-    product's kernel: the product of a BLAS can round identical train
-    rows apart by their column and by the batch's row count, which would
-    test the kernel, not the blocks."""
+    two or an integer, so each standardized value and each distance is
+    exact, and lattice rows tie exactly."""
     n = draw(st.integers(100, 600))
     k = draw(st.integers(1, 12))
     limit = max(k, n // 8)
@@ -383,7 +482,8 @@ def _scoring_cases(draw):
     hubs = rng.integers(10, 12, size=(2, 3)) + [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]  # never equal
     raw = np.vstack([np.repeat(hubs, copies, axis=0), rng.integers(0, 4, size=(n - sum(copies), 3))])
     train = (raw[rng.permutation(n)] - means) / stds
-    model = KnnModel(k, train, rng.random(n), means, stds, (train * train).sum(axis=1))
+    screen = np.vstack([train.T, (train * train).sum(axis=1)]).astype(np.float32)
+    model = KnnModel(k, train, rng.random(n), means, stds, screen)
     kind = rng.integers(0, 4, size=m)
     queries = rng.integers(0, 4, size=(m, 3)).astype(float)
     queries[kind == 0] = hubs[0]
