@@ -45,14 +45,17 @@ def _read_source(cfg: AppConfig):
 def _check_sizes(horizon: int, d: int, runs: int) -> None:
     """Refuse a suite that cannot fit in physical memory before anything of
     its size is allocated. The estimate is a lower bound: one run's stream,
-    horizon x (d + 2) float64s, plus the six margin traces of horizon
-    float64s that each of ``runs`` reports keeps."""
+    horizon x (d + 2) float64s, plus what each of ``runs`` keeps: six margin
+    traces of horizon float64s and 512 bytes. Under tracemalloc, horizon-1
+    suites kept 0.7 KB a run when most runs could not calibrate and 1.4 KB
+    when all could (reports, selectors, array headers), and peaked 0.15 KB
+    a run higher while the runs' job tuples lived."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    stream, margins = 8 * horizon * (d + 2), 8 * 6 * horizon
+    stream, per_run = 8 * horizon * (d + 2), 8 * 6 * horizon + 512
     beyond = f"more than the {memory / 2**30:,.1f} GiB of physical memory"
-    if stream + margins * min(runs, 1) > memory:
+    if stream + per_run * min(runs, 1) > memory:
         raise ConfigError("horizon", f"one run of {horizon} events needs {beyond}")
-    if stream + margins * runs > memory:
+    if stream + per_run * runs > memory:
         raise ConfigError("n_seeds", f"{runs} runs of {horizon} events need {beyond}")
 
 
@@ -252,7 +255,7 @@ def _run_suite_from_config(cfg: AppConfig):
         n_half = source.n // 2
         raise InvalidInput(f"no feature split excludes between {MIN_SUBGROUP} and n/2 = {n_half} source rows")
     exp = ExperimentConfig(k=cfg.k, grid=cfg.grid, monitor=cfg.monitor)
-    seeds = list(range(cfg.seed, cfg.seed + cfg.n_seeds))
+    seeds = range(cfg.seed, cfg.seed + cfg.n_seeds)
     # an unusable --out-dir fails before the suite runs, not after it;
     # a suite that fails on its input still leaves no directory behind
     missing = []

@@ -83,7 +83,7 @@ def _read_config_file(path: str) -> dict:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}")
-    values = {}
+    values, lines = {}, {}
     # a byte-order mark (U+FEFF) would start the first key
     for lineno, line in enumerate(text.removeprefix("\ufeff").split("\n"), 1):
         line = _COMMENT.split(line, 1)[0].strip()
@@ -94,7 +94,9 @@ def _read_config_file(path: str) -> dict:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in KNOWN_KEYS:
             raise ConfigError(key, "unknown configuration key")
-        values[key] = raw
+        if key in values:
+            raise ConfigError(key, f"set twice, on lines {lines[key]} and {lineno}")
+        values[key], lines[key] = raw, lineno
     return values
 
 

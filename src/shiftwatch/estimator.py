@@ -49,19 +49,15 @@ class KnnModel:
     training rows at or below it are the row's candidates. A row whose
     values could overflow float32, or that has more than k and more than an
     eighth of the training rows at or below its bound, has every d2
-    computed and sorted instead, as its block is scanned. The other rows'
-    candidates are held, as (row, column, d2), across blocks, and selected
-    together before the padded (rows, widest row) arrays of a selection
-    would pass BLOCK // 64 entries, and when the batch ends: a stable sort
-    of each row's candidate d2, in training order, picks its k nearest. A
-    block never splits a row, so every row is selected with all of its
-    candidates. Each row's score is written as soon as its selection or its
-    whole-row sort finishes, so no array but the scores grows with the
-    batch. Fitting rejects a feature whose mean or std is not finite, and
-    prediction a query row whose squared standardized norm is not finite:
-    either would turn every distance to NaN and the score into the mean of
-    the first k training rows. A far but finite query still scores so, as
-    z - t rounds to z and every d2 of its row ties (ROADMAP item 4).
+    computed and sorted instead. The block's other rows are selected
+    together: a stable sort of each row's candidate d2, in training order,
+    picks its k nearest. No candidate outlives its block, so no array but
+    the scores grows with the batch. Fitting rejects a feature whose mean
+    or std is not finite, and prediction a query row whose squared
+    standardized norm is not finite: either would turn every distance to
+    NaN and the score into the mean of the first k training rows. A far but
+    finite query still scores so, as z - t rounds to z and every d2 of its
+    row ties (ROADMAP item 4).
     """
 
     k: int
@@ -117,7 +113,7 @@ def _candidates(s: np.ndarray, widen: np.ndarray, k: int, mask: np.ndarray):
     np.less_equal(s, bound32[:, None], out=mask)
     # a NaN bound selects nothing, and a row tied at the bound with more
     # than an eighth of the columns would widen the padded arrays of every
-    # row selected with it: such rows are sorted whole instead. Past that
+    # row of its block: such rows are sorted whole instead. Past that
     # many candidates in all, rows are counted before any entry is
     # indexed, so the tied rows' entries never are.
     limit = max(k, n // 8)
@@ -136,23 +132,22 @@ def _candidates(s: np.ndarray, widen: np.ndarray, k: int, mask: np.ndarray):
     return np.flatnonzero(whole), flat, counts
 
 
-def _select(held: list, k: int, n: int):
-    """The k nearest of every row in ``held``, a list of (row numbers,
-    per-row counts, columns, d2) arrays in row-major order, as (row
-    numbers, (rows, k) columns); empties ``held``."""
-    rows, counts, cols, values = (np.concatenate(a) for a in zip(*held))
-    held.clear()
+def _select(counts: np.ndarray, cols: np.ndarray, d2: np.ndarray, k: int, n: int) -> np.ndarray:
+    """The (rows, k) columns of the k nearest of one block's rows that have
+    candidates, given each row's count of them and their columns and d2 in
+    row-major order. ``_candidates`` keeps a row's count within max(k,
+    n // 8), and so the width of the padded arrays."""
     c = max(k, int(counts.max()))
     # a candidate's place in the padded (rows, c) arrays, row by row
-    shift = np.arange(0, rows.size * c, c) - (np.cumsum(counts) - counts)
+    shift = np.arange(0, counts.size * c, c) - (np.cumsum(counts) - counts)
     dest = np.arange(cols.size) + np.repeat(shift, counts)
-    cand = np.full((rows.size, c), np.inf)
-    cand.ravel()[dest] = values
-    cand_cols = np.full((rows.size, c), n)
+    cand = np.full((counts.size, c), np.inf)
+    cand.ravel()[dest] = d2
+    cand_cols = np.full((counts.size, c), n)
     cand_cols.ravel()[dest] = cols
     # candidates sit in column order, ahead of the padding
     order = np.argsort(cand, axis=1, kind="stable")[:, :k]
-    return rows, np.take_along_axis(cand_cols, order, axis=1)
+    return np.take_along_axis(cand_cols, order, axis=1)
 
 
 def _standardized(model: KnnModel, x: np.ndarray, lo: int):
@@ -180,12 +175,13 @@ def _exact_d2(z: np.ndarray, train: np.ndarray, rows, cols) -> np.ndarray:
     return sum((z[:, p][rows] - train[:, p][cols]) ** 2 for p in range(z.shape[1]))
 
 
-def _nearest(model: KnnModel, blocks):
-    """For query rows given as consecutive blocks, yield (row numbers,
-    (rows, k) columns): the indices of each row's k nearest training rows
-    by (d2, index), as the KnnModel docstring says, each row once, as soon
-    as its whole-row sort or its selection finishes. The first row too far
-    to score raises QueryRowError with its index among all the blocks.
+def _nearest(model: KnnModel, x: np.ndarray, lo: int, scratch) -> np.ndarray:
+    """The (rows, k) indices of the k nearest training rows by (d2, index),
+    as the KnnModel docstring says, of each row of the query block ``x``,
+    which starts at row ``lo`` of its batch. The first row too far to score
+    raises QueryRowError with its index in the batch. ``scratch`` is
+    predict_many's (screen buffer, mask buffer, g_{d+6}, sqrt T), its
+    buffers at least as tall as the block.
 
     The screen's rounding error. Let u = 2^-24 and g_j = j u / (1 - j u).
     For a query row z and a training row t the product sums d + 1 terms
@@ -206,63 +202,48 @@ def _nearest(model: KnnModel, blocks):
     error is absolute."""
     k, train, screen = model.k, model.train_features, model.screen
     n, d = train.shape
-    gamma = (d + 6) * 2.0**-24 / (1.0 - (d + 6) * 2.0**-24)
-    root_t = np.sqrt(screen[-1].max(), dtype=float)
-    held, held_rows, held_width, lo, buffers = [], 0, 0, 0, None
-    for x in blocks:
-        z, zz = _standardized(model, x, lo)
-        r = len(z)
-        scale = (np.sqrt(zz) + root_t) ** 2 + 1.0
-        screened = scale <= SCREEN_LIMIT
-        a = np.zeros((r, d + 1), dtype=np.float32)
-        np.multiply(z, -2.0, out=a[:, :d], where=screened[:, None], casting="same_kind")
-        a[:, d] = 1.0
-        # the first block is the largest: one screen and one mask serve every block
-        if buffers is None:
-            buffers = np.empty((r, n), dtype=np.float32), np.empty((r, n), dtype=bool)
-        s = np.matmul(a, screen, out=buffers[0][:r])
-        widen = np.where(screened, 2.0 * gamma * scale, np.nan)
-        whole, flat, counts = _candidates(s, widen, k, buffers[1][:r])
-        for i in whole:  # row by row, so no (rows, n) d2 is made
-            yield [lo + i], np.argsort(_exact_d2(z, train, i, slice(None)), kind="stable")[None, :k]
-        rows = np.flatnonzero(counts)
+    buffer, mask, gamma, root_t = scratch
+    z, zz = _standardized(model, x, lo)
+    r = len(z)
+    scale = (np.sqrt(zz) + root_t) ** 2 + 1.0
+    screened = scale <= SCREEN_LIMIT
+    a = np.zeros((r, d + 1), dtype=np.float32)
+    np.multiply(z, -2.0, out=a[:, :d], where=screened[:, None], casting="same_kind")
+    a[:, d] = 1.0
+    s = np.matmul(a, screen, out=buffer[:r])
+    widen = np.where(screened, 2.0 * gamma * scale, np.nan)
+    whole, flat, counts = _candidates(s, widen, k, mask[:r])
+    idx = np.empty((r, k), dtype=np.intp)
+    for i in whole:  # row by row, so no (rows, n) d2 is made
+        idx[i] = np.argsort(_exact_d2(z, train, i, slice(None)), kind="stable")[:k]
+    rows = np.flatnonzero(counts)
+    if rows.size:
         local, cols = np.divmod(flat, n)
-        cands = (lo + rows, counts[rows], cols, _exact_d2(z, train, local, cols))
-        lo += r
-        if not rows.size:
-            continue
-        width = int(counts.max())
-        # a selection's padded arrays stay within BLOCK // 64 entries, a
-        # sixteenth of the block's bytes as a float64 and an int64 array,
-        # or within one block's rows when that block alone is wider; a
-        # smaller selection pads fewer rows to its widest
-        if held and (held_rows + rows.size) * max(held_width, width) > BLOCK // 64:
-            yield _select(held, k, n)
-            held_rows = held_width = 0
-        held.append(cands)
-        held_rows += rows.size
-        held_width = max(held_width, width)
-    if held:
-        yield _select(held, k, n)
+        idx[rows] = _select(counts[rows], cols, _exact_d2(z, train, local, cols), k, n)
+    return idx
 
 
 def predict_many(model: KnnModel, x) -> np.ndarray:
     """Scores for a batch of query rows (m, d), shape (m,); the first row
     too far to score raises QueryRowError with its index in the batch.
-    The rows are standardized and screened BLOCK // n rows at a time, and
-    the neighbours selected as the KnnModel docstring says; besides ``x``,
-    only the (m,) output grows with the batch."""
+    The rows are standardized, screened and selected BLOCK // n rows at a
+    time, as the KnnModel docstring says; besides ``x``, only the (m,)
+    output grows with the batch."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != model.train_features.shape[1]:
-        raise InvalidInput(
-            f"query dimension {x.shape[1]} does not match model dimension "
-            f"{model.train_features.shape[1]}"
-        )
+    n, d = model.train_features.shape
+    if x.shape[1] != d:
+        raise InvalidInput(f"query dimension {x.shape[1]} does not match model dimension {d}")
     m = x.shape[0]
-    step = max(1, BLOCK // model.train_features.shape[0])
+    step = max(1, BLOCK // n)
+    # one screen and one mask serve every block; _nearest derives g_{d+6} and sqrt T
+    gamma = (d + 6) * 2.0**-24 / (1.0 - (d + 6) * 2.0**-24)
+    root_t = np.sqrt(model.screen[-1].max(), dtype=float)
+    r = min(m, step)
+    scratch = np.empty((r, n), dtype=np.float32), np.empty((r, n), dtype=bool), gamma, root_t
     scores = np.empty(m)
-    for rows, idx in _nearest(model, (x[lo : lo + step] for lo in range(0, m, step))):
-        scores[rows] = model.train_errors[idx].mean(axis=1)
+    for lo in range(0, m, step):
+        idx = _nearest(model, x[lo : lo + step], lo, scratch)
+        scores[lo : lo + len(idx)] = model.train_errors[idx].mean(axis=1)
     return scores
 
 

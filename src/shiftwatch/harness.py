@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -335,8 +336,9 @@ def run_suite(
         for scenario in scenarios
         for seed in seeds
     ]
-    # a pool forks all its workers at the first submit, so never more than there are jobs
-    workers = min(workers, len(jobs))
+    # a pool forks all its workers at the first submit, so never more than
+    # there are jobs or CPUs
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         return [_run_one(job) for job in jobs]
     # imported here, so that only runs with workers pay for loading multiprocessing

@@ -385,6 +385,60 @@ class TestMonitorCommand:
         assert outputs[0] == outputs[1]
 
 
+def _labels_first(text):
+    """``text``, a CSV of plain cells with one row a line, with its error
+    and score columns moved ahead of the features."""
+    rows = [line.split(",") for line in text.splitlines()]
+    order = sorted(range(len(rows[0])), key=lambda i: rows[0][i] not in ("error", "score"))
+    return "".join(",".join(row[i] for i in order) + "\n" for row in rows)
+
+
+_REWRITES = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "blank-lines": lambda text: text.replace("\n", "\n\n"),
+    "labels-first": _labels_first,
+}
+
+
+class TestIngestRewrites:
+    """calibrate and monitor write the same bytes when the source and
+    production CSVs are rewritten without changing their data."""
+
+    @pytest.mark.parametrize("scored", [True, False], ids=["scored", "knn"])
+    def test_outputs_do_not_move(self, runner, tmp_path, scored):
+        rng = np.random.default_rng(9)
+        features = rng.random((600, 2))
+        errors = 0.9 * features[:, 0]
+        prod_features = rng.random((500, 2))
+        prod_features[100:, 0] = 0.9 + 0.1 * prod_features[100:, 0]
+        if scored:
+            source = Dataset(features, errors, errors + rng.normal(0.0, 0.02, 600))
+            prod = Dataset(prod_features, None, 0.9 * prod_features[:, 0])
+        else:
+            source, prod = Dataset(features, errors), Dataset(prod_features)
+        write_dataset(tmp_path / "src.csv", source)
+        write_dataset(tmp_path / "prod.csv", prod)
+        # write_dataset ends its lines with CRLF; the plain form ends them with LF
+        plain = {name: (tmp_path / name).read_text().replace("\r\n", "\n") for name in ("src.csv", "prod.csv")}
+        outputs = {}
+        for rewrite, change in [("plain", lambda text: text), *_REWRITES.items()]:
+            here = tmp_path / rewrite
+            here.mkdir()
+            for name, text in plain.items():
+                (here / name).write_bytes(change(text).encode())
+            codes = []
+            for command, extra in (("calibrate", []), ("monitor", ["--production", str(here / "prod.csv")])):
+                args = [command, "--source", str(here / "src.csv"), "--out-dir", str(here / command), *extra]
+                codes.append(runner.invoke(main, args).exit_code)
+            files = sorted((here / "calibrate").iterdir()) + sorted((here / "monitor").iterdir())
+            outputs[rewrite] = codes, [(f.name, f.read_bytes()) for f in files]
+        assert outputs["plain"][0] == [0, 2]  # the monitor alarms
+        assert [name for name, _ in outputs["plain"][1]] == [
+            "grid_report.csv", "selector.json", "monitor.json", "trajectory.csv"
+        ]
+        assert all(output == outputs["plain"] for output in outputs.values())
+
+
 class TestUnreadableFiles:
     """A directory, or a file that is not UTF-8, given as an input is an
     error of one line."""
@@ -523,19 +577,35 @@ class TestPackageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, key",
-        [("evaluate", "horizon"), ("sweep", "horizon"), ("simulate", "horizon"), ("evaluate", "n_seeds"), ("sweep", "n_seeds")],
+        "command, key, horizon",
+        [
+            ("evaluate", "horizon", None),
+            ("sweep", "horizon", None),
+            ("simulate", "horizon", None),
+            ("evaluate", "n_seeds", 1000),
+            ("sweep", "n_seeds", 1000),
+            ("evaluate", "n_seeds", 1),
+        ],
+        ids=["evaluate-horizon", "sweep-horizon", "simulate-horizon", "evaluate-n_seeds", "sweep-n_seeds", "evaluate-n_seeds-horizon-1"],
     )
-    def test_suite_larger_than_memory_is_refused_before_allocating(self, runner, tmp_path, command, key):
+    def test_suite_larger_than_memory_is_refused_before_allocating(
+        self, runner, tmp_path, monkeypatch, command, key, horizon
+    ):
         """A stream of horizon x (d + 2) float64s alone passes physical
         memory, or each run fits but n_seeds runs' margins (6 x horizon
-        float64s each) do not: one Error: line under the key, no --out-dir,
-        and nothing large allocated."""
+        float64s each) do not, or at horizon 1 their fixed 512 bytes each
+        do not: one Error: line under the key, no --out-dir, and nothing
+        large allocated. The suite never starts."""
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(cli, "run_suite", refused)
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if key == "horizon":
             sizes = ["--horizon", str(memory // 8)]
         else:
-            sizes = ["--horizon", "1000", "--n-seeds", str(memory // (8 * 6 * 1000) + 1)]
+            sizes = ["--horizon", str(horizon), "--n-seeds", str(memory // (8 * 6 * horizon + 512) + 1)]
         out = tmp_path / "made" / "out"
         args = [command, "--source", str(_scored_source(tmp_path / "src.csv")), "--out-dir", str(out), *sizes]
         tracemalloc.start()

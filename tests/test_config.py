@@ -62,6 +62,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             parse_config(str(path))
 
+    def test_key_set_twice_in_a_file(self, tmp_path):
+        # the later value used to win silently: k = 5 then k = 50 gave 50
+        path = tmp_path / "c.cfg"
+        path.write_text("k = 5\n# a comment\nseed = 1\nk = 50\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(str(path))
+        assert str(exc.value) == "k: set twice, on lines 1 and 4"
+
     def test_scores_key_is_unknown(self, tmp_path):
         # The production scores come from the production CSV's own column;
         # a separate scores file was never read, so the key is rejected.

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from shiftwatch import Dataset, estimator, fit_knn
 from shiftwatch.errors import DegenerateError, InvalidInput, QueryRowError
-from shiftwatch.estimator import BLOCK, KnnModel, _nearest, predict_many, r_squared, score_dataset, split_half
+from shiftwatch.estimator import BLOCK, KnnModel, predict_many, r_squared, score_dataset, split_half
 
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -154,10 +155,9 @@ class TestKnn:
     def test_scores_cross_block_and_selection_boundaries(self):
         # 3,000 train rows: 300 copies of hub a (a query there ties them,
         # under the n // 8 = 375 cutoff), 400 of hub b (sorted whole) and
-        # 2,300 integer lattice rows. The padded arrays of a block's
-        # near-tied rows fill a selection, so 1,200 queries cross the 87-row
-        # screen blocks and the selections 13 times each, and rows sorted
-        # whole sit between rows selected from candidates.
+        # 2,300 integer lattice rows. 1,200 queries cross the 87-row screen
+        # blocks, each one selection, 13 times, and rows sorted whole sit
+        # between rows selected from candidates.
         rng = np.random.default_rng(19)
         hubs = rng.uniform(10.0, 11.0, size=(2, 3))
         features = np.vstack([np.repeat(hubs, [300, 400], axis=0), rng.integers(0, 4, size=(2300, 3))])
@@ -264,7 +264,7 @@ class TestKnn:
         # each of 12,000 queries ties the 300 copies of one of 10 train
         # points, just under the n // 8 = 375 cutoff: 3.6 million
         # candidates, about 58 MB as (column, distance) pairs, are selected
-        # about 13 rows at a time
+        # one 87-row block at a time
         rng = np.random.default_rng(17)
         points = rng.random((10, 10))
         model = fit_knn(Dataset(points[np.arange(3000) % 10], rng.random(3000)), k=10)
@@ -275,7 +275,7 @@ class TestKnn:
 
     def test_predict_many_peak_memory_with_a_few_near_tied_rows(self):
         # one near-tied row among a thousand ordinary ones widens the padded
-        # arrays of every row selected with it to 300 columns: a selection
+        # arrays of its block's rows to 300 columns: a selection
         # bounded by its count of candidates, not by its padded size, held
         # about 3,000 rows x 300 columns, 26 MB
         rng = np.random.default_rng(18)
@@ -288,27 +288,38 @@ class TestKnn:
         assert peak < 4_000_000
         assert np.array_equal(scores, _stable_argsort_scores(model, queries)[0])
 
-    def test_selections_stay_within_a_sixteenth_of_a_block(self, monkeypatch):
-        # monitor-knn's shape: about 10 candidates a row, 87 rows a block,
-        # so a selection holds 3 or 4 blocks' rows; its padded (rows,
-        # widest row) arrays pass BLOCK // 64 entries, a sixteenth of the
-        # block's bytes as a float64 and an int64 array, only when they
-        # hold one block's rows alone
+    @pytest.mark.parametrize("near_tied", [False, True], ids=["spread", "near-tied"])
+    def test_each_block_is_one_selection(self, monkeypatch, near_tied):
+        # monitor-knn's shape, 87-row blocks of n = 3,000, with about 10
+        # candidates a row, or 300 for queries at one of 10 points copied
+        # 300 times each: _select runs once a block, on all of its rows,
+        # and pads them to at most max(k, n // 8) = 375 columns
         rng = np.random.default_rng(15)
-        model = fit_knn(Dataset(rng.random((3000, 10)), rng.random(3000)), k=10)
-        selections = []
-        select = estimator._select
+        if near_tied:
+            points = rng.random((10, 10))
+            features, queries = points[np.arange(3000) % 10], points[rng.integers(0, 10, 3000)]
+        else:
+            features, queries = rng.random((3000, 10)), rng.random((3000, 10))
+        model = fit_knn(Dataset(features, rng.random(3000)), k=10)
+        blocks, selections = [], []
+        nearest, select = estimator._nearest, estimator._select
 
-        def recorded(held, k, n):
-            rows = sum(h[0].size for h in held)
-            widest = max(k, *(int(h[1].max()) for h in held))
-            selections.append((rows * widest, len(held)))
-            return select(held, k, n)
+        def recorded_nearest(model, x, lo, scratch):
+            blocks.append(len(x))
+            return nearest(model, x, lo, scratch)
 
-        monkeypatch.setattr(estimator, "_select", recorded)
-        predict_many(model, rng.random((3000, 10)))
-        assert max(blocks for _, blocks in selections) > 1
-        assert all(entries <= BLOCK // 64 or blocks == 1 for entries, blocks in selections)
+        def recorded_select(counts, cols, d2, k, n):
+            selections.append((counts.size, max(k, int(counts.max()))))
+            return select(counts, cols, d2, k, n)
+
+        monkeypatch.setattr(estimator, "_nearest", recorded_nearest)
+        monkeypatch.setattr(estimator, "_select", recorded_select)
+        predict_many(model, queries)
+        assert blocks == [87] * 34 + [42]
+        assert [rows for rows, _ in selections] == blocks
+        widths = {width for _, width in selections}
+        assert max(widths) <= 375
+        assert widths == {300} or not near_tied
 
     @pytest.mark.parametrize("value", [1e200, -1e200, 1e308, np.inf, np.nan])
     def test_query_too_far_to_standardize_is_rejected(self, value):
@@ -429,16 +440,19 @@ def _far_case():
     return model, queries
 
 
-def _nearest_indices(model, blocks, m):
-    """The (m, k) columns that _nearest yields for the rows of ``blocks``;
-    a row yielded twice, or never, fails."""
-    idx = np.full((m, model.k), -1, dtype=np.intp)
-    seen = np.zeros(m, dtype=int)
-    for rows, cols in _nearest(model, blocks):
-        idx[rows] = cols
-        seen[rows] += 1
-    assert (seen == 1).all()
-    return idx
+def _nearest_indices(model, queries):
+    """The (m, k) columns that _nearest returns for the blocks of one
+    predict_many call on ``queries``."""
+    found = []
+
+    def recorded(*args):
+        found.append(nearest(*args))
+        return found[-1]
+
+    nearest = estimator._nearest
+    with mock.patch.object(estimator, "_nearest", recorded):
+        predict_many(model, queries)
+    return np.concatenate(found)
 
 
 class TestNearest:
@@ -452,9 +466,10 @@ class TestNearest:
     def test_equals_stable_argsort(self, case):
         model, queries = case
         expected = np.argsort(_exact_d2(model, queries), axis=1, kind="stable")[:, : model.k]
-        assert np.array_equal(_nearest_indices(model, [queries], len(queries)), expected)
-        # in blocks of one row, so candidates of several blocks are selected together
-        assert np.array_equal(_nearest_indices(model, np.split(queries, len(queries)), len(queries)), expected)
+        assert np.array_equal(_nearest_indices(model, queries), expected)
+        # one row a call, so each row is screened and selected in a block of its own
+        rows = [_nearest_indices(model, q) for q in np.split(queries, len(queries))]
+        assert np.array_equal(np.concatenate(rows), expected)
 
 
 @st.composite

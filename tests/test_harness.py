@@ -347,12 +347,18 @@ class TestRunExperiment:
         assert serial == parallel
 
     @pytest.mark.parametrize(
-        "workers, n_runs, pool", [(500, 2, 4), (3, 2, 3), (500, 1, None), (2, 1, None)]
+        "workers, n_runs, pool, cpus",
+        [(500, 2, 4, 8), (3, 2, 3, 8), (500, 1, None, 8), (2, 1, None, 8), (500, 2, 3, 3), (4, 2, None, None)],
+        # the CPU count is 8 unless the id names it
+        ids=["500-2-4", "3-2-3", "500-1-None", "2-1-None", "500-2-3-cpus-3", "4-2-None-cpus-unknown"],
     )
-    def test_pool_never_has_more_workers_than_jobs(self, small_run, monkeypatch, workers, n_runs, pool):
-        # a fork pool starts all max_workers children at the first submit;
-        # the stand-in records the size and runs the jobs in this process
+    def test_pool_never_has_more_workers_than_jobs(self, small_run, monkeypatch, workers, n_runs, pool, cpus):
+        # a fork pool starts all max_workers children at the first submit,
+        # so it is capped at the jobs and at the CPUs, one when os.cpu_count
+        # cannot tell; the stand-in records the size and runs the jobs in
+        # this process
         import concurrent.futures
+        import os
 
         sizes = []
 
@@ -370,6 +376,7 @@ class TestRunExperiment:
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandIn)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         data, scenario, schedule, config = small_run
         # n_runs scenarios by n_runs seeds: 4 jobs or 1
         scenarios = [scenario, ShiftScenario(1, "below_median")][:n_runs]
