@@ -8,14 +8,13 @@ timestamps so reruns with identical config are byte-identical. Exit codes:
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import dataclasses
 import json
 import os
 import sys
-
-import click
 
 from .calibration import calibrate, write_grid_report
 from .config import AppConfig, parse_config
@@ -112,38 +111,6 @@ _HELP = {
 }
 
 
-def _flags(*keys):
-    """``--config`` plus one flag per configuration key the command reads
-    (``--key-name``, or ``-k``). Flag values stay strings: parse_config
-    parses them as it parses file values."""
-
-    def decorate(fn):
-        for key in reversed(("config_file",) + keys):
-            name = {"config_file": "--config", "k": "-k"}.get(key, "--" + key.replace("_", "-"))
-            fn = click.option(name, key, default=None, metavar=key.upper(), help=_HELP.get(key))(fn)
-        return fn
-
-    return decorate
-
-
-class _Group(click.Group):
-    """Reports a package error from any subcommand as one line and exit
-    code 1, in place of a traceback."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except ShiftwatchError as exc:
-            raise click.ClickException(str(exc))
-
-
-@click.group(cls=_Group)
-def main():
-    """Label-free sequential harmful-shift monitoring."""
-
-
-@main.command("calibrate")
-@_flags("source", "out_dir", "seed", "k", "fdp_max")
 def cmd_calibrate(config_file, **flags):
     """Calibrate the threshold pair and emit the grid report."""
     cfg = parse_config(config_file, **flags)
@@ -160,14 +127,12 @@ def cmd_calibrate(config_file, **flags):
         "grid_cells": len(calres.grid_report),
     }
     _write_json(os.path.join(cfg.out_dir, "selector.json"), payload)
-    click.echo(
+    print(
         f"selector: q={calres.selector.q:.6g} q_hat={calres.selector.q_hat:.6g} "
         f"power={calres.power:.3f} fdp={calres.fdp:.3f} (r2={r2:.3f})"
     )
 
 
-@main.command("monitor")
-@_flags("source", "production", "out_dir", "seed", "k", "fdp_max", "alpha_source", "alpha_prod", "eps_tol", "delta_corr")
 def cmd_monitor(config_file, **flags):
     """Stream a production file (or stdin) through the quantile detectors.
 
@@ -214,15 +179,13 @@ def cmd_monitor(config_file, **flags):
     }
     _write_json(summary_path, summary)
     if state.phi_q or state.phi_q2:
-        click.echo(
+        print(
             f"ALARM: phi_q at t={state.phi_q_time}, phi_q2 at t={state.phi_q2_time}"
         )
         sys.exit(2)
-    click.echo(f"no alarm over {state.t} events")
+    print(f"no alarm over {state.t} events")
 
 
-@main.command("simulate")
-@_flags("source", "out_dir", "seed", "schedule", "horizon", "onset", "feature_kinds", "ablation_fraction")
 def cmd_simulate(config_file, **flags):
     """Enumerate feature-split scenarios and write replayable streams."""
     cfg = parse_config(config_file, **flags)
@@ -246,7 +209,7 @@ def cmd_simulate(config_file, **flags):
         )
     payload = {"schema_version": SCHEMA_VERSION, "scenarios": index}
     _write_json(os.path.join(cfg.out_dir, "scenarios.json"), payload)
-    click.echo(f"wrote {len(index)} scenario streams to {cfg.out_dir}")
+    print(f"wrote {len(index)} scenario streams to {cfg.out_dir}")
 
 
 def _run_suite_from_config(cfg: AppConfig):
@@ -273,11 +236,6 @@ def _run_suite_from_config(cfg: AppConfig):
         raise
 
 
-@main.command("evaluate")
-@_flags(
-    "source", "out_dir", "seed", "k", "fdp_max", "alpha_source", "alpha_prod", "eps_tol", "delta_corr",
-    "schedule", "horizon", "onset", "feature_kinds", "ablation_fraction", "n_seeds", "workers",
-)
 def cmd_evaluate(config_file, **flags):
     """Run the full shift suite and emit per-detector metrics JSON."""
     cfg = parse_config(config_file, **flags)
@@ -298,16 +256,9 @@ def cmd_evaluate(config_file, **flags):
     _write_json(os.path.join(cfg.out_dir, "metrics.json"), payload)
     with open(os.path.join(cfg.out_dir, "runs.json"), "w") as fh:
         fh.write(reports_to_json(reports))
-    click.echo(json.dumps(payload["detectors"], sort_keys=True))
+    print(json.dumps(payload["detectors"], sort_keys=True))
 
 
-@main.command("sweep")
-# no --eps-tol: each row's tolerance comes from --eps-tol-grid
-@_flags(
-    "source", "out_dir", "seed", "k", "fdp_max", "alpha_source", "alpha_prod", "delta_corr",
-    "schedule", "horizon", "onset", "feature_kinds", "ablation_fraction", "n_seeds", "workers",
-    "eps_harm_grid", "eps_tol_grid",
-)
 def cmd_sweep(config_file, **flags):
     """Sweep harmfulness-threshold and tolerance grids over one suite run."""
     cfg = parse_config(config_file, **flags)
@@ -324,7 +275,66 @@ def cmd_sweep(config_file, **flags):
         writer = csv.DictWriter(fh, fieldnames=sorted(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-    click.echo(f"wrote {len(rows)} sweep rows to {cfg.out_dir}")
+    print(f"wrote {len(rows)} sweep rows to {cfg.out_dir}")
+
+
+# Per command: its function and the configuration keys it has a flag for
+# (--key-name, or -k), besides --config. Flag values stay strings:
+# parse_config parses them as it parses file values.
+_COMMANDS = {
+    "calibrate": (cmd_calibrate, "source out_dir seed k fdp_max"),
+    "monitor": (cmd_monitor, "source production out_dir seed k fdp_max alpha_source alpha_prod eps_tol delta_corr"),
+    "simulate": (cmd_simulate, "source out_dir seed schedule horizon onset feature_kinds ablation_fraction"),
+    "evaluate": (cmd_evaluate, "source out_dir seed k fdp_max alpha_source alpha_prod eps_tol delta_corr "
+                 "schedule horizon onset feature_kinds ablation_fraction n_seeds workers"),
+    # no --eps-tol: each row's tolerance comes from --eps-tol-grid
+    "sweep": (cmd_sweep, "source out_dir seed k fdp_max alpha_source alpha_prod delta_corr schedule horizon onset "
+              "feature_kinds ablation_fraction n_seeds workers eps_harm_grid eps_tol_grid"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a package error, one ``Error:`` line and
+    exit code 1, where argparse prints its usage and exits 2, the code of
+    an alarm."""
+
+    def error(self, message):
+        raise ShiftwatchError(message)
+
+
+def main(args=None, prog_name="shiftwatch"):
+    """Label-free sequential harmful-shift monitoring."""
+    args = sys.argv[1:] if args is None else list(args)
+    parser = _Parser(prog=prog_name, description=main.__doc__, allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, (command, keys) in _COMMANDS.items():
+        keys, doc = ["config_file", *keys.split()], command.__doc__
+        sub = commands.add_parser(name, help=doc.split("\n")[0], description=doc, allow_abbrev=False)
+        options = [{"config_file": "--config", "k": "-k"}.get(key, "--" + key.replace("_", "-")) for key in keys]
+        for option, key in zip(options, keys):
+            sub.add_argument(option, dest=key, metavar=key.upper(), help=_HELP.get(key))
+        if args[:1] == [name]:
+            # a flag takes the word after it as its value, even '-' or
+            # '-5,nan', which argparse alone would read as a flag
+            words, args = iter(args[1:]), [name]
+            for word in words:
+                value = next(words, None) if word in options else None
+                args.append(word if value is None else f"{word}={value}")
+    try:
+        flags = vars(parser.parse_args(args))
+        command, _ = _COMMANDS[flags.pop("command")]
+        command(**flags)
+    except ShiftwatchError as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        sys.exit(1)
+    except KeyboardInterrupt:  # an interrupted run is an error too, never an alarm
+        print("\nAborted!", file=sys.stderr)
+        sys.exit(1)
+
+
+# perfbench/trace_cli.py calls cli.main.main(args=..., prog_name=...);
+# ROADMAP item 1b deletes this alias
+main.main = main
 
 
 if __name__ == "__main__":

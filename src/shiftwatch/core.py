@@ -153,11 +153,11 @@ def read_chunks(path, where) -> Iterator[Dataset]:
     is dropped.
 
     Every cell of a feature, ``error`` or ``score`` column in the header
-    must be a finite number; otherwise IngestError names the line and the
-    column. Errors must also lie in [0, 1]. Blank lines are skipped. A
-    header that names ``error`` or ``score`` twice, a cell longer than
-    csv's field size limit, and a file that cannot be opened, read or
-    decoded are IngestErrors too."""
+    must be a finite number, and every ``error`` cell must lie in [0, 1];
+    otherwise IngestError names the line and the column. Blank lines are
+    skipped. A header that names ``error`` or ``score`` twice, a cell
+    longer than csv's field size limit, and a file that cannot be opened,
+    read or decoded are IngestErrors too."""
     lines = _lines(path, where)
     head = [line.removeprefix("\ufeff") for line in itertools.islice(lines, 1)]
     reader = csv.reader(itertools.chain(head, lines))
@@ -175,7 +175,6 @@ def read_chunks(path, where) -> Iterator[Dataset]:
     has_error, has_score = "error" in header, "score" in header
     names += [c for c in ("error", "score") if c in header]
     cols = [(header.index(name), name) for name in names]
-    usecols = [i for i, _ in cols]
 
     line = reader.line_num  # the physical lines read so far
     while True:
@@ -184,30 +183,24 @@ def read_chunks(path, where) -> Iterator[Dataset]:
         if not block:
             return
         try:
-            values, used = _parse_block(block, usecols), len(block)
+            values, used = _parse_block(block, cols), len(block)
         except Exception:  # the per-cell parse decides, and names any bad cell
             values = None
         if values is None:
             values, used = _parse_cells(block, lines, cols, line, where)
         line += used
         if values.shape[0]:
-            try:
-                yield Dataset(
-                    values[:, :d],
-                    values[:, d] if has_error else None,
-                    values[:, -1] if has_score else None,
-                )
-            except InvalidInput as exc:
-                raise IngestError(f"{where}: {exc}")
+            yield Dataset(values[:, :d], values[:, d] if has_error else None, values[:, -1] if has_score else None)
 
 
-def _parse_block(block, usecols) -> np.ndarray:
+def _parse_block(block, cols) -> np.ndarray:
     """One np.loadtxt call over a block of lines, or ValueError where its
     parse could differ from ``_parse_cells``: a quote (csv joins a quoted
     cell, loadtxt splits it at its commas), the ASCII separators
     \\x1c-\\x1f (loadtxt strips them as whitespace, float() refuses them),
     a line longer than csv's field size limit (loadtxt has none), a
-    non-finite value, or a row count other than the non-blank lines'."""
+    row count other than the non-blank lines', or a value ``_cell``
+    refuses: a non-finite one, or an error outside [0, 1]."""
     text = "".join(block)
     if any(c in text for c in '"\x1c\x1d\x1e\x1f'):
         raise ValueError("a quote or an ASCII separator")
@@ -215,10 +208,11 @@ def _parse_block(block, usecols) -> np.ndarray:
         raise ValueError("a line longer than csv's field size limit")
     n_rows = len(block) - sum(map(block.count, ("\n", "\r\n", "\r")))
     if n_rows == 0:  # np.loadtxt warns on a block of blank lines
-        return np.empty((0, len(usecols)))
-    values = np.loadtxt(block, delimiter=",", comments=None, usecols=usecols, ndmin=2)
-    if not np.isfinite(values).all():
-        raise ValueError("a non-finite value")
+        return np.empty((0, len(cols)))
+    values = np.loadtxt(block, delimiter=",", comments=None, usecols=[i for i, _ in cols], ndmin=2)
+    errors = values[:, [name == "error" for _, name in cols]]
+    if not np.isfinite(values).all() or (errors < 0.0).any() or (errors > 1.0).any():
+        raise ValueError("a value _cell refuses")
     if values.shape[0] != n_rows:
         raise ValueError("a row count other than the non-blank lines'")
     return values
@@ -263,6 +257,11 @@ def _cell(row, i, name, line, where) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise IngestError(f"{where} line {line}, column {name}: expected a finite number, got {raw!r}")
+    if name == "error" and not 0.0 <= value <= 1.0:
+        raise IngestError(
+            f"{where} line {line}, column error: true errors must lie in [0, 1], got {raw!r}; "
+            "normalize the monitored loss before ingestion"
+        )
     return value
 
 

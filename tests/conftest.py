@@ -1,5 +1,11 @@
 """Shared fixtures for the test suite."""
 
+import contextlib
+import io
+import sys
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 import pytest
 
@@ -25,3 +31,42 @@ def correlated_dataset() -> Dataset:
     scores = errors + rng.normal(0.0, 0.05, n)
     features = rng.random((n, 3))
     return Dataset(features, errors, scores)
+
+
+@dataclass
+class Result:
+    """One in-process run of the command line: its exit code, what it
+    wrote to stdout and stderr in the order written, and the exception
+    that ended it (a SystemExit of a nonzero code, or what escaped)."""
+
+    exit_code: int
+    output: str
+    exception: Optional[BaseException]
+
+
+class Runner:
+    """Runs the command line in process. stdin is ``input`` (text or bytes)
+    in a UTF-8 text stream with universal newlines, as a console's is, and
+    empty without it."""
+
+    def invoke(self, main, args, input=None):
+        data = input.encode() if isinstance(input, str) else input or b""
+        output, stdin = io.StringIO(), sys.stdin
+        exit_code, exception = 0, None
+        sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        try:
+            with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+                main(args)
+        except SystemExit as exc:
+            exit_code = exc.code or 0
+            exception = exc if exit_code else None
+        except Exception as exc:
+            exit_code, exception = 1, exc
+        finally:
+            sys.stdin = stdin
+        return Result(exit_code, output.getvalue(), exception)
+
+
+@pytest.fixture(scope="session")
+def runner() -> Runner:
+    return Runner()

@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from shiftwatch import Dataset, GridSpec, MonitorConfig, MonitorState, calibrate, fit_knn, source_statistics
 from shiftwatch.cli import main as cli_main
@@ -348,7 +347,7 @@ def test_unit_exactness():
     )
 
 
-def test_evaluate_determinism(tmp_path):
+def test_evaluate_determinism(tmp_path, runner):
     """Repeating the evaluate command with identical configuration must
     produce byte-identical metric JSON."""
     src = tmp_path / "src.csv"
@@ -358,7 +357,6 @@ def test_evaluate_determinism(tmp_path):
             500, subgroup_frac=0.3, base_error=0.15, error_ratio=3.0, seed=31
         ),
     )
-    runner = CliRunner()
 
     def run(out):
         return runner.invoke(

@@ -11,18 +11,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from shiftwatch import Dataset, cli, core
 from shiftwatch.cli import main
 from shiftwatch.confidence import hoeffding_halfwidth
 from shiftwatch.core import write_dataset
-from shiftwatch.errors import DegenerateError
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
+from shiftwatch.errors import ConfigError, DegenerateError
 
 
 def _scored_source(path, n=200, seed=0):
@@ -206,6 +201,22 @@ class TestMonitorCommand:
         _assert_one_line_error(result, "line 2", "column score", "'nan'")
         result = self._monitor_rows(runner, tmp_path, ["f0,f1,score", "0.5,0.5,0.1", "0.5,0.5,-inf"])
         _assert_one_line_error(result, "line 3", "column score")
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["loadtxt", "per-cell"])
+    def test_error_outside_unit_interval_names_its_line(self, runner, tmp_path, quote):
+        """An error cell outside [0, 1] is named by line and column, in a
+        source file and in a production stream on stdin, on both parse
+        paths: a quoted cell sends its block to the per-cell parse."""
+        rows = ["f0,f1,error"] + [f"{quote}0.5{quote},0.5,0.5"] + ["0.5,0.5,0.5"] * 3 + ["0.5,0.5,1.5"]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        result = runner.invoke(main, ["calibrate", "--source", str(bad), "--out-dir", str(tmp_path / "o")])
+        _assert_one_line_error(result, f"{bad} line 6, column error:", "[0, 1], got '1.5'")
+        src = _scored_source(tmp_path / "src.csv")
+        stdin = f"f0,f1,error,score\n{quote}0.5{quote},0.5,0.2,0.3\n0.5,0.5,-0.25,0.3\n"
+        args = ["monitor", "--source", str(src), "--production", "-", "--out-dir", str(tmp_path / "o")]
+        result = runner.invoke(main, args, input=stdin)
+        _assert_one_line_error(result, "production stream line 3, column error:", "[0, 1], got '-0.25'")
 
     def test_non_finite_feature_is_rejected(self, runner, tmp_path):
         result = self._monitor_rows(runner, tmp_path, ["f0,f1,score", "inf,0.5,0.2"])
@@ -627,9 +638,15 @@ class TestPackageErrors:
         assert result.output.strip().splitlines() == ["Error: eps_tol_grid: must list at least one value"]
 
 
+def _flag(key):
+    """The flag of a configuration key (README, "Command line")."""
+    return {"config_file": "--config", "k": "-k"}.get(key, "--" + key.replace("_", "-"))
+
+
 class TestFlags:
     """Each command takes flags only for the configuration keys it reads,
-    and parses their values as it parses config file values."""
+    and parses their values as it parses config file values. A usage error
+    is one Error: line and exit code 1: exit code 2 is the alarm's."""
 
     @pytest.mark.parametrize(
         "args",
@@ -643,15 +660,106 @@ class TestFlags:
         ids=" ".join,
     )
     def test_unread_flag_is_no_option(self, runner, args):
-        result = runner.invoke(main, args)
-        assert result.exit_code == 2, result.output
-        assert "No such option" in result.output
+        _assert_one_line_error(runner.invoke(main, args), "unrecognized arguments", args[1])
+
+    @pytest.mark.parametrize(
+        "args, word",
+        [
+            (["calibrate", "--sourc", "src.csv"], "--sourc"),
+            (["calibrate", "--sourc=src.csv"], "--sourc=src.csv"),
+            (["monitor", "--no-such-flag", "1"], "--no-such-flag"),
+            (["calibrate", "--source"], "--source"),
+            (["monitor", "--source", "src.csv", "-k"], "-k"),
+            (["nosuch"], "'nosuch'"),
+            (["calib"], "'calib'"),
+            ([], "COMMAND"),
+            (["--source", "src.csv"], "'src.csv'"),
+            (["calibrate", "extra"], "extra"),
+            (["evaluate", "--source", "src.csv", "extra"], "extra"),
+        ],
+        ids=["abbreviated", "abbreviated=", "unknown", "no-value", "no-value-k", "unknown-command",
+             "abbreviated-command", "no-command", "flag-before-command", "extra", "extra-after-flag"],
+    )
+    def test_usage_error_is_one_line(self, runner, tmp_path, monkeypatch, args, word):
+        monkeypatch.chdir(tmp_path)
+        _assert_one_line_error(runner.invoke(main, args), word)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_value_forms(self, runner, monkeypatch):
+        """--flag VALUE and --flag=VALUE set the same value, the last one
+        given wins, and a flag takes the next word whatever it starts with."""
+        seen = []
+
+        def recorded(config_file, **flags):
+            seen.append(dict(flags, config_file=config_file))
+            raise ConfigError("recorded")
+
+        monkeypatch.setattr(cli, "parse_config", recorded)
+        for args in (
+            ["sweep", "--source", "-", "--eps-tol-grid", "-5,nan", "-k", "-3", "--config", "--seed"],
+            ["sweep", "--source=-", "--eps-tol-grid=-5,nan", "-k=-3", "--config=--seed"],
+            ["sweep", "--source", "a", "-k", "2", "--eps-tol-grid", "0", "--source", "-", "-k-3",
+             "--eps-tol-grid=-5,nan", "--config", "x", "--config", "--seed"],
+        ):
+            _assert_one_line_error(runner.invoke(main, args), "Error: recorded")
+        expected = dict.fromkeys(cli._COMMANDS["sweep"][1].split())
+        expected.update(source="-", eps_tol_grid="-5,nan", k="-3", config_file="--seed")
+        assert seen == [expected] * 3
+
+    def test_help(self, runner):
+        """--help exits 0 at either level: the top level lists the commands,
+        a command lists its flags with their help texts."""
+        result = runner.invoke(main, ["--help"])
+        assert (result.exit_code, result.exception) == (0, None)
+        assert all(f"    {name}" in result.output for name in cli._COMMANDS), result.output
+        for name, (_, keys) in cli._COMMANDS.items():
+            result = runner.invoke(main, [name, "--help"])
+            assert (result.exit_code, result.exception) == (0, None)
+            text = " ".join(result.output.split())
+            for key in ["config_file", *keys.split()]:
+                assert f"{_flag(key)} {key.upper()}" in text
+                assert cli._HELP.get(key, "") in text
+
+    def test_interrupted_run_exits_one(self, runner, monkeypatch):
+        def interrupted(config_file, **flags):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "parse_config", interrupted)
+        result = runner.invoke(main, ["monitor"])
+        assert (result.exit_code, result.output) == (1, "\nAborted!\n")
 
     def test_malformed_value_is_one_line(self, runner, tmp_path):
         src = _scored_source(tmp_path / "src.csv")
         result = runner.invoke(main, ["calibrate", "--source", str(src), "--seed", "abc"])
         _assert_one_line_error(result, "seed: cannot parse value 'abc'")
         assert not (tmp_path / "out").exists()
+
+    def test_argv_fuzz(self, runner, tmp_path, monkeypatch):
+        """Command lines drawn from each command's flags, other spellings
+        and awkward values: every outcome is exit 0, 1 or 2, exit 1 prints
+        exactly one Error: line, exit 2 only reports an alarm, nothing but
+        SystemExit escapes, and no command gets far enough to write a
+        file."""
+        monkeypatch.chdir(tmp_path)
+        flags = sorted({_flag(key) for _, keys in cli._COMMANDS.values() for key in ["config_file", *keys.split()]})
+        others = ["--sourc", "--out", "--no-such-flag", "-x", "-k", "--x=", "--source=", "-k=", "--", "--help"]
+        values = ["", "-", "-5,nan", "=", "--source", "-k", "0", "3", "-1", "0.5,2", "nope.csv", "no/such/dir"]
+        words = st.lists(st.sampled_from(flags + others + values), max_size=6)
+        command = st.sampled_from(list(cli._COMMANDS) + ["nosuch", "calib", "", "-k", "--help"])
+
+        @settings(max_examples=150, deadline=None, database=None)
+        @given(argv=st.tuples(command, words).map(lambda drawn: [drawn[0], *drawn[1]]) | words)
+        def check(argv):
+            result = runner.invoke(main, argv)
+            assert result.exit_code in (0, 1, 2), (argv, result.output)
+            assert result.exception is None or isinstance(result.exception, SystemExit), (argv, result.exception)
+            assert result.exit_code != 2 or result.output.startswith("ALARM"), (argv, result.output)
+            if result.exit_code == 1:
+                lines = result.output.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("Error: "), (argv, result.output)
+
+        check()
+        assert list(tmp_path.iterdir()) == []
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -707,6 +815,26 @@ def test_evaluate_with_category_splits_never_imports_numpy_ma(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "category" in (tmp_path / "out" / "runs.json").read_text()
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("command", ["monitor", "evaluate"])
+def test_commands_run_without_click(tmp_path, command):
+    """The command line parses with the standard library: a command run
+    in its own process leaves click out of sys.modules."""
+    src = _scored_source(tmp_path / "src.csv")
+    args = [command, "--source", str(src), "--out-dir", str(tmp_path / "out")]
+    args += ["--production", str(src)] if command == "monitor" else ["--horizon", "50", "--onset", "10"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys; from shiftwatch.cli import main\n"
+        f"try:\n    main({args!r})\nexcept SystemExit as exc:\n    print(exc.code)\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'click'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+    assert (tmp_path / "out").is_dir()
 
 
 @pytest.mark.parametrize("command, expected", [("monitor", 2), ("evaluate", 0)])

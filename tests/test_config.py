@@ -253,8 +253,8 @@ def _function_reads(name, seen):
 def _reads_and_flags():
     """Per command: the keys it reads and the keys it has a flag for."""
     return {
-        name: (_function_reads(command.callback.__name__, set()), {p.name for p in command.params} - {"config_file"})
-        for name, command in cli.main.commands.items()
+        name: (_function_reads(command.__name__, set()), set(keys.split()))
+        for name, (command, keys) in cli._COMMANDS.items()
     }
 
 
@@ -262,13 +262,13 @@ def test_every_flag_is_read_by_its_command():
     """A flag that its command never reads as ``cfg.<key>``, in its own body
     or in a cli.py helper it calls, would be accepted and then ignored."""
     unread = {name: sorted(flags - reads) for name, (reads, flags) in _reads_and_flags().items()}
-    assert unread == {name: [] for name in cli.main.commands}
+    assert unread == {name: [] for name in cli._COMMANDS}
 
 
 # keys with no flag on any command (README, "Command line"), and sweep's
 # eps_tol, which reads its tolerances from --eps-tol-grid instead
 FLAGLESS = {"alpha1", "p_values", "p_hat_values"}
-NO_FLAG = {name: FLAGLESS | ({"eps_tol"} if name == "sweep" else set()) for name in cli.main.commands}
+NO_FLAG = {name: FLAGLESS | ({"eps_tol"} if name == "sweep" else set()) for name in cli._COMMANDS}
 
 
 def test_every_key_a_command_reads_has_a_flag():
@@ -277,4 +277,4 @@ def test_every_key_a_command_reads_has_a_flag():
     missing = {
         name: sorted((reads & KNOWN_KEYS) - flags - NO_FLAG[name]) for name, (reads, flags) in _reads_and_flags().items()
     }
-    assert missing == {name: [] for name in cli.main.commands}
+    assert missing == {name: [] for name in cli._COMMANDS}

@@ -27,7 +27,6 @@ import runpy
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from shiftwatch import Dataset, cli, core
 from shiftwatch.core import write_dataset
@@ -85,7 +84,7 @@ CASES = {
 }
 
 
-def _digests(case, paths, out, monkeypatch):
+def _digests(case, paths, out, monkeypatch, runner):
     template, stdin = CASES[case]
     args = [word.format(**paths) for word in template.split()]
     kept = []
@@ -94,7 +93,7 @@ def _digests(case, paths, out, monkeypatch):
     if stdin is not None:
         # stdin in chunks of 64 lines, so the detectors are fed across chunk boundaries
         monkeypatch.setattr(core, "CHUNK_ROWS", 64)
-    result = CliRunner().invoke(
+    result = runner.invoke(
         cli.main, args + ["--out-dir", str(out)], input=None if stdin is None else paths[stdin].read_bytes()
     )
     assert result.exception is None or isinstance(result.exception, SystemExit), result.output
@@ -118,8 +117,8 @@ def _check(section, case, digests):
 
 
 @pytest.mark.parametrize("case", list(CASES))
-def test_outputs_match_recorded_digests(case, inputs, tmp_path, monkeypatch):
-    _check("cases", case, _digests(case, inputs, tmp_path / "out", monkeypatch))
+def test_outputs_match_recorded_digests(case, inputs, tmp_path, monkeypatch, runner):
+    _check("cases", case, _digests(case, inputs, tmp_path / "out", monkeypatch, runner))
 
 
 # per case: the generator keywords. The first sets are those the tests and

@@ -1,15 +1,18 @@
 """Every module of the package and every test file uses what it
-imports, every top-level function and class of the package has a reader,
-the package root exports only names the README uses, and the README's
-library example runs as written.
+imports, the package imports no third-party module that pyproject.toml
+does not declare and declares none it does not import, every top-level
+function and class of the package has a reader, the package root exports
+only names the README uses, and the README's library example runs as
+written.
 
-``__init__.py`` only re-exports, so the first two checks skip it;
-``from __future__ import annotations`` is never a use.
+``__init__.py`` only re-exports, so the unused-import and reader checks
+skip it; ``from __future__ import annotations`` is never a use.
 """
 
 import ast
 import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -58,11 +61,23 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
-def _is_click_command(node):
-    return any(
-        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr in ("command", "group")
-        for d in node.decorator_list
-    )
+def test_dependencies_are_the_third_party_imports():
+    """The top-level modules the package imports, less the standard
+    library and the package itself, are the ``dependencies`` of
+    pyproject.toml, so a runtime dependency is neither dropped from the
+    list nor added to the code unnoticed."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    imported = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    imported -= set(sys.stdlib_module_names) | {"shiftwatch"}
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", dep).group().lower().replace("-", "_") for dep in project["dependencies"]}
+    assert imported == declared
 
 
 def _named(node):
@@ -99,8 +114,7 @@ def test_every_definition_has_a_reader():
     for path, tree in readers:
         for stmt in tree.body:
             if path.parent == PACKAGE and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                if not _is_click_command(stmt):
-                    defined.append((path.name, stmt.name))
+                defined.append((path.name, stmt.name))
             # a definition that names itself (recursion) is not its own reader
             own = {stmt.name} if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else set()
             named |= _named(stmt) - own
