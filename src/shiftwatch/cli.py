@@ -43,14 +43,14 @@ def _read_source(cfg: AppConfig):
 
 def _check_sizes(horizon: int, d: int, runs: int) -> None:
     """Refuse a suite that cannot fit in physical memory before anything of
-    its size is allocated. The estimate is a lower bound: one run's stream,
-    horizon x (d + 2) float64s, plus what each of ``runs`` keeps: six margin
-    traces of horizon float64s and 512 bytes. Under tracemalloc, horizon-1
-    suites kept 0.7 KB a run when most runs could not calibrate and 1.4 KB
-    when all could (reports, selectors, array headers), and peaked 0.15 KB
-    a run higher while the runs' job tuples lived."""
+    its size is allocated. The estimate is one run's stream, horizon x
+    (d + 2) float64s, plus for each of ``runs`` six margin traces of
+    horizon float64s and 10 KiB. Under tracemalloc, horizon-1 suites of 60
+    to 960 runs on a 400-row, 3-feature k-NN source peaked 6.0 to 9.3 KB
+    higher for each run added under evaluate, which holds every report and
+    builds runs.json whole, and 1.5 KB under sweep."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    stream, per_run = 8 * horizon * (d + 2), 8 * 6 * horizon + 512
+    stream, per_run = 8 * horizon * (d + 2), 8 * 6 * horizon + 10 * 1024
     beyond = f"more than the {memory / 2**30:,.1f} GiB of physical memory"
     if stream + per_run * min(runs, 1) > memory:
         raise ConfigError("horizon", f"one run of {horizon} events needs {beyond}")
@@ -88,9 +88,10 @@ def _calibration_pipeline(cfg: AppConfig):
     return model, cal_scored, calres, r2
 
 
-def _write_json(path: str, payload) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2))
+def _write_json(cfg: AppConfig, name: str, payload: dict) -> None:
+    """Write ``payload`` with its schema version as ``name`` under the out dir."""
+    with open(os.path.join(cfg.out_dir, name), "w") as fh:
+        fh.write(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, sort_keys=True, indent=2))
 
 
 def _make_out_dir(path: str) -> None:
@@ -111,14 +112,12 @@ _HELP = {
 }
 
 
-def cmd_calibrate(config_file, **flags):
+def cmd_calibrate(cfg: AppConfig):
     """Calibrate the threshold pair and emit the grid report."""
-    cfg = parse_config(config_file, **flags)
     model, cal_scored, calres, r2 = _calibration_pipeline(cfg)
     _make_out_dir(cfg.out_dir)
     write_grid_report(os.path.join(cfg.out_dir, "grid_report.csv"), calres.grid_report)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "selector": dataclasses.asdict(calres.selector),
         "power": calres.power,
         "fdp": calres.fdp,
@@ -126,14 +125,14 @@ def cmd_calibrate(config_file, **flags):
         "estimator": "external_scores" if model is None else f"knn(k={model.k})",
         "grid_cells": len(calres.grid_report),
     }
-    _write_json(os.path.join(cfg.out_dir, "selector.json"), payload)
+    _write_json(cfg, "selector.json", payload)
     print(
         f"selector: q={calres.selector.q:.6g} q_hat={calres.selector.q_hat:.6g} "
         f"power={calres.power:.3f} fdp={calres.fdp:.3f} (r2={r2:.3f})"
     )
 
 
-def cmd_monitor(config_file, **flags):
+def cmd_monitor(cfg: AppConfig):
     """Stream a production file (or stdin) through the quantile detectors.
 
     Production rows carry a 'score' column exactly when the source does;
@@ -141,18 +140,16 @@ def cmd_monitor(config_file, **flags):
     one call, and a row's score does not depend on its chunk. trajectory.csv
     is written as the chunks are read, monitor.json when the input ends.
     Exits 2 when an alarm latched."""
-    cfg = parse_config(config_file, **flags)
     if cfg.production is None:
         raise ConfigError("production", "a production CSV (or '-') is required")
     model, cal_scored, calres, r2 = _calibration_pipeline(cfg)
     stats = source_statistics(cal_scored, calres.selector, cfg.monitor)
     state = MonitorState(calres.selector, stats, cfg.monitor)
     _make_out_dir(cfg.out_dir)
-    summary_path = os.path.join(cfg.out_dir, "monitor.json")
     # A run stopped by an error leaves the trajectory rows read so far;
     # an earlier run's summary must not sit beside them.
     with contextlib.suppress(FileNotFoundError):
-        os.remove(summary_path)
+        os.remove(os.path.join(cfg.out_dir, "monitor.json"))
     with open(os.path.join(cfg.out_dir, "trajectory.csv"), "w", newline="") as fh:
         fh.write(TRAJECTORY_HEADER)
         for chunk in read_chunks(cfg.production, "production stream"):
@@ -172,12 +169,11 @@ def cmd_monitor(config_file, **flags):
                 raise IngestError(f"production stream: {exc}") from None
             write_trajectory_csv(fh, state.observe(scores))
     summary = {
-        "schema_version": SCHEMA_VERSION,
         "events": state.t,
         "phi_q_alarm_time": state.phi_q_time,
         "phi_q2_alarm_time": state.phi_q2_time,
     }
-    _write_json(summary_path, summary)
+    _write_json(cfg, "monitor.json", summary)
     if state.phi_q or state.phi_q2:
         print(
             f"ALARM: phi_q at t={state.phi_q_time}, phi_q2 at t={state.phi_q2_time}"
@@ -186,9 +182,8 @@ def cmd_monitor(config_file, **flags):
     print(f"no alarm over {state.t} events")
 
 
-def cmd_simulate(config_file, **flags):
+def cmd_simulate(cfg: AppConfig):
     """Enumerate feature-split scenarios and write replayable streams."""
-    cfg = parse_config(config_file, **flags)
     source, scenarios = _scenarios(cfg)
     _make_out_dir(cfg.out_dir)
     index = []
@@ -196,7 +191,7 @@ def cmd_simulate(config_file, **flags):
         retained, excluded = split_pools(source, scenario, cfg.seed + i)
         stream = build_stream(retained, excluded, cfg.shift_schedule, cfg.seed)
         path = os.path.join(cfg.out_dir, f"stream_{scenario.scenario_id}.csv")
-        write_dataset(path, stream.to_dataset())
+        write_dataset(path, stream)
         index.append(
             {
                 "scenario_id": scenario.scenario_id,
@@ -207,8 +202,7 @@ def cmd_simulate(config_file, **flags):
                 "stream_file": os.path.basename(path),
             }
         )
-    payload = {"schema_version": SCHEMA_VERSION, "scenarios": index}
-    _write_json(os.path.join(cfg.out_dir, "scenarios.json"), payload)
+    _write_json(cfg, "scenarios.json", {"scenarios": index})
     print(f"wrote {len(index)} scenario streams to {cfg.out_dir}")
 
 
@@ -236,12 +230,10 @@ def _run_suite_from_config(cfg: AppConfig):
         raise
 
 
-def cmd_evaluate(config_file, **flags):
+def cmd_evaluate(cfg: AppConfig):
     """Run the full shift suite and emit per-detector metrics JSON."""
-    cfg = parse_config(config_file, **flags)
     reports = _run_suite_from_config(cfg)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "n_runs": len(reports),
         "n_uncalibratable": sum(r.uncalibratable for r in reports),
         "detectors": {
@@ -253,15 +245,14 @@ def cmd_evaluate(config_file, **flags):
             for det in ("phi_q2", "mean")
         },
     }
-    _write_json(os.path.join(cfg.out_dir, "metrics.json"), payload)
+    _write_json(cfg, "metrics.json", payload)
     with open(os.path.join(cfg.out_dir, "runs.json"), "w") as fh:
         fh.write(reports_to_json(reports))
     print(json.dumps(payload["detectors"], sort_keys=True))
 
 
-def cmd_sweep(config_file, **flags):
+def cmd_sweep(cfg: AppConfig):
     """Sweep harmfulness-threshold and tolerance grids over one suite run."""
-    cfg = parse_config(config_file, **flags)
     reports = _run_suite_from_config(cfg)
     rows = []
     for eps_tol in cfg.eps_tol_grid:
@@ -269,8 +260,7 @@ def cmd_sweep(config_file, **flags):
             for det in PLUGIN_DETECTORS:
                 m = suite_metrics(reports, det, eps_harm=eps_harm, eps_tol=eps_tol)
                 rows.append({"eps_tol": eps_tol, **m.to_dict()})
-    payload = {"schema_version": SCHEMA_VERSION, "sweep": rows}
-    _write_json(os.path.join(cfg.out_dir, "sweep.json"), payload)
+    _write_json(cfg, "sweep.json", {"sweep": rows})
     with open(os.path.join(cfg.out_dir, "sweep.csv"), "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=sorted(rows[0].keys()))
         writer.writeheader()
@@ -321,10 +311,12 @@ def main(args=None, prog_name="shiftwatch"):
                 value = next(words, None) if word in options else None
                 args.append(word if value is None else f"{word}={value}")
     try:
+        if args[:1] and args[0].startswith("-") and args[0] not in ("-h", "--help"):
+            raise ShiftwatchError(f"{args[0]}: flags come after the command ({prog_name} COMMAND {args[0]} ...)")
         flags = vars(parser.parse_args(args))
         command, _ = _COMMANDS[flags.pop("command")]
-        command(**flags)
-    except ShiftwatchError as exc:
+        command(parse_config(flags.pop("config_file"), **flags))
+    except (ShiftwatchError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"Error: {exc}", file=sys.stderr)
         sys.exit(1)
     except KeyboardInterrupt:  # an interrupted run is an error too, never an alarm

@@ -132,14 +132,9 @@ def _validate(cfg: AppConfig) -> None:
     for name, (build, keys) in BUILT.items():
         setattr(cfg, name, build(*(getattr(cfg, key) for key in keys)))
     ShiftScenario(0, "above_median", ablation_fraction=cfg.ablation_fraction)
-    if cfg.k < 1:
-        raise ConfigError("k", "must be >= 1")
-    if cfg.seed < 0:
-        raise ConfigError("seed", "must be >= 0")
-    if cfg.n_seeds < 1:
-        raise ConfigError("n_seeds", "must be >= 1")
-    if cfg.workers < 1:
-        raise ConfigError("workers", "must be >= 1")
+    for key, low in (("k", 1), ("seed", 0), ("n_seeds", 1), ("workers", 1)):
+        if getattr(cfg, key) < low:
+            raise ConfigError(key, f"must be >= {low}")
     if not cfg.eps_harm_grid:
         raise ConfigError("eps_harm_grid", "must list at least one value")
     if not all(math.isfinite(eps) for eps in cfg.eps_harm_grid):

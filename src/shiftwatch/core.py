@@ -102,9 +102,6 @@ class Dataset:
             None if self.scores is None else self.scores[idx],
         )
 
-    def with_scores(self, scores) -> "Dataset":
-        return Dataset(self.features, self.errors, scores)
-
 
 def empirical_quantile(p, values):
     """k-th smallest element with k = ceil(p * n), 1-indexed, for a level

@@ -249,7 +249,7 @@ def predict_many(model: KnnModel, x) -> np.ndarray:
 
 def score_dataset(model: KnnModel, data: Dataset) -> Dataset:
     """Attach model scores to every row of a dataset."""
-    return data.with_scores(predict_many(model, data.features))
+    return Dataset(data.features, data.errors, predict_many(model, data.features))
 
 
 def r_squared(predicted, actual) -> float:

@@ -331,21 +331,18 @@ def run_suite(
     whose errors are all equal has no run that could calibrate."""
     if source.errors is not None and np.ptp(source.errors) == 0.0:
         raise DegenerateError("R^2 is undefined for a constant target")
-    jobs = [
-        (source, scenario, schedule, config, seed)
-        for scenario in scenarios
-        for seed in seeds
-    ]
+    runs = len(scenarios) * len(seeds)
+    jobs = ((source, scenario, schedule, config, seed) for scenario in scenarios for seed in seeds)
     # a pool forks all its workers at the first submit, so never more than
-    # there are jobs or CPUs
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    # there are runs or CPUs
+    workers = min(workers, runs, os.cpu_count() or 1)
     if workers <= 1:
         return [_run_one(job) for job in jobs]
     # imported here, so that only runs with workers pay for loading multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_one, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
+        return list(pool.map(_run_one, jobs, chunksize=max(1, runs // (4 * workers))))
 
 
 def reports_to_json(reports: Sequence[RunReport], include_margins: bool = False) -> str:

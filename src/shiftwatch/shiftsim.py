@@ -156,23 +156,20 @@ def split_pools(data: Dataset, scenario: ShiftScenario, seed: int):
     return data.subset(np.nonzero(~mask)[0]), data.subset(np.nonzero(mask)[0])
 
 
-@dataclass(frozen=True)
-class ProductionStream:
-    """A realized production stream; errors ride along for oracle evaluation.
-    ``rows`` names each event's pool row: an index into the retained test
-    pool, or an index into the excluded pool plus the test pool's size.
-    Events that share a row share its features and error."""
+class ProductionStream(Dataset):
+    """A realized production stream, one event a row; errors ride along for
+    oracle evaluation. ``rows`` (T,) names each event's pool row: an index
+    into the retained test pool, or an index into the excluded pool plus
+    the test pool's size. Events that share a row share its features and
+    error."""
 
-    features: np.ndarray  # (T, d)
-    errors: Optional[np.ndarray]  # (T,) or None
-    rows: np.ndarray  # (T,) int
+    def __init__(self, features, errors, rows):
+        super().__init__(features, errors)
+        self.rows = rows
 
     @property
     def horizon(self) -> int:
-        return self.features.shape[0]
-
-    def to_dataset(self) -> Dataset:
-        return Dataset(self.features, self.errors)
+        return self.n
 
 
 def build_stream(
@@ -210,7 +207,7 @@ def build_stream(
     features = np.concatenate([p.features for p in pools])[rows]
     labeled = all(p.errors is not None for p in pools)
     errors = np.concatenate([p.errors for p in pools])[rows] if labeled else None
-    return ProductionStream(features=features, errors=errors, rows=rows)
+    return ProductionStream(features, errors, rows)
 
 
 def _build_subgroup_dataset(

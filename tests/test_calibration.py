@@ -130,7 +130,7 @@ class TestCalibrate:
             correlated_dataset.features, correlated_dataset.errors, scores
         )
         ref = calibrate(GridSpec(), data)
-        mapped = calibrate(GridSpec(), data.with_scores(transform(scores)))
+        mapped = calibrate(GridSpec(), Dataset(data.features, data.errors, transform(scores)))
         for a, b in zip(ref.grid_report, mapped.grid_report):
             assert (a.p, a.p_hat) == (b.p, b.p_hat)
             assert a.power == b.power and a.fdp == b.fdp

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import itertools
 import json
 import os
 import pathlib
@@ -485,6 +486,105 @@ class TestUnreadableFiles:
             _assert_one_line_error(result, "config", "cannot read")
 
 
+_FUZZ_CELLS = ["", "nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "abc", '"0.5"', "2", "-0.5", " 0.5", "0x10"]
+_FUZZ_HEADERS = ["f0", "f1", "f2", "error", "score", "F0", "", "err or"]
+# Config lines that leave a run going, and lines each command refuses. A
+# suite is tiny (horizon 1 or 20, at most 2 seeds) or one the size check
+# refuses (horizon 1e15, or 1e12 seeds): no case allocates much.
+_FUZZ_CONFIG = ["onset = 5", "n_seeds = 2", "k = 3", "eps_tol = 0.01", "alpha_prod = 0.5", "schedule = sigmoid",
+                "schedule = none", "feature_kinds = continuous,categorical", "# comment", ""]
+_FUZZ_BAD_CONFIG = [
+    "onset = 1e308", "n_seeds = 1000000000000", "k = 0", "seed = -1", "fdp_max = 1e308", "fdp_max = nan",
+    "eps_tol = inf", "ablation_fraction = 1e-308", "p_values = 0.9, 0.5", "horizon = 1", "no equals sign",
+    "unknown = 1",
+]
+_FUZZ_OUTPUTS = ["grid_report.csv", "selector.json", "trajectory.csv", "monitor.json", "scenarios.json",
+                 "stream_f0_above_median.csv", "metrics.json", "runs.json"]
+
+
+def _sometimes(draw, odds=4):
+    return draw(st.integers(0, odds - 1)) == 0
+
+
+@st.composite
+def _text(draw, lines):
+    """The text of ``lines``, with CRLF line endings, a byte-order mark or
+    truncation drawn."""
+    newline = "\r\n" if _sometimes(draw) else "\n"
+    text = ("\ufeff" if _sometimes(draw) else "") + "".join(line + newline for line in lines)
+    return text[: draw(st.integers(0, len(text)))] if _sometimes(draw, 6) else text
+
+
+@st.composite
+def _config(draw):
+    """A config file's text: a horizon, settings a run takes, sometimes one
+    it refuses, and the mutations of ``_text``."""
+    horizon = draw(st.sampled_from([20, 20, 20, 1, 10**15]))
+    lines = [f"horizon = {horizon}", *draw(st.lists(st.sampled_from(_FUZZ_CONFIG), max_size=2, unique=True))]
+    if _sometimes(draw):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_FUZZ_BAD_CONFIG)))
+    return draw(_text(lines))
+
+
+@st.composite
+def _csv(draw, rows):
+    """A small CSV table's text after drawn mutations: cells and header
+    names, an extra column (a repeated ``error`` among them), and those of
+    ``_text``."""
+    rows = [list(row) for row in rows]
+    for _ in range(max(0, draw(st.integers(0, 4)) - 2)):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        rows[i][j] = draw(st.sampled_from(_FUZZ_HEADERS if i == 0 else _FUZZ_CELLS))
+    if _sometimes(draw):
+        name = draw(st.sampled_from(["error", "score", "f2"]))
+        rows = [row + [name if i == 0 else row[-1]] for i, row in enumerate(rows)]
+    return draw(_text([",".join(row) for row in rows]))
+
+
+def test_file_fuzz(runner, tmp_path):
+    """Mutated source, production and config files through calibrate,
+    monitor, simulate and evaluate, with an output path that may be a
+    directory: every outcome is exit 0, 1 or 2, exit 1 prints exactly one
+    Error: line, exit 2 only reports an alarm, and nothing but SystemExit
+    escapes."""
+    rng = np.random.default_rng(11)
+    features = rng.random((40, 2)).round(4).tolist()
+    source = [["f0", "f1", "error"]] + [[repr(a), repr(b), repr(round(0.9 * a, 4))] for a, b in features]
+    production = [["f0", "f1"]] + [[repr(a), repr(b)] for a, b in rng.random((30, 2)).round(4).tolist()]
+    cases = itertools.count()
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        command=st.sampled_from(["calibrate", "monitor", "simulate", "evaluate"]),
+        source_text=_csv(source),
+        production_text=_csv(production),
+        stdin=st.booleans(),
+        config_text=_config(),
+        directory=st.sampled_from([None, None, None, *_FUZZ_OUTPUTS]),
+    )
+    def check(command, source_text, production_text, stdin, config_text, directory):
+        here = tmp_path / str(next(cases))
+        out = here / "out"
+        (out / (directory or "")).mkdir(parents=True)
+        paths = {name: here / name for name in ("src.csv", "prod.csv", "c.cfg")}
+        for path, text in zip(paths.values(), (source_text, production_text, config_text)):
+            path.write_bytes(text.encode())
+        args = [command, "--source", str(paths["src.csv"]), "--config", str(paths["c.cfg"]), "--out-dir", str(out)]
+        if command == "monitor":
+            args += ["--production", "-" if stdin else str(paths["prod.csv"])]
+        result = runner.invoke(main, args, input=production_text if stdin else None)
+        report = (args, result.output, result.exception)
+        assert result.exit_code in (0, 1, 2), report
+        assert result.exception is None or isinstance(result.exception, SystemExit), report
+        assert result.exit_code != 2 or result.output.startswith("ALARM"), report
+        if result.exit_code == 1:
+            lines = result.output.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("Error: "), report
+
+    check()
+
+
 class TestPackageErrors:
     def test_constant_source_errors_are_one_line(self, runner, tmp_path):
         """R^2 of a constant target is undefined: every command that fits
@@ -548,6 +648,24 @@ class TestPackageErrors:
             args += ["--horizon", "50", "--onset", "10"]
         _assert_one_line_error(runner.invoke(main, args), "out_dir", "cannot create directory")
 
+    @pytest.mark.parametrize(
+        "command, output",
+        [("calibrate", "grid_report.csv"), ("monitor", "trajectory.csv"), ("simulate", "stream_f0_above_median.csv"),
+         ("evaluate", "metrics.json"), ("sweep", "sweep.json")],
+    )
+    def test_output_that_cannot_be_written(self, runner, tmp_path, command, output):
+        """An output path that is a directory stops the command with one
+        Error: line naming the file, never a traceback."""
+        src = _scored_source(tmp_path / "src.csv")
+        out = tmp_path / "out"
+        (out / output).mkdir(parents=True)
+        args = [command, "--source", str(src), "--out-dir", str(out)]
+        if command == "monitor":
+            args += ["--production", str(src)]
+        elif command != "calibrate":
+            args += ["--horizon", "50", "--onset", "10"]
+        _assert_one_line_error(runner.invoke(main, args), f"{out / output}")
+
     @pytest.mark.parametrize("command", ["evaluate", "sweep"])
     def test_out_dir_is_checked_before_the_suite_runs(self, runner, tmp_path, monkeypatch, command):
         calls = []
@@ -588,25 +706,29 @@ class TestPackageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, key, horizon",
+        "command, key, horizon, seed_bytes",
         [
-            ("evaluate", "horizon", None),
-            ("sweep", "horizon", None),
-            ("simulate", "horizon", None),
-            ("evaluate", "n_seeds", 1000),
-            ("sweep", "n_seeds", 1000),
-            ("evaluate", "n_seeds", 1),
+            ("evaluate", "horizon", None, None),
+            ("sweep", "horizon", None, None),
+            ("simulate", "horizon", None, None),
+            ("evaluate", "n_seeds", 1000, 8 * 6 * 1000 + 10_240),
+            ("sweep", "n_seeds", 1000, 8 * 6 * 1000 + 10_240),
+            ("evaluate", "n_seeds", 1, 8 * 6 + 10_240),
+            # the source's 4 scenarios x n_seeds runs fill half of memory at
+            # 512 bytes a run, the term evaluate was measured to exceed
+            ("evaluate", "n_seeds", 1, 2 * 4 * (8 * 6 + 512)),
         ],
-        ids=["evaluate-horizon", "sweep-horizon", "simulate-horizon", "evaluate-n_seeds", "sweep-n_seeds", "evaluate-n_seeds-horizon-1"],
+        ids=["evaluate-horizon", "sweep-horizon", "simulate-horizon", "evaluate-n_seeds", "sweep-n_seeds",
+             "evaluate-n_seeds-horizon-1", "evaluate-n_seeds-old-estimate"],
     )
     def test_suite_larger_than_memory_is_refused_before_allocating(
-        self, runner, tmp_path, monkeypatch, command, key, horizon
+        self, runner, tmp_path, monkeypatch, command, key, horizon, seed_bytes
     ):
         """A stream of horizon x (d + 2) float64s alone passes physical
         memory, or each run fits but n_seeds runs' margins (6 x horizon
-        float64s each) do not, or at horizon 1 their fixed 512 bytes each
-        do not: one Error: line under the key, no --out-dir, and nothing
-        large allocated. The suite never starts."""
+        float64s each) do not, or at horizon 1 their fixed 10 KiB each do
+        not: one Error: line under the key, no --out-dir, and nothing large
+        allocated. The suite never starts."""
 
         def refused(*args, **kwargs):
             raise AssertionError("the suite ran")
@@ -616,7 +738,7 @@ class TestPackageErrors:
         if key == "horizon":
             sizes = ["--horizon", str(memory // 8)]
         else:
-            sizes = ["--horizon", str(horizon), "--n-seeds", str(memory // (8 * 6 * horizon + 512) + 1)]
+            sizes = ["--horizon", str(horizon), "--n-seeds", str(memory // seed_bytes + 1)]
         out = tmp_path / "made" / "out"
         args = [command, "--source", str(_scored_source(tmp_path / "src.csv")), "--out-dir", str(out), *sizes]
         tracemalloc.start()
@@ -673,12 +795,14 @@ class TestFlags:
             (["nosuch"], "'nosuch'"),
             (["calib"], "'calib'"),
             ([], "COMMAND"),
-            (["--source", "src.csv"], "'src.csv'"),
+            (["--source", "src.csv"], "--source"),
+            (["-k", "3", "calibrate"], "-k"),
             (["calibrate", "extra"], "extra"),
             (["evaluate", "--source", "src.csv", "extra"], "extra"),
         ],
         ids=["abbreviated", "abbreviated=", "unknown", "no-value", "no-value-k", "unknown-command",
-             "abbreviated-command", "no-command", "flag-before-command", "extra", "extra-after-flag"],
+             "abbreviated-command", "no-command", "flag-before-command", "k-before-command", "extra",
+             "extra-after-flag"],
     )
     def test_usage_error_is_one_line(self, runner, tmp_path, monkeypatch, args, word):
         monkeypatch.chdir(tmp_path)
@@ -781,6 +905,39 @@ def test_tracer_finds_every_name_it_wraps(tmp_path):
     proc = _trace_cli(tmp_path / "spans.json", ["--help"])
     assert proc.returncode == 0, proc.stderr
     assert "monitor" in proc.stdout
+
+
+def test_tracer_wraps_names_their_modules_call():
+    """perfbench/trace_cli.py times a layer by wrapping a name in the module
+    that looks it up, so each wrapped (module, name) must be called as
+    ``name(...)`` in src/shiftwatch/<module>.py, and a wrapped method must
+    be defined by its class: a call moved to another module would leave
+    its layer untimed though the tracer still starts."""
+    tracer = ast.parse((ROOT / "perfbench" / "trace_cli.py").read_text())
+    (install,) = (node for node in ast.walk(tracer) if isinstance(node, ast.FunctionDef) and node.name == "install")
+    loops = {node.target.id: [owner.id for owner in node.iter.elts] for node in ast.walk(install) if isinstance(node, ast.For)}
+    wrapped = set()
+    for node in ast.walk(install):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "w":
+            owner, name = node.args[0], node.args[1].value
+            if isinstance(owner, ast.Attribute):  # a class of the module: monitor.MonitorState
+                wrapped.add((owner.value.id, (owner.attr, name)))
+            else:
+                wrapped.update((module, name) for module in loops.get(owner.id, [owner.id]))
+    assert len(wrapped) == 27  # every wrap was read
+
+    missing = []
+    for module, name in sorted(wrapped, key=str):
+        tree = ast.parse((ROOT / "src" / "shiftwatch" / f"{module}.py").read_text())
+        calls = {node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        methods = {
+            (node.name, item.name)
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, ast.FunctionDef)
+        }
+        if name not in (methods if isinstance(name, tuple) else calls):
+            missing.append((module, name))
+    assert missing == []
 
 
 def test_start_up_imports_no_worker_processes():

@@ -60,7 +60,7 @@ def inputs(tmp_path_factory):
     noise = np.random.default_rng(7).normal(0.0, 0.05, source.n + rows.size)
     paths = {name: root / f"{name}.csv" for name in ("knn", "scored", "prod_knn", "prod_scored", "suite", "categorical")}
     write_dataset(paths["knn"], source)
-    write_dataset(paths["scored"], source.with_scores(source.errors + noise[: source.n]))
+    write_dataset(paths["scored"], Dataset(source.features, source.errors, source.errors + noise[: source.n]))
     write_dataset(paths["prod_knn"], Dataset(fresh.features[rows]))
     write_dataset(paths["prod_scored"], Dataset(fresh.features[rows], None, fresh.errors[rows] + noise[source.n :]))
     suite = make_subgroup_dataset(2000, subgroup_frac=0.3, base_error=0.05, error_ratio=10.0, error_noise=0.03, seed=9)
