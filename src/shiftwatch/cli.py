@@ -44,13 +44,18 @@ def _read_source(cfg: AppConfig):
 def _check_sizes(horizon: int, d: int, runs: int) -> None:
     """Refuse a suite that cannot fit in physical memory before anything of
     its size is allocated. The estimate is one run's stream, horizon x
-    (d + 2) float64s, plus for each of ``runs`` six margin traces of
-    horizon float64s and 10 KiB. Under tracemalloc, horizon-1 suites of 60
-    to 960 runs on a 400-row, 3-feature k-NN source peaked 6.0 to 9.3 KB
-    higher for each run added under evaluate, which holds every report and
-    builds runs.json whole, and 1.5 KB under sweep."""
+    (d + 2) float64s, plus for each of ``runs`` 6 x 8 bytes a step and
+    10 KiB. A report holds the record points of its four margin bases, a
+    float64 and a step index each. The index takes at most 4 bytes below
+    2^32 steps, so a record at every step needs 4 x 12 bytes a step;
+    beyond, it takes 8, and the estimate counts 8 x 8. Under
+    tracemalloc, horizon-1 suites of 60 to 960 runs on a 400-row,
+    3-feature k-NN source peaked 6.0 to 9.3 KB higher for each run added
+    under evaluate, which holds every report and builds runs.json whole,
+    and 1.5 KB under sweep."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    stream, per_run = 8 * horizon * (d + 2), 8 * 6 * horizon + 10 * 1024
+    stream = 8 * horizon * (d + 2)
+    per_run = 8 * (6 if horizon < 2**32 else 8) * horizon + 10 * 1024
     beyond = f"more than the {memory / 2**30:,.1f} GiB of physical memory"
     if stream + per_run * min(runs, 1) > memory:
         raise ConfigError("horizon", f"one run of {horizon} events needs {beyond}")
@@ -92,6 +97,14 @@ def _write_json(cfg: AppConfig, name: str, payload: dict) -> None:
     """Write ``payload`` with its schema version as ``name`` under the out dir."""
     with open(os.path.join(cfg.out_dir, name), "w") as fh:
         fh.write(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, sort_keys=True, indent=2))
+
+
+def _remove_summary(cfg: AppConfig, name: str) -> None:
+    """Remove an earlier run's summary ``name`` before the data files it
+    sums up are written, and write it last: a run stopped by an error then
+    never leaves a summary beside data it does not describe."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(cfg.out_dir, name))
 
 
 def _make_out_dir(path: str) -> None:
@@ -146,10 +159,7 @@ def cmd_monitor(cfg: AppConfig):
     stats = source_statistics(cal_scored, calres.selector, cfg.monitor)
     state = MonitorState(calres.selector, stats, cfg.monitor)
     _make_out_dir(cfg.out_dir)
-    # A run stopped by an error leaves the trajectory rows read so far;
-    # an earlier run's summary must not sit beside them.
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(cfg.out_dir, "monitor.json"))
+    _remove_summary(cfg, "monitor.json")
     with open(os.path.join(cfg.out_dir, "trajectory.csv"), "w", newline="") as fh:
         fh.write(TRAJECTORY_HEADER)
         for chunk in read_chunks(cfg.production, "production stream"):
@@ -245,9 +255,10 @@ def cmd_evaluate(cfg: AppConfig):
             for det in ("phi_q2", "mean")
         },
     }
-    _write_json(cfg, "metrics.json", payload)
+    _remove_summary(cfg, "metrics.json")
     with open(os.path.join(cfg.out_dir, "runs.json"), "w") as fh:
         fh.write(reports_to_json(reports))
+    _write_json(cfg, "metrics.json", payload)
     print(json.dumps(payload["detectors"], sort_keys=True))
 
 
@@ -260,11 +271,12 @@ def cmd_sweep(cfg: AppConfig):
             for det in PLUGIN_DETECTORS:
                 m = suite_metrics(reports, det, eps_harm=eps_harm, eps_tol=eps_tol)
                 rows.append({"eps_tol": eps_tol, **m.to_dict()})
-    _write_json(cfg, "sweep.json", {"sweep": rows})
+    _remove_summary(cfg, "sweep.json")
     with open(os.path.join(cfg.out_dir, "sweep.csv"), "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=sorted(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
+    _write_json(cfg, "sweep.json", {"sweep": rows})
     print(f"wrote {len(rows)} sweep rows to {cfg.out_dir}")
 
 

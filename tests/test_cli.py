@@ -12,13 +12,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shiftwatch import Dataset, cli, core
 from shiftwatch.cli import main
 from shiftwatch.confidence import hoeffding_halfwidth
 from shiftwatch.core import write_dataset
 from shiftwatch.errors import ConfigError, DegenerateError
+from shiftwatch.harness import RunReport
 
 
 def _scored_source(path, n=200, seed=0):
@@ -297,8 +298,9 @@ class TestMonitorCommand:
 
     @pytest.mark.parametrize("scored", [True, False], ids=["scored", "knn"])
     def test_chunked_stdin_matches_file(self, runner, tmp_path, monkeypatch, scored):
-        # the k-NN scores each chunk in one call: a row's score must not
-        # depend on the chunk it arrives in
+        """stdin read in chunks of drawn sizes, one size after another, gives
+        the bytes of the file read whole: the k-NN scores each chunk in one
+        call, and a row's score must not depend on the chunk it arrives in."""
         rng = np.random.default_rng(4)
         prod = tmp_path / "prod.csv"
         if scored:
@@ -311,16 +313,31 @@ class TestMonitorCommand:
             features[100:, 0] = 0.9 + 0.1 * features[100:, 0]
             write_dataset(prod, Dataset(features))
         args = ["monitor", "--source", str(src)]
-        whole = runner.invoke(main, args + ["--production", str(prod), "--out-dir", str(tmp_path / "o1")])
+        whole = runner.invoke(main, args + ["--production", str(prod), "--out-dir", str(tmp_path / "whole")])
         assert whole.exit_code == 2, whole.output
-        monkeypatch.setattr(core, "CHUNK_ROWS", 7)
-        chunked = runner.invoke(
-            main, args + ["--production", "-", "--out-dir", str(tmp_path / "o2")], input=prod.read_text()
-        )
-        assert chunked.exit_code == 2, chunked.output
-        for name in ("trajectory.csv", "monitor.json"):
-            assert (tmp_path / "o1" / name).read_bytes() == (tmp_path / "o2" / name).read_bytes()
-        assert len((tmp_path / "o1" / "trajectory.csv").read_text().splitlines()) == 501
+        expected = [(tmp_path / "whole" / name).read_bytes() for name in ("trajectory.csv", "monitor.json")]
+        assert len(expected[0].splitlines()) == 501
+        cases = itertools.count()
+
+        class Sizes:
+            """Chunk sizes that read_chunks takes one at a time, as it reads CHUNK_ROWS."""
+
+            def __init__(self, sizes):
+                self.sizes = itertools.cycle(sizes)
+
+            def __index__(self):
+                return next(self.sizes)
+
+        @settings(max_examples=20, deadline=None, database=None)
+        @given(st.lists(st.integers(1, 130), min_size=1, max_size=6))
+        def check(sizes):
+            out = tmp_path / str(next(cases))
+            monkeypatch.setattr(core, "CHUNK_ROWS", Sizes(sizes))
+            chunked = runner.invoke(main, args + ["--production", "-", "--out-dir", str(out)], input=prod.read_text())
+            assert chunked.exit_code == 2, chunked.output
+            assert [(out / name).read_bytes() for name in ("trajectory.csv", "monitor.json")] == expected, sizes
+
+        check()
 
     def test_one_scoring_call_per_chunk(self, runner, tmp_path, monkeypatch):
         src = _knn_source(tmp_path / "src.csv")
@@ -397,24 +414,23 @@ class TestMonitorCommand:
         assert outputs[0] == outputs[1]
 
 
-def _labels_first(text):
+def _rewritten(text, order, crlf, blank):
     """``text``, a CSV of plain cells with one row a line, with its error
-    and score columns moved ahead of the features."""
+    and score columns where the permutation ``order`` of its columns puts
+    them (the feature columns keep their order, f0 first, as a header
+    must), its lines ended by CRLF or LF, and a blank line after each when
+    ``blank``."""
+    end = ("\r\n" if crlf else "\n") * (1 + blank)
     rows = [line.split(",") for line in text.splitlines()]
-    order = sorted(range(len(rows[0])), key=lambda i: rows[0][i] not in ("error", "score"))
-    return "".join(",".join(row[i] for i in order) + "\n" for row in rows)
-
-
-_REWRITES = {
-    "crlf": lambda text: text.replace("\n", "\r\n"),
-    "blank-lines": lambda text: text.replace("\n", "\n\n"),
-    "labels-first": _labels_first,
-}
+    features = iter(sorted(i for i in order if rows[0][i].startswith("f")))
+    order = [next(features) if rows[0][i].startswith("f") else i for i in order]
+    return "".join(",".join(row[i] for i in order) + end for row in rows)
 
 
 class TestIngestRewrites:
     """calibrate and monitor write the same bytes when the source and
-    production CSVs are rewritten without changing their data."""
+    production CSVs are rewritten without changing their data: columns in
+    a drawn order, CRLF line ends, blank lines."""
 
     @pytest.mark.parametrize("scored", [True, False], ids=["scored", "knn"])
     def test_outputs_do_not_move(self, runner, tmp_path, scored):
@@ -432,23 +448,37 @@ class TestIngestRewrites:
         write_dataset(tmp_path / "prod.csv", prod)
         # write_dataset ends its lines with CRLF; the plain form ends them with LF
         plain = {name: (tmp_path / name).read_text().replace("\r\n", "\n") for name in ("src.csv", "prod.csv")}
-        outputs = {}
-        for rewrite, change in [("plain", lambda text: text), *_REWRITES.items()]:
-            here = tmp_path / rewrite
+        widths = [text.split("\n", 1)[0].count(",") + 1 for text in plain.values()]
+        cases = itertools.count()
+
+        def outputs(texts):
+            here = tmp_path / str(next(cases))
             here.mkdir()
-            for name, text in plain.items():
-                (here / name).write_bytes(change(text).encode())
+            for name, text in zip(plain, texts):
+                (here / name).write_bytes(text.encode())
             codes = []
             for command, extra in (("calibrate", []), ("monitor", ["--production", str(here / "prod.csv")])):
                 args = [command, "--source", str(here / "src.csv"), "--out-dir", str(here / command), *extra]
                 codes.append(runner.invoke(main, args).exit_code)
             files = sorted((here / "calibrate").iterdir()) + sorted((here / "monitor").iterdir())
-            outputs[rewrite] = codes, [(f.name, f.read_bytes()) for f in files]
-        assert outputs["plain"][0] == [0, 2]  # the monitor alarms
-        assert [name for name, _ in outputs["plain"][1]] == [
-            "grid_report.csv", "selector.json", "monitor.json", "trajectory.csv"
-        ]
-        assert all(output == outputs["plain"] for output in outputs.values())
+            return codes, [(f.name, f.read_bytes()) for f in files]
+
+        expected = outputs(plain.values())
+        assert expected[0] == [0, 2]  # the monitor alarms
+        assert [name for name, _ in expected[1]] == ["grid_report.csv", "selector.json", "monitor.json", "trajectory.csv"]
+
+        @settings(max_examples=25, deadline=None, database=None)
+        @given(
+            orders=st.tuples(*(st.permutations(range(width)) for width in widths)),
+            crlf=st.booleans(),
+            blank=st.booleans(),
+        )
+        @example(orders=tuple(list(range(width))[::-1] for width in widths), crlf=True, blank=True)  # labels first
+        def check(orders, crlf, blank):
+            texts = [_rewritten(text, order, crlf, blank) for text, order in zip(plain.values(), orders)]
+            assert outputs(texts) == expected, (orders, crlf, blank)
+
+        check()
 
 
 class TestUnreadableFiles:
@@ -750,6 +780,31 @@ class TestPackageErrors:
         _assert_one_line_error(result, f"Error: {key}: ", "GiB of physical memory")
         assert not (tmp_path / "made").exists()
         assert peak < 10_000_000, peak
+
+    @pytest.mark.parametrize("horizon", [3_000, 70_000])
+    def test_a_record_at_every_step_fits_the_size_check(self, monkeypatch, horizon):
+        """A report whose four margin bases rise at every step, recorded as
+        run_experiment records them, holds no more array bytes than
+        _check_sizes counts for one run beside its fixed 10 KiB; at 70,000
+        steps the step index takes 4 bytes."""
+        report = RunReport("s", 0, horizon, 0.0)
+        steps = np.arange(horizon, dtype=float)
+        report.record_margins((
+            (steps / horizon, {"plugin_q": 0.25, "plugin_q2": 0.125}),
+            (steps / horizon + 0.5, {"oracle_q": 0.25, "oracle_q2": 0.125}),
+            (steps, {"plugin_mean": 0.5}),
+            (steps + 1.0, {"oracle_mean": 0.5}),
+        ))
+        bases = {id(held): held for held, _ in report.records.values()}.values()
+        assert len(bases) == 4 and all(held.steps.size == horizon for held in bases)
+        held_bytes = sum(held.steps.nbytes + held.values.nbytes for held in bases)
+        # physical memory one byte short of the stream and 1,000 runs of
+        # these arrays and 10 KiB each: the suite is refused
+        d, runs = 3, 1000
+        memory = 8 * horizon * (d + 2) + runs * (held_bytes + 10 * 1024) - 1
+        monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE" else memory)
+        with pytest.raises(ConfigError, match="n_seeds: 1000 runs"):
+            cli._check_sizes(horizon, d, runs)
 
     def test_empty_sweep_grid_is_config_error(self, runner, tmp_path):
         src = _scored_source(tmp_path / "src.csv")
@@ -1135,7 +1190,48 @@ class TestSweepCommand:
         assert {d: {k: v for k, v in r.items() if k != "eps_tol"} for d, r in at_zero.items()} == detectors
 
 
+@pytest.mark.parametrize("command, summary, data", [("evaluate", "metrics.json", "runs.json"), ("sweep", "sweep.json", "sweep.csv")])
+def test_unwritable_data_file_leaves_no_summary(runner, tmp_path, command, summary, data):
+    """The suite's summary is written after its data file, and an earlier
+    run's summary is removed first: when the data file cannot be written
+    (here it is a directory), no summary is left beside it."""
+    from shiftwatch.shiftsim import make_subgroup_dataset
+
+    write_dataset(tmp_path / "src.csv", make_subgroup_dataset(500, seed=9))
+    out = tmp_path / "out"
+    args = [command, "--source", str(tmp_path / "src.csv"), "--out-dir", str(out), "--horizon", "50"]
+    assert runner.invoke(main, args).exit_code == 0
+    assert (out / summary).exists()
+    (out / data).unlink()
+    (out / data).mkdir()
+    _assert_one_line_error(runner.invoke(main, args), "Is a directory", data)
+    assert sorted(p.name for p in out.iterdir()) == [data]
+
+
 class TestEvaluateCommand:
+    def test_memory_grows_by_less_than_half_a_run_of_margins(self, runner, tmp_path):
+        """A suite holds each run's margin record points, not its six dense
+        margin traces: at horizon 2,000, each run added to evaluate raises
+        its traced peak by less than half of one run's dense margins, 6 x 8
+        bytes a step. Dense traces add more than one run's margins."""
+        src = _knn_source(tmp_path / "src.csv")
+        horizon, peaks, runs = 2000, [], []
+        for n_seeds in (1, 4):
+            out = tmp_path / f"o{n_seeds}"
+            args = ["evaluate", "--source", str(src), "--out-dir", str(out), "--horizon", str(horizon)]
+            tracemalloc.start()
+            try:
+                result = runner.invoke(main, args + ["--n-seeds", str(n_seeds)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert result.exit_code == 0, result.output
+            reports = json.loads((out / "runs.json").read_text())["runs"]
+            assert not any(report["uncalibratable"] for report in reports)
+            runs.append(len(reports))
+        assert runs == [4, 16]
+        assert (peaks[1] - peaks[0]) / (runs[1] - runs[0]) < 6 * 8 * horizon / 2, peaks
+
     def test_metrics_json_and_determinism(self, runner, tmp_path):
         from shiftwatch.shiftsim import make_subgroup_dataset
 

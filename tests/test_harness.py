@@ -9,6 +9,7 @@ from shiftwatch import Dataset
 from shiftwatch import harness as harness_module
 from shiftwatch.errors import InvalidInput
 from shiftwatch.estimator import predict_many
+from shiftwatch.monitor import first_alarm_time
 from shiftwatch.harness import (
     ExperimentConfig,
     RunReport,
@@ -30,14 +31,11 @@ from shiftwatch.shiftsim import (
 
 def _report(i, oracle_max, plugin_max, r2=0.5):
     """Synthetic report whose q2 pair has the given max margins."""
-    margins = lambda m: np.array([m - 0.5, m])
-    traces = {}
-    for key in ("plugin_q", "plugin_q2", "oracle_q", "oracle_q2", "plugin_mean", "oracle_mean"):
+    report = RunReport(scenario_id=f"s{i}", seed=i, horizon=2, eps_tol=0.0, r2=r2)
+    for key in _KEYS:
         m = oracle_max if key.startswith("oracle") else plugin_max
-        traces[key] = margins(m)
-    return RunReport(
-        scenario_id=f"s{i}", seed=i, horizon=2, eps_tol=0.0, r2=r2, traces=traces
-    )
+        report.record_margins([(np.array([m - 0.5, m]), {key: 0.0})])
+    return report
 
 
 _FAMILY_KEYS = (("plugin_q", "oracle_q"), ("plugin_q2", "oracle_q2"), ("plugin_mean", "oracle_mean"))
@@ -151,7 +149,7 @@ class TestSuiteMetrics:
         for i, (report_tol, rows) in enumerate(drawn):
             report = RunReport(f"s{i}", i, horizon, report_tol, uncalibratable=rows is None)
             if rows is not None:
-                report.traces = dict(zip(_KEYS, rows))
+                report.record_margins((row, {key: 0.0}) for key, row in zip(_KEYS, rows))
             reports.append(report)
         for family, (plugin_key, oracle_key) in zip(("phi_q", "phi_q2", "mean"), _FAMILY_KEYS):
             for tol in (None, eps_tol):
@@ -182,6 +180,55 @@ class TestSuiteMetrics:
         values = np.array(values)
         levels = np.linspace(0.0, 1.0, harness_module.R2_BINS + 1)
         assert harness_module._linear_quantiles(values, levels).tobytes() == np.quantile(values, levels).tobytes()
+
+
+# margins and tolerances are drawn from one palette, with both zeros, so
+# that plateaus, ties, touches and -0.0 beside 0.0 are common
+_RECORD_LEVELS = (-0.25, -0.0, 0.0, 0.25, 1.0)
+
+
+class TestRecords:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.one_of(st.sampled_from(_RECORD_LEVELS), st.floats(-1.0, 1.0)), min_size=1, max_size=80),
+        st.sampled_from((0.0, 0.25, 0.1)),
+        st.booleans(),
+    )
+    @example([0.0], 0.0, False)
+    @example([0.25] * 7, 0.25, False)
+    @example([-1.0, 0.0, -0.0], 0.0, False)
+    # numpy's max of these gives 0.0, though the last of them is -0.0
+    @example([-1.0] * 4 + [0.0] * 4 + [-0.0], 0.0, False)
+    def test_records_give_the_dense_definitions(self, values, upper, capped):
+        """A report built from a non-decreasing trajectory answers the first
+        alarm at every tolerance, the maximum margin and the whole margins
+        as the dense margins do, bit for bit, for a base less 0.0 (whose
+        margins keep -0.0) and less a positive upper bound. A capped
+        trajectory ends in a plateau of zeros."""
+        # -0.0 and 0.0 compare equal, so sorting leaves them mixed
+        base = np.sort(np.minimum(values, 0.0) if capped else values)
+        report = RunReport("s", 0, base.size, 0.25)
+        report.record_margins([(base, {"zero": 0.0, "upper": upper})])
+        held, _ = report.records["zero"]
+        assert report.records["upper"][0] is held  # one base, shared by its keys
+        assert held.steps[0] == 0 and held.values.size <= base.size
+        for key, dense in (("zero", base - 0.0), ("upper", base - upper)):
+            for eps in (*_RECORD_LEVELS, 0.1, -1.0, 2.0):
+                assert report.first_alarm(key, eps) == first_alarm_time(dense, eps), (key, eps)
+            assert report.first_alarm(key) == first_alarm_time(dense, 0.25)
+            assert np.float64(report.max_margin(key)).tobytes() == dense.max().tobytes()
+            assert report.traces[key].tobytes() == dense.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20), st.booleans())
+    def test_a_falling_trace_is_refused(self, values, to_nan):
+        """A trace that falls, by one ulp or to NaN, is no margin trajectory."""
+        base = np.sort(values)
+        after = np.nan if to_nan else np.nextafter(base[-1], -np.inf)
+        report = RunReport("s", 0, base.size + 1, 0.0)
+        with pytest.raises(InvalidInput, match="never fall"):
+            report.record_margins([(np.append(base, after), {"plugin_q": 0.0})])
+        assert report.records == {}
 
 
 def _record(monkeypatch, *names):
