@@ -93,25 +93,33 @@ def _calibration_pipeline(cfg: AppConfig):
     return model, cal_scored, calres, r2
 
 
-def _write_json(cfg: AppConfig, name: str, payload: dict) -> None:
-    """Write ``payload`` with its schema version as ``name`` under the out dir."""
-    with open(os.path.join(cfg.out_dir, name), "w") as fh:
-        fh.write(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, sort_keys=True, indent=2))
-
-
-def _remove_summary(cfg: AppConfig, name: str) -> None:
-    """Remove an earlier run's summary ``name`` before the data files it
-    sums up are written, and write it last: a run stopped by an error then
-    never leaves a summary beside data it does not describe."""
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(cfg.out_dir, name))
-
-
-def _make_out_dir(path: str) -> None:
+@contextlib.contextmanager
+def _outputs(cfg: AppConfig, summary: str):
+    """Make the out dir and yield a dict that the command fills as it
+    writes its data files; on a normal exit the dict is written last, as
+    the JSON ``summary``. An earlier run's summary is removed first, so a
+    run stopped by an error leaves no summary beside data it does not
+    describe, nor a directory this call made that is still empty."""
+    made, path = [], os.path.abspath(cfg.out_dir)
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
+    payload = {}
     try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError("out_dir", f"cannot create directory {path}: {exc.strerror}")
+        try:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("out_dir", f"cannot create directory {cfg.out_dir}: {exc.strerror}")
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(cfg.out_dir, summary))
+        yield payload
+        with open(os.path.join(cfg.out_dir, summary), "w") as fh:
+            fh.write(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, sort_keys=True, indent=2))
+    except BaseException:
+        for path in made:  # deepest first; rmdir never removes a file
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
 
 
 _HELP = {
@@ -128,17 +136,16 @@ _HELP = {
 def cmd_calibrate(cfg: AppConfig):
     """Calibrate the threshold pair and emit the grid report."""
     model, cal_scored, calres, r2 = _calibration_pipeline(cfg)
-    _make_out_dir(cfg.out_dir)
-    write_grid_report(os.path.join(cfg.out_dir, "grid_report.csv"), calres.grid_report)
-    payload = {
-        "selector": dataclasses.asdict(calres.selector),
-        "power": calres.power,
-        "fdp": calres.fdp,
-        "estimator_r2": r2,
-        "estimator": "external_scores" if model is None else f"knn(k={model.k})",
-        "grid_cells": len(calres.grid_report),
-    }
-    _write_json(cfg, "selector.json", payload)
+    with _outputs(cfg, "selector.json") as summary:
+        write_grid_report(os.path.join(cfg.out_dir, "grid_report.csv"), calres.grid_report)
+        summary.update(
+            selector=dataclasses.asdict(calres.selector),
+            power=calres.power,
+            fdp=calres.fdp,
+            estimator_r2=r2,
+            estimator="external_scores" if model is None else f"knn(k={model.k})",
+            grid_cells=len(calres.grid_report),
+        )
     print(
         f"selector: q={calres.selector.q:.6g} q_hat={calres.selector.q_hat:.6g} "
         f"power={calres.power:.3f} fdp={calres.fdp:.3f} (r2={r2:.3f})"
@@ -158,9 +165,10 @@ def cmd_monitor(cfg: AppConfig):
     model, cal_scored, calres, r2 = _calibration_pipeline(cfg)
     stats = source_statistics(cal_scored, calres.selector, cfg.monitor)
     state = MonitorState(calres.selector, stats, cfg.monitor)
-    _make_out_dir(cfg.out_dir)
-    _remove_summary(cfg, "monitor.json")
-    with open(os.path.join(cfg.out_dir, "trajectory.csv"), "w", newline="") as fh:
+    with (
+        _outputs(cfg, "monitor.json") as summary,
+        open(os.path.join(cfg.out_dir, "trajectory.csv"), "w", newline="") as fh,
+    ):
         fh.write(TRAJECTORY_HEADER)
         for chunk in read_chunks(cfg.production, "production stream"):
             if (chunk.scores is None) != (model is not None):
@@ -178,12 +186,7 @@ def cmd_monitor(cfg: AppConfig):
             except InvalidInput as exc:  # a feature count other than the source's
                 raise IngestError(f"production stream: {exc}") from None
             write_trajectory_csv(fh, state.observe(scores))
-    summary = {
-        "events": state.t,
-        "phi_q_alarm_time": state.phi_q_time,
-        "phi_q2_alarm_time": state.phi_q2_time,
-    }
-    _write_json(cfg, "monitor.json", summary)
+        summary.update(events=state.t, phi_q_alarm_time=state.phi_q_time, phi_q2_alarm_time=state.phi_q2_time)
     if state.phi_q or state.phi_q2:
         print(
             f"ALARM: phi_q at t={state.phi_q_time}, phi_q2 at t={state.phi_q2_time}"
@@ -195,88 +198,68 @@ def cmd_monitor(cfg: AppConfig):
 def cmd_simulate(cfg: AppConfig):
     """Enumerate feature-split scenarios and write replayable streams."""
     source, scenarios = _scenarios(cfg)
-    _make_out_dir(cfg.out_dir)
-    index = []
-    for i, scenario in enumerate(scenarios):
-        retained, excluded = split_pools(source, scenario, cfg.seed + i)
-        stream = build_stream(retained, excluded, cfg.shift_schedule, cfg.seed)
-        path = os.path.join(cfg.out_dir, f"stream_{scenario.scenario_id}.csv")
-        write_dataset(path, stream)
-        index.append(
-            {
-                "scenario_id": scenario.scenario_id,
-                "feature_index": scenario.feature_index,
-                "split_kind": scenario.split_kind,
-                "category_value": scenario.category_value,
-                "excluded_size": excluded.n,
-                "stream_file": os.path.basename(path),
-            }
-        )
-    _write_json(cfg, "scenarios.json", {"scenarios": index})
+    with _outputs(cfg, "scenarios.json") as summary:
+        index = summary["scenarios"] = []
+        for i, scenario in enumerate(scenarios):
+            retained, excluded = split_pools(source, scenario, cfg.seed + i)
+            stream = build_stream(retained, excluded, cfg.shift_schedule, cfg.seed)
+            path = os.path.join(cfg.out_dir, f"stream_{scenario.scenario_id}.csv")
+            write_dataset(path, stream)
+            index.append(
+                {
+                    "scenario_id": scenario.scenario_id,
+                    "feature_index": scenario.feature_index,
+                    "split_kind": scenario.split_kind,
+                    "category_value": scenario.category_value,
+                    "excluded_size": excluded.n,
+                    "stream_file": os.path.basename(path),
+                }
+            )
     print(f"wrote {len(index)} scenario streams to {cfg.out_dir}")
 
 
-def _run_suite_from_config(cfg: AppConfig):
+def _suite(cfg: AppConfig):
+    """The arguments of run_suite for evaluate and sweep, from the source
+    read and the suite's size checked, before the out dir is touched."""
     source, scenarios = _scenarios(cfg, cfg.n_seeds)
     if not scenarios:
         n_half = source.n // 2
         raise InvalidInput(f"no feature split excludes between {MIN_SUBGROUP} and n/2 = {n_half} source rows")
     exp = ExperimentConfig(k=cfg.k, grid=cfg.grid, monitor=cfg.monitor)
-    seeds = range(cfg.seed, cfg.seed + cfg.n_seeds)
-    # an unusable --out-dir fails before the suite runs, not after it;
-    # a suite that fails on its input still leaves no directory behind
-    missing = []
-    path = os.path.abspath(cfg.out_dir)
-    while not os.path.exists(path):
-        missing.append(path)
-        path = os.path.dirname(path)
-    _make_out_dir(cfg.out_dir)
-    try:
-        return run_suite(source, scenarios, cfg.shift_schedule, exp, seeds, workers=cfg.workers)
-    except BaseException:
-        for made in missing:  # deepest first; rmdir never removes a file
-            with contextlib.suppress(OSError):
-                os.rmdir(made)
-        raise
+    return source, scenarios, cfg.shift_schedule, exp, range(cfg.seed, cfg.seed + cfg.n_seeds)
 
 
 def cmd_evaluate(cfg: AppConfig):
     """Run the full shift suite and emit per-detector metrics JSON."""
-    reports = _run_suite_from_config(cfg)
-    payload = {
-        "n_runs": len(reports),
-        "n_uncalibratable": sum(r.uncalibratable for r in reports),
-        "detectors": {
-            det: suite_metrics(reports, det, eps_harm=0.0).to_dict()
-            for det in PLUGIN_DETECTORS
-        },
-        "by_r2_decile": {
-            det: suite_metrics_by_r2(reports, det, eps_harm=0.0)
-            for det in ("phi_q2", "mean")
-        },
-    }
-    _remove_summary(cfg, "metrics.json")
-    with open(os.path.join(cfg.out_dir, "runs.json"), "w") as fh:
-        fh.write(reports_to_json(reports))
-    _write_json(cfg, "metrics.json", payload)
-    print(json.dumps(payload["detectors"], sort_keys=True))
+    suite = _suite(cfg)
+    with _outputs(cfg, "metrics.json") as summary:
+        reports = run_suite(*suite, workers=cfg.workers)
+        summary.update(
+            n_runs=len(reports),
+            n_uncalibratable=sum(r.uncalibratable for r in reports),
+            detectors={det: suite_metrics(reports, det, eps_harm=0.0).to_dict() for det in PLUGIN_DETECTORS},
+            by_r2_decile={det: suite_metrics_by_r2(reports, det, eps_harm=0.0) for det in ("phi_q2", "mean")},
+        )
+        with open(os.path.join(cfg.out_dir, "runs.json"), "w") as fh:
+            fh.write(reports_to_json(reports))
+    print(json.dumps(summary["detectors"], sort_keys=True))
 
 
 def cmd_sweep(cfg: AppConfig):
     """Sweep harmfulness-threshold and tolerance grids over one suite run."""
-    reports = _run_suite_from_config(cfg)
-    rows = []
-    for eps_tol in cfg.eps_tol_grid:
-        for eps_harm in cfg.eps_harm_grid:
-            for det in PLUGIN_DETECTORS:
-                m = suite_metrics(reports, det, eps_harm=eps_harm, eps_tol=eps_tol)
-                rows.append({"eps_tol": eps_tol, **m.to_dict()})
-    _remove_summary(cfg, "sweep.json")
-    with open(os.path.join(cfg.out_dir, "sweep.csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=sorted(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    _write_json(cfg, "sweep.json", {"sweep": rows})
+    suite = _suite(cfg)
+    with _outputs(cfg, "sweep.json") as summary:
+        reports = run_suite(*suite, workers=cfg.workers)
+        rows = summary["sweep"] = []
+        for eps_tol in cfg.eps_tol_grid:
+            for eps_harm in cfg.eps_harm_grid:
+                for det in PLUGIN_DETECTORS:
+                    m = suite_metrics(reports, det, eps_harm=eps_harm, eps_tol=eps_tol)
+                    rows.append({"eps_tol": eps_tol, **m.to_dict()})
+        with open(os.path.join(cfg.out_dir, "sweep.csv"), "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=sorted(rows[0].keys()))
+            writer.writeheader()
+            writer.writerows(rows)
     print(f"wrote {len(rows)} sweep rows to {cfg.out_dir}")
 
 

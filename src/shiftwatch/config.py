@@ -146,6 +146,8 @@ def _validate(cfg: AppConfig) -> None:
             dataclasses.replace(cfg.monitor, eps_tol=eps)
         except ConfigError as exc:
             raise ConfigError("eps_tol_grid", exc.message) from None
+    if cfg.source == cfg.production == "-":  # stdin is one stream
+        raise ConfigError("production", "stdin ('-') cannot be both the source and the production stream")
     for key in ("source", "production"):
         path = getattr(cfg, key)
         if path is not None and path != "-" and not os.path.exists(path):

@@ -60,8 +60,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class Records:
-    """A non-decreasing trajectory of ``size`` steps held as its record
-    points: from step ``steps[i]`` (0-based) on it holds ``values[i]``. A
+    """A non-decreasing trajectory held as its record points: from step
+    ``steps[i]`` (0-based) to the next record it holds ``values[i]``. A
     record starts wherever the value's bits change, so -0.0 beside 0.0
     starts one. ``top`` is the trajectory's ``max()``, which is not always
     the last record: where -0.0 and 0.0 tie at the top, numpy's reduction
@@ -70,7 +70,6 @@ class Records:
     steps: np.ndarray
     values: np.ndarray
     top: float
-    size: int
 
     @classmethod
     def of(cls, trace) -> "Records":
@@ -81,7 +80,7 @@ class Records:
         # ~ makes the first step differ from what precedes it
         steps = np.flatnonzero(np.diff(bits, prepend=~bits[:1]))
         # the smallest unsigned type that holds every step: 4 bytes or less below 2^32 steps
-        return cls(steps.astype(np.min_scalar_type(trace.size)), trace[steps], float(trace.max()), trace.size)
+        return cls(steps.astype(np.min_scalar_type(trace.size)), trace[steps], float(trace.max()))
 
 
 @dataclass
@@ -127,9 +126,9 @@ class RunReport:
 
     @property
     def traces(self) -> Dict[str, np.ndarray]:
-        """Each detector's whole margin trajectory, rebuilt from its records."""
+        """Each detector's whole margin trajectory, its records repeated to the horizon."""
         return {
-            key: np.repeat(held.values - upper, np.diff(held.steps, append=held.size))
+            key: np.repeat(held.values - upper, np.diff(held.steps, append=self.horizon))
             for key, (held, upper) in self.records.items()
         }
 
@@ -185,7 +184,8 @@ def run_experiment(
     calibrate the selector on the other half, compute source statistics,
     simulate the production stream, and run all six detectors (plug-in and
     oracle variants of the two quantile statistics and the mean statistic).
-    The estimator scores each distinct pool row of the stream once; every
+    Every run fits its own k-NN and never reads a ``score`` column of the
+    source. The k-NN scores each distinct pool row of the stream once; every
     event reads its row's score, bit for bit the score of the whole stream.
     The quantile detectors' L_q and alarms come from ``MonitorState.feed``,
     which the streaming monitor calls per chunk, here once per stream.

@@ -130,17 +130,21 @@ class MonitorState:
 
     Feeds the binary selection stream 1{score > q_hat} into a PM-EB
     confidence sequence at level alpha1 and latches the two alarm flags.
+    Its state is ``selection_cs``, whose ``t`` and ``sum_x`` count the events
+    and the selected ones (exactly below 2^53), and the two latch times.
     """
 
     def __init__(self, selector: Selector, source: SourceStats, config: MonitorConfig):
         self.selector = selector
         self.source = source
         self.config = config
-        self.t = 0
         self.selection_cs = PmEbState(config.alpha1)
-        self.n_selected = 0
         self.phi_q_time: Optional[int] = None
         self.phi_q2_time: Optional[int] = None
+
+    @property
+    def t(self) -> int:
+        return self.selection_cs.t
 
     @property
     def phi_q(self) -> bool:
@@ -168,8 +172,6 @@ class MonitorState:
         if self.phi_q2_time is None and hit_q2 is not None:
             self.phi_q2_time = self.t + hit_q2
         self.selection_cs = after
-        self.t += l_q.size
-        self.n_selected += int(np.count_nonzero(flags))
         return l_q
 
     def observe(self, scores) -> list:
@@ -180,7 +182,7 @@ class MonitorState:
         flags = self.selector.select(scores)
         n = flags.size
         t = np.arange(self.t + 1, self.t + n + 1)
-        selection_rate = (self.n_selected + np.cumsum(flags)) / t
+        selection_rate = (self.selection_cs.sum_x + np.cumsum(flags)) / t
         l_q = self.feed(flags)
         u_q, u_q2 = [self.source.u_q] * n, [self.source.u_q2] * n
         phi_q = (t >= (self.phi_q_time or math.inf)).astype(int).tolist()

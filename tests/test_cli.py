@@ -179,6 +179,16 @@ class TestMonitorCommand:
         )
         assert result.exit_code == 2, result.output
 
+    def test_stdin_as_both_inputs_is_refused(self, runner, tmp_path):
+        """Stdin is one stream, so it cannot be both the source and the
+        production stream: the settings are refused before any input is
+        read or the out dir made."""
+        out = tmp_path / "out"
+        args = ["monitor", "--source", "-", "--production", "-", "--out-dir", str(out)]
+        result = runner.invoke(main, args, input=_scored_source(tmp_path / "src.csv").read_text())
+        _assert_one_line_error(result, "Error: production: stdin")
+        assert not out.exists()
+
     def _monitor_rows(self, runner, tmp_path, rows):
         src = _scored_source(tmp_path / "src.csv")
         prod = tmp_path / "prod.csv"
@@ -1190,22 +1200,48 @@ class TestSweepCommand:
         assert {d: {k: v for k, v in r.items() if k != "eps_tol"} for d, r in at_zero.items()} == detectors
 
 
-@pytest.mark.parametrize("command, summary, data", [("evaluate", "metrics.json", "runs.json"), ("sweep", "sweep.json", "sweep.csv")])
+@pytest.mark.parametrize(
+    "command, summary, data",
+    [("evaluate", "metrics.json", "runs.json"), ("sweep", "sweep.json", "sweep.csv"),
+     ("calibrate", "selector.json", "grid_report.csv"), ("monitor", "monitor.json", "trajectory.csv"),
+     ("simulate", "scenarios.json", "stream_f1_above_median.csv")],
+)
 def test_unwritable_data_file_leaves_no_summary(runner, tmp_path, command, summary, data):
-    """The suite's summary is written after its data file, and an earlier
-    run's summary is removed first: when the data file cannot be written
-    (here it is a directory), no summary is left beside it."""
+    """Every command writes its summary after its data files, and removes
+    an earlier run's summary first: when a data file cannot be written
+    (here it is a directory), no summary is left beside it. simulate keeps
+    the streams it wrote before the failing one, and the older ones after."""
     from shiftwatch.shiftsim import make_subgroup_dataset
 
     write_dataset(tmp_path / "src.csv", make_subgroup_dataset(500, seed=9))
     out = tmp_path / "out"
-    args = [command, "--source", str(tmp_path / "src.csv"), "--out-dir", str(out), "--horizon", "50"]
+    args = [command, "--source", str(tmp_path / "src.csv"), "--out-dir", str(out)]
+    args += {"calibrate": [], "monitor": ["--production", str(tmp_path / "src.csv")]}.get(command, ["--horizon", "50"])
     assert runner.invoke(main, args).exit_code == 0
     assert (out / summary).exists()
     (out / data).unlink()
     (out / data).mkdir()
     _assert_one_line_error(runner.invoke(main, args), "Is a directory", data)
-    assert sorted(p.name for p in out.iterdir()) == [data]
+    left = sorted(p.name for p in out.iterdir())
+    assert summary not in left and data in left
+    assert command == "simulate" or left == [data]
+
+
+@pytest.mark.parametrize("command, writer", [("calibrate", "write_grid_report"), ("simulate", "write_dataset")])
+def test_failed_write_removes_the_directories_it_made(runner, tmp_path, monkeypatch, command, writer):
+    """A command stopped by an error before it wrote a file removes the
+    out dir and the parents it made, not a directory that was there."""
+
+    def failing(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, writer, failing)
+    src = str(_scored_source(tmp_path / "src.csv"))
+    (tmp_path / "kept").mkdir()
+    for out in (tmp_path / "made" / "out", tmp_path / "kept"):
+        _assert_one_line_error(runner.invoke(main, [command, "--source", src, "--out-dir", str(out)]), "disk full")
+    assert not (tmp_path / "made").exists()
+    assert (tmp_path / "kept").is_dir()
 
 
 class TestEvaluateCommand:

@@ -123,7 +123,7 @@ class TestQuantileDetector:
         )
         assert np.array_equal(l_q, expected)
         assert state.selection_cs == pmeb_update(PmEbState(cfg.alpha1), sel)[1]
-        assert state.t == 500 and state.n_selected == 500
+        assert state.t == 500 and state.selection_cs.sum_x == 500
 
     def test_streaming_observe_matches_batch_path(self):
         rng = np.random.default_rng(2)
@@ -152,7 +152,7 @@ class TestQuantileDetector:
                 for chunk in np.split(scores, cuts):
                     rows += state.observe(chunk)
                 assert state.phi_q_time == t_q and state.phi_q2_time == t_q2
-                assert state.t == scores.size and state.n_selected == selected.sum()
+                assert state.t == scores.size and state.selection_cs.sum_x == selected.sum()
                 cols = list(zip(*rows))
                 assert np.array_equal(np.array(cols[2]), batch)
                 assert list(cols[0]) == t.tolist()
@@ -232,9 +232,36 @@ class TestQuantileDetector:
         parts = [state.feed(chunk) for chunk in np.split(flags, sorted(min(c, flags.size) for c in cuts))]
         assert np.concatenate(parts).tobytes() == whole_l_q.tobytes()
         assert repr(state.selection_cs) == repr(whole.selection_cs)
-        assert (state.t, state.n_selected) == (whole.t, whole.n_selected) == (flags.size, flags.sum())
+        assert (state.t, state.selection_cs.sum_x) == (whole.t, whole.selection_cs.sum_x) == (flags.size, flags.sum())
         assert state.phi_q_time == whole.phi_q_time == first_alarm_time(whole_l_q - stats.u_q, 0.0)
         assert state.phi_q2_time == whole.phi_q2_time == first_alarm_time(whole_l_q - stats.u_q2, 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(0, 400),
+        cuts=st.lists(st.integers(0, 400), max_size=8),
+    )
+    def test_a_restart_from_the_saved_state_goes_on_as_one_run(self, seed, n, cuts):
+        """A run cut into pieces, each observed by a fresh state that gets
+        only the last piece's ``selection_cs`` and latch times, gives the
+        rows, event count and alarm times of one uninterrupted ``observe``,
+        bit for bit. A stream of 400 events latches phi_q2 after about 70 to
+        130 of them, and phi_q later or never."""
+        scores = np.random.default_rng(seed).random(n)
+        cfg = MonitorConfig()
+        stats = _stats(rate_above_q=0.35, rate_true_discovery=0.3, rate_false_discovery=0.02, w_source=0.02, w_fd=0.01)
+        whole = MonitorState(SELECTOR, stats, cfg)
+        whole_rows = whole.observe(scores)
+        state, rows = MonitorState(SELECTOR, stats, cfg), []
+        for piece in np.split(scores, sorted(min(c, n) for c in cuts)):
+            saved, state = state, MonitorState(SELECTOR, stats, cfg)
+            state.selection_cs, state.phi_q_time, state.phi_q2_time = (
+                saved.selection_cs, saved.phi_q_time, saved.phi_q2_time
+            )
+            rows += state.observe(piece)
+        assert repr(rows) == repr(whole_rows)
+        assert (state.t, state.phi_q_time, state.phi_q2_time) == (whole.t, whole.phi_q_time, whole.phi_q2_time)
 
     @settings(max_examples=60, deadline=None)
     @given(
