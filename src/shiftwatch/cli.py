@@ -41,36 +41,37 @@ def _read_source(cfg: AppConfig):
     return read_dataset(cfg.source)
 
 
-def _check_sizes(horizon: int, d: int, runs: int) -> None:
+def _check_sizes(horizon: int, d: int, runs: int, workers: int = 1) -> None:
     """Refuse a suite that cannot fit in physical memory before anything of
-    its size is allocated. The estimate is one run's stream, horizon x
-    (d + 2) float64s, plus for each of ``runs`` 6 x 8 bytes a step and
-    10 KiB. A report holds the record points of its four margin bases, a
-    float64 and a step index each. The index takes at most 4 bytes below
-    2^32 steps, so a record at every step needs 4 x 12 bytes a step;
-    beyond, it takes 8, and the estimate counts 8 x 8. Under
-    tracemalloc, horizon-1 suites of 60 to 960 runs on a 400-row,
-    3-feature k-NN source peaked 6.0 to 9.3 KB higher for each run added
-    under evaluate, which holds every report and builds runs.json whole,
-    and 1.5 KB under sweep."""
+    its size is allocated. A run in flight peaks while it holds its
+    stream's features and their finiteness flags, 9 bytes a feature and
+    64 more a step, or once they die at 192 bytes a step, whichever is
+    more (README, "Command line", gives the measurements); ``simulate``,
+    which builds one stream at a time, is counted at the first. A suite
+    holds min(workers, runs, CPUs) runs in flight and, for each of
+    ``runs``, a report of 6 x 8 bytes a step and 10 KiB: the record points
+    of its four margin bases, a float64 and a step index each, the index
+    of at most 4 bytes below 2^32 steps; beyond, it takes 8, and the
+    estimate counts 8 x 8 bytes a step."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    stream = 8 * horizon * (d + 2)
-    per_run = 8 * (6 if horizon < 2**32 else 8) * horizon + 10 * 1024
+    run = max(9 * d + 64, 192 if runs else 0) * horizon
+    report = 8 * (6 if horizon < 2**32 else 8) * horizon + 10 * 1024
+    in_flight = max(1, min(workers, runs, os.cpu_count() or 1))
     beyond = f"more than the {memory / 2**30:,.1f} GiB of physical memory"
-    if stream + per_run * min(runs, 1) > memory:
+    if run + report * min(runs, 1) > memory:
         raise ConfigError("horizon", f"one run of {horizon} events needs {beyond}")
-    if stream + per_run * runs > memory:
+    if run * in_flight + report * runs > memory:
         raise ConfigError("n_seeds", f"{runs} runs of {horizon} events need {beyond}")
 
 
-def _scenarios(cfg: AppConfig, runs_per_scenario: int = 0):
+def _scenarios(cfg: AppConfig, runs_per_scenario: int = 0, workers: int = 1):
     """The source and its feature-split scenarios, for simulate, evaluate
     and sweep, once the sizes of ``runs_per_scenario`` runs of each
-    scenario are checked."""
+    scenario, over ``workers`` processes, are checked."""
     source = _read_source(cfg)
     kinds = (CONTINUOUS,) * source.d if cfg.feature_kinds is None else cfg.feature_kinds
     scenarios = enumerate_scenarios(source, kinds, cfg.ablation_fraction)
-    _check_sizes(cfg.horizon, source.d, len(scenarios) * runs_per_scenario)
+    _check_sizes(cfg.horizon, source.d, len(scenarios) * runs_per_scenario, workers)
     return source, scenarios
 
 
@@ -202,9 +203,9 @@ def cmd_simulate(cfg: AppConfig):
         index = summary["scenarios"] = []
         for i, scenario in enumerate(scenarios):
             retained, excluded = split_pools(source, scenario, cfg.seed + i)
-            stream = build_stream(retained, excluded, cfg.shift_schedule, cfg.seed)
             path = os.path.join(cfg.out_dir, f"stream_{scenario.scenario_id}.csv")
-            write_dataset(path, stream)
+            # unnamed, so that a stream dies before the next is built
+            write_dataset(path, build_stream(retained, excluded, cfg.shift_schedule, cfg.seed))
             index.append(
                 {
                     "scenario_id": scenario.scenario_id,
@@ -221,7 +222,7 @@ def cmd_simulate(cfg: AppConfig):
 def _suite(cfg: AppConfig):
     """The arguments of run_suite for evaluate and sweep, from the source
     read and the suite's size checked, before the out dir is touched."""
-    source, scenarios = _scenarios(cfg, cfg.n_seeds)
+    source, scenarios = _scenarios(cfg, cfg.n_seeds, cfg.workers)
     if not scenarios:
         n_half = source.n // 2
         raise InvalidInput(f"no feature split excludes between {MIN_SUBGROUP} and n/2 = {n_half} source rows")

@@ -279,7 +279,8 @@ def read_dataset(path) -> Dataset:
 
 
 def write_dataset(path, data: Dataset) -> None:
-    """Write a dataset back out in the same CSV schema."""
+    """Write a dataset back out in the same CSV schema, ``CHUNK_ROWS``
+    rows at a time, so that one chunk's cells at most are Python floats."""
     header = [f"f{i}" for i in range(data.d)]
     columns = list(data.features.T)
     for name, column in (("error", data.errors), ("score", data.scores)):
@@ -290,4 +291,5 @@ def write_dataset(path, data: Dataset) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         # csv writes a Python float as str(x), which equals repr(x)
-        writer.writerows(zip(*(column.tolist() for column in columns)))
+        for lo in range(0, data.n, CHUNK_ROWS):
+            writer.writerows(zip(*(column[lo : lo + CHUNK_ROWS].tolist() for column in columns)))

@@ -180,21 +180,36 @@ def run_experiment(
     schedule, config, seed).
 
     Pipeline: ablate pools, draw the test and calibration shares of the
-    retained pool, fit the error estimator on half the calibration set,
-    calibrate the selector on the other half, compute source statistics,
-    simulate the production stream, and run all six detectors (plug-in and
+    retained pool, simulate the production stream, fit the error estimator
+    on half the calibration set, calibrate the selector on the other half,
+    compute source statistics, and run all six detectors (plug-in and
     oracle variants of the two quantile statistics and the mean statistic).
     Every run fits its own k-NN and never reads a ``score`` column of the
     source. The k-NN scores each distinct pool row of the stream once; every
     event reads its row's score, bit for bit the score of the whole stream.
     The quantile detectors' L_q and alarms come from ``MonitorState.feed``,
     which the streaming monitor calls per chunk, here once per stream.
+
+    Each copy of source rows dies at its last read: the retained pool once
+    partitioned, the test and excluded pools once the stream is drawn, the
+    stream's features once its distinct rows are gathered, the calibration
+    share once split and the fit half once fitted. So a run peaks, per
+    source row, while the retained pool is partitioned: the two pools, a
+    copy of every source row, and the test and calibration shares. Per
+    step it peaks while it holds the stream's features or, once they die,
+    while the last mean detector's path is built (see ``cli._check_sizes``).
     """
     if source.errors is None:
         raise InvalidInput("experiments need a labeled source dataset")
     ablate_seed, part_seed, stream_seed = _sub_seeds(seed, scenario)
     retained, excluded = split_pools(source, scenario, ablate_seed)
     test, calib = _partition(retained, part_seed)
+    del retained
+    stream = build_stream(test, excluded, schedule, stream_seed)
+    del test, excluded
+    _, first, inverse = np.unique(stream.rows, return_index=True, return_inverse=True)
+    distinct, stream_errors = stream.features[first], stream.errors
+    del stream
 
     report = RunReport(
         scenario_id=scenario.scenario_id,
@@ -204,10 +219,12 @@ def run_experiment(
     )
 
     fit_half, cal_half = split_half(calib, part_seed + 1)
+    del calib
     model = fit_knn(fit_half, min(config.k, fit_half.n))
+    del fit_half
     cal_scored = score_dataset(model, cal_half)
     try:
-        report.r2 = r_squared(cal_scored.scores, cal_half.errors)
+        report.r2 = r_squared(cal_scored.scores, cal_scored.errors)
         calres = calibrate(config.grid, cal_scored)
     except (CalibrationInfeasible, DegenerateError):
         # all-equal errors have no R^2, and no error exceeds q to qualify
@@ -223,19 +240,17 @@ def run_experiment(
     oracle_stats = oracle_source_statistics(cal_scored, selector, mon_cfg)
     upper_mean = source_mean_upper(cal_scored.errors, mon_cfg.alpha_source)
 
-    stream = build_stream(test, excluded, schedule, stream_seed)
-    _, first, inverse = np.unique(stream.rows, return_index=True, return_inverse=True)
-    stream_scores = predict_many(model, stream.features[first])[inverse]
+    stream_scores = predict_many(model, distinct)[inverse]
 
     # plug-in quantile detectors share one lower-bound trajectory; the
     # oracle's selection is the true-error flag, so it has no false discoveries
     l_plugin = MonitorState(selector, stats, mon_cfg).feed(selector.select(stream_scores))
-    l_oracle = MonitorState(selector, oracle_stats, mon_cfg).feed(stream.errors > selector.q)
+    l_oracle = MonitorState(selector, oracle_stats, mon_cfg).feed(stream_errors > selector.q)
     # mean detectors
     clipped = np.clip(stream_scores, 0.0, 1.0)
     report.n_clipped = int((stream_scores != clipped).sum())
     low_mean_plugin = mean_lower_path(clipped, mon_cfg)
-    low_mean_oracle = mean_lower_path(stream.errors, mon_cfg)
+    low_mean_oracle = mean_lower_path(stream_errors, mon_cfg)
 
     report.record_margins((
         (l_plugin, {"plugin_q": stats.u_q, "plugin_q2": stats.u_q2}),
@@ -243,7 +258,7 @@ def run_experiment(
         (low_mean_plugin, {"plugin_mean": upper_mean}),
         (low_mean_oracle, {"oracle_mean": upper_mean}),
     ))
-    report.delta = delta_diagnostic(stream.errors, stream_scores, selector, stats)
+    report.delta = delta_diagnostic(stream_errors, stream_scores, selector, stats)
     return report
 
 

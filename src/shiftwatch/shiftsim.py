@@ -26,6 +26,8 @@ SPLIT_KINDS = ("above_median", "below_median", "category")
 DEFAULT_ABLATION_FRACTION = 0.8
 MIN_SUBGROUP = 10
 IMMUNE_BAND = 0.05
+# events whose rows build_stream copies from a pool at once
+GATHER_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -183,7 +185,10 @@ def build_stream(
     Before onset every event comes from the retained test pool; afterwards
     sudden schedules draw from the excluded pool, sigmoid schedules draw
     from it with probability sigmoid_mixture(t, onset). The stream carries
-    errors only when every pool it draws from has them.
+    errors only when every pool it draws from has them. Each event's row is
+    copied from its own pool, ``GATHER_ROWS`` events at a time, so neither
+    a copy of the two pools laid end to end nor a second (T, d) array is
+    made.
     """
     if schedule.kind != "none" and (excluded is None or excluded.n == 0):
         raise InvalidInput("a shifting schedule needs a nonempty excluded pool")
@@ -204,9 +209,18 @@ def build_stream(
     if from_excluded.any():
         rows[from_excluded] = retained_test.n + rng.integers(0, excluded.n, size=horizon)[from_excluded]
         pools.append(excluded)
-    features = np.concatenate([p.features for p in pools])[rows]
     labeled = all(p.errors is not None for p in pools)
-    errors = np.concatenate([p.errors for p in pools])[rows] if labeled else None
+    features = np.empty((horizon, retained_test.d))
+    errors = np.empty(horizon) if labeled else None
+    offset = 0
+    for pool, take in zip(pools, (~from_excluded, from_excluded)):
+        at = np.flatnonzero(take)
+        idx = rows[at] - offset
+        for lo in range(0, at.size, GATHER_ROWS):
+            features[at[lo : lo + GATHER_ROWS]] = pool.features[idx[lo : lo + GATHER_ROWS]]
+        if labeled:
+            errors[at] = pool.errors[idx]
+        offset += pool.n
     return ProductionStream(features, errors, rows)
 
 

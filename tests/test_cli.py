@@ -19,7 +19,8 @@ from shiftwatch.cli import main
 from shiftwatch.confidence import hoeffding_halfwidth
 from shiftwatch.core import write_dataset
 from shiftwatch.errors import ConfigError, DegenerateError
-from shiftwatch.harness import RunReport
+from shiftwatch.harness import ExperimentConfig, RunReport, run_experiment
+from shiftwatch.shiftsim import Schedule, ShiftScenario
 
 
 def _scored_source(path, n=200, seed=0):
@@ -764,11 +765,11 @@ class TestPackageErrors:
     def test_suite_larger_than_memory_is_refused_before_allocating(
         self, runner, tmp_path, monkeypatch, command, key, horizon, seed_bytes
     ):
-        """A stream of horizon x (d + 2) float64s alone passes physical
-        memory, or each run fits but n_seeds runs' margins (6 x horizon
-        float64s each) do not, or at horizon 1 their fixed 10 KiB each do
-        not: one Error: line under the key, no --out-dir, and nothing large
-        allocated. The suite never starts."""
+        """One run in flight alone passes physical memory, or each run
+        fits but n_seeds runs' margins (6 x horizon float64s each) do not,
+        or at horizon 1 their fixed 10 KiB each do not: one Error: line
+        under the key, no --out-dir, and nothing large allocated. The suite
+        never starts."""
 
         def refused(*args, **kwargs):
             raise AssertionError("the suite ran")
@@ -795,8 +796,8 @@ class TestPackageErrors:
     def test_a_record_at_every_step_fits_the_size_check(self, monkeypatch, horizon):
         """A report whose four margin bases rise at every step, recorded as
         run_experiment records them, holds no more array bytes than
-        _check_sizes counts for one run beside its fixed 10 KiB; at 70,000
-        steps the step index takes 4 bytes."""
+        _check_sizes counts for one report beside its fixed 10 KiB; at
+        70,000 steps the step index takes 4 bytes."""
         report = RunReport("s", 0, horizon, 0.0)
         steps = np.arange(horizon, dtype=float)
         report.record_margins((
@@ -808,13 +809,82 @@ class TestPackageErrors:
         bases = {id(held): held for held, _ in report.records.values()}.values()
         assert len(bases) == 4 and all(held.steps.size == horizon for held in bases)
         held_bytes = sum(held.steps.nbytes + held.values.nbytes for held in bases)
-        # physical memory one byte short of the stream and 1,000 runs of
-        # these arrays and 10 KiB each: the suite is refused
+        # physical memory one byte short of a run in flight, 192 bytes a
+        # step, and 1,000 runs of these arrays and 10 KiB each: the suite
+        # is refused
         d, runs = 3, 1000
-        memory = 8 * horizon * (d + 2) + runs * (held_bytes + 10 * 1024) - 1
+        memory = 192 * horizon + runs * (held_bytes + 10 * 1024) - 1
         monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE" else memory)
         with pytest.raises(ConfigError, match="n_seeds: 1000 runs"):
             cli._check_sizes(horizon, d, runs)
+
+    @pytest.mark.parametrize("d, kind", [(3, "sudden"), (40, "sigmoid")])
+    def test_a_run_in_flight_fits_the_size_check(self, monkeypatch, d, kind):
+        """run_experiment's traced peak grows by less a step than
+        _check_sizes counts for one run and its report: physical memory of
+        the measured growth over 10^9 steps refuses the run. At 3 features
+        the peak comes after the stream's features die, at 40 while they
+        are held."""
+        rng = np.random.default_rng(0)
+        features = rng.random((2000, d))
+        features[:, 1:] = features[:, :1] + 0.01 * features[:, 1:]  # every feature tells the error
+        source = Dataset(features, np.where(features[:, 0] > 0.7, 0.6, 0.1) + 0.1 * rng.random(2000))
+        peaks = []
+        for horizon in (10_000, 40_000):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                schedule = Schedule(kind, horizon)
+                report = run_experiment(source, ShiftScenario(0, "above_median"), schedule, ExperimentConfig(), 1)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            assert not report.uncalibratable
+        per_step = (peaks[1] - peaks[0]) / 30_000
+        memory = int(per_step * 10**9)
+        monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE" else memory)
+        with pytest.raises(ConfigError, match="horizon: one run of 1000000000 events"):
+            cli._check_sizes(10**9, d, 1)
+
+    def test_simulate_fits_the_size_check(self, runner, tmp_path, monkeypatch):
+        """simulate builds and writes one stream at a time, so its traced
+        peak grows by less a step than _check_sizes counts for a stream."""
+        features = np.random.default_rng(0).random((2000, 3))
+        src = tmp_path / "src.csv"
+        write_dataset(src, Dataset(features, 0.5 * features[:, 0]))
+        peaks = []
+        for horizon in (5_000, 20_000):
+            out = tmp_path / f"o{horizon}"
+            # the categorical columns have no category of 10 rows: two scenarios
+            kinds = ["--feature-kinds", "continuous,categorical,categorical"]
+            tracemalloc.start()
+            try:
+                result = runner.invoke(main, ["simulate", "--source", str(src), "--out-dir", str(out),
+                                              "--horizon", str(horizon), *kinds])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert result.exit_code == 0 and len(list(out.glob("stream_*.csv"))) == 2, result.output
+        memory = int((peaks[1] - peaks[0]) / 15_000 * 10**9)
+        monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE" else memory)
+        with pytest.raises(ConfigError, match="horizon: one run of 1000000000 events"):
+            cli._check_sizes(10**9, 3, 0)
+
+    def test_each_run_in_flight_is_counted(self, monkeypatch):
+        """A suite holds min(workers, runs, CPUs) runs in flight, 192 bytes
+        a step each at 3 features, beside every run's report."""
+        horizon, d, runs = 1000, 3, 5
+        report = 6 * 8 * horizon + 10 * 1024
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        for workers, in_flight in ((1, 1), (3, 3), (8, 4)):
+            memory = in_flight * 192 * horizon + runs * report
+            for spare, fits in ((0, True), (-1, False)):
+                monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE" else memory + spare)
+                if fits:
+                    cli._check_sizes(horizon, d, runs, workers)
+                else:
+                    with pytest.raises(ConfigError, match="n_seeds: 5 runs"):
+                        cli._check_sizes(horizon, d, runs, workers)
 
     def test_empty_sweep_grid_is_config_error(self, runner, tmp_path):
         src = _scored_source(tmp_path / "src.csv")

@@ -1,5 +1,7 @@
 """Experiment runner and suite metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -359,6 +361,29 @@ class TestRunExperiment:
         expected = predict_many(model, stream.features)
         assert np.array_equal(scores.view(np.int64), expected.view(np.int64))
         assert report.n_clipped == int((expected != np.clip(expected, 0.0, 1.0)).sum())
+
+    def test_peak_grows_by_less_than_the_added_rows_times_1_4(self):
+        """A run holds each copy of its source only until its last read, so
+        its traced peak comes while the retained pool is partitioned: the
+        retained and excluded pools, a copy of every source row, and the
+        test and calibration shares, 0.4 of the retained pool. On a median
+        split that is 1.24 times the source's bytes and the index arrays:
+        between 32,000 and 64,000 rows the peak grew by 1.31 times the added
+        rows' bytes, and by 1.88 when every copy lived to the run's end."""
+        peaks, sizes = [], []
+        for n in (32_000, 64_000):
+            source = make_subgroup_dataset(n, n_noise_features=9, seed=23)
+            sizes.append(source.features.nbytes + source.errors.nbytes)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                schedule = Schedule("sudden", 50)
+                report = run_experiment(source, ShiftScenario(0, "above_median"), schedule, ExperimentConfig(), 1)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            assert not report.uncalibratable
+        assert peaks[1] - peaks[0] < 1.4 * (sizes[1] - sizes[0]), peaks
 
     def test_requires_labels(self, small_run):
         _, scenario, schedule, config = small_run

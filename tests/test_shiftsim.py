@@ -246,6 +246,41 @@ class TestBuildStream:
         stream = build_stream(retained, unlabeled, Schedule("none", 10), seed=0)
         assert np.array_equal(stream.errors, retained.errors[stream.rows])
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["none", "sudden", "sigmoid"]),
+        st.integers(1, 60),
+        st.integers(1, 20),
+        st.integers(0, 20),
+        st.integers(1, 3),
+        st.sampled_from(["both", "test", "excluded", "neither"]),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_gather_is_the_concatenated_pools_gather(self, kind, horizon, n_test, n_excluded, d, labeled, seed, data):
+        """Each event's features and error, gathered from its own pool,
+        are bit for bit those the stream read from a copy of its pools laid
+        end to end, for every schedule, a stream drawn only from the test
+        pool and an unlabeled pool of either kind."""
+        rng = np.random.default_rng(seed)
+        test = Dataset(rng.normal(size=(n_test, d)), rng.random(n_test) if labeled in ("both", "test") else None)
+        excluded = None
+        if n_excluded:
+            errors = rng.random(n_excluded) if labeled in ("both", "excluded") else None
+            excluded = Dataset(rng.normal(size=(n_excluded, d)), errors)
+        elif kind != "none":
+            kind = "none"  # a shifting schedule needs an excluded pool
+        onset = data.draw(st.none() | st.integers(1, horizon)) if kind != "none" else None
+        stream = build_stream(test, excluded, Schedule(kind, horizon, onset), seed)
+        pools = [test] + ([excluded] if (stream.rows >= test.n).any() else [])
+        reference = np.concatenate([p.features for p in pools])[stream.rows]
+        assert stream.features.tobytes() == reference.tobytes()
+        if all(p.errors is not None for p in pools):
+            reference = np.concatenate([p.errors for p in pools])[stream.rows]
+            assert stream.errors.tobytes() == reference.tobytes()
+        else:
+            assert stream.errors is None
+
     def test_empty_excluded_rejected(self, pools):
         retained, _ = pools
         with pytest.raises(InvalidInput):
