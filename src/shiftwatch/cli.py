@@ -20,7 +20,7 @@ from .calibration import calibrate, write_grid_report
 from .config import AppConfig, parse_config
 from .core import read_chunks, read_dataset, write_dataset
 from .errors import ConfigError, IngestError, InvalidInput, QueryRowError, ShiftwatchError
-# perfbench/trace_cli.py times the monitor's scoring under cli.predict until ROADMAP item 1 lands
+# perfbench/trace_cli.py times the monitor's scoring under cli.predict until ROADMAP item 19 lands
 from .estimator import fit_knn, predict_many as predict, r_squared, score_dataset, split_half
 from .harness import (
     PLUGIN_DETECTORS,
@@ -43,18 +43,19 @@ def _read_source(cfg: AppConfig):
 
 def _check_sizes(horizon: int, d: int, runs: int, workers: int = 1) -> None:
     """Refuse a suite that cannot fit in physical memory before anything of
-    its size is allocated. A run in flight peaks while it holds its
-    stream's features and their finiteness flags, 9 bytes a feature and
-    64 more a step, or once they die at 192 bytes a step, whichever is
-    more (README, "Command line", gives the measurements); ``simulate``,
-    which builds one stream at a time, is counted at the first. A suite
-    holds min(workers, runs, CPUs) runs in flight and, for each of
-    ``runs``, a report of 6 x 8 bytes a step and 10 KiB: the record points
-    of its four margin bases, a float64 and a step index each, the index
-    of at most 4 bytes below 2^32 steps; beyond, it takes 8, and the
-    estimate counts 8 x 8 bytes a step."""
+    its size is allocated. A run in flight holds its stream as source row
+    indices and gathers only its distinct rows, so it peaks at 192 bytes a
+    step whatever the feature count, while its last mean detector's path
+    is built (README, "Command line", gives the measurements). ``simulate``,
+    which builds one stream at a time, gathers each stream's rows whole:
+    their features and finiteness flags, 9 bytes a feature and 64 more a
+    step. A suite holds min(workers, runs, CPUs) runs in flight and, for
+    each of ``runs``, a report of 6 x 8 bytes a step and 10 KiB: the
+    record points of its four margin bases, a float64 and a step index
+    each, the index of at most 4 bytes below 2^32 steps; beyond, it takes
+    8, and the estimate counts 8 x 8 bytes a step."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    run = max(9 * d + 64, 192 if runs else 0) * horizon
+    run = (192 if runs else 9 * d + 64) * horizon
     report = 8 * (6 if horizon < 2**32 else 8) * horizon + 10 * 1024
     in_flight = max(1, min(workers, runs, os.cpu_count() or 1))
     beyond = f"more than the {memory / 2**30:,.1f} GiB of physical memory"
@@ -205,14 +206,14 @@ def cmd_simulate(cfg: AppConfig):
             retained, excluded = split_pools(source, scenario, cfg.seed + i)
             path = os.path.join(cfg.out_dir, f"stream_{scenario.scenario_id}.csv")
             # unnamed, so that a stream dies before the next is built
-            write_dataset(path, build_stream(retained, excluded, cfg.shift_schedule, cfg.seed))
+            write_dataset(path, source.subset(build_stream(retained, excluded, cfg.shift_schedule, cfg.seed).rows))
             index.append(
                 {
                     "scenario_id": scenario.scenario_id,
                     "feature_index": scenario.feature_index,
                     "split_kind": scenario.split_kind,
                     "category_value": scenario.category_value,
-                    "excluded_size": excluded.n,
+                    "excluded_size": excluded.size,
                     "stream_file": os.path.basename(path),
                 }
             )
@@ -321,7 +322,7 @@ def main(args=None, prog_name="shiftwatch"):
 
 
 # perfbench/trace_cli.py calls cli.main.main(args=..., prog_name=...);
-# ROADMAP item 1b deletes this alias
+# ROADMAP item 19 deletes this alias
 main.main = main
 
 

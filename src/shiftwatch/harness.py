@@ -43,7 +43,8 @@ _TRACE_KEYS = {
 }
 PLUGIN_DETECTORS = tuple(_TRACE_KEYS)
 # Shares of the shuffled retained pool: the first TRAIN_FRAC is left unused,
-# the next TEST_FRAC feeds the production stream and the rest calibrates.
+# and never copied, the next TEST_FRAC feeds the production stream and the
+# rest calibrates.
 TRAIN_FRAC = 0.6
 TEST_FRAC = 0.2
 R2_BINS = 10
@@ -159,14 +160,12 @@ def _sub_seeds(seed: int, scenario: ShiftScenario) -> Tuple[int, int, int]:
     return tuple(int(c.generate_state(1)[0]) for c in ss.spawn(3))
 
 
-def _partition(data: Dataset, seed: int):
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(data.n)
-    n_train = int(TRAIN_FRAC * data.n)
-    n_test = int(TEST_FRAC * data.n)
-    test = data.subset(perm[n_train : n_train + n_test])
-    calib = data.subset(perm[n_train + n_test :])
-    return test, calib
+def _partition(rows: np.ndarray, seed: int):
+    """The (test, calibration) shares of a pool of row indices, shuffled with ``seed``."""
+    shuffled = np.random.default_rng(seed).permutation(rows)
+    n_train = int(TRAIN_FRAC * rows.size)
+    n_test = int(TEST_FRAC * rows.size)
+    return shuffled[n_train : n_train + n_test], shuffled[n_train + n_test :]
 
 
 def run_experiment(
@@ -185,19 +184,17 @@ def run_experiment(
     compute source statistics, and run all six detectors (plug-in and
     oracle variants of the two quantile statistics and the mean statistic).
     Every run fits its own k-NN and never reads a ``score`` column of the
-    source. The k-NN scores each distinct pool row of the stream once; every
-    event reads its row's score, bit for bit the score of the whole stream.
-    The quantile detectors' L_q and alarms come from ``MonitorState.feed``,
-    which the streaming monitor calls per chunk, here once per stream.
+    source. The k-NN scores each distinct source row of the stream once;
+    every event reads its row's score, bit for bit the score of the whole
+    stream. The quantile detectors' L_q and alarms come from
+    ``MonitorState.feed``, which the streaming monitor calls per chunk,
+    here once per stream.
 
-    Each copy of source rows dies at its last read: the retained pool once
-    partitioned, the test and excluded pools once the stream is drawn, the
-    stream's features once its distinct rows are gathered, the calibration
-    share once split and the fit half once fitted. So a run peaks, per
-    source row, while the retained pool is partitioned: the two pools, a
-    copy of every source row, and the test and calibration shares. Per
-    step it peaks while it holds the stream's features or, once they die,
-    while the last mean detector's path is built (see ``cli._check_sizes``).
+    The pools, their shares and the stream are row indices into the
+    source, each dropped at its last read, so the run copies from the
+    source only the calibration share and the stream's distinct rows. Per
+    step it peaks while the last mean detector's path is built (see
+    ``cli._check_sizes``).
     """
     if source.errors is None:
         raise InvalidInput("experiments need a labeled source dataset")
@@ -208,8 +205,9 @@ def run_experiment(
     stream = build_stream(test, excluded, schedule, stream_seed)
     del test, excluded
     _, first, inverse = np.unique(stream.rows, return_index=True, return_inverse=True)
-    distinct, stream_errors = stream.features[first], stream.errors
-    del stream
+    distinct = source.features[stream.rows[first]]
+    stream_errors = source.errors[stream.rows]
+    del stream, first
 
     report = RunReport(
         scenario_id=scenario.scenario_id,
@@ -218,7 +216,7 @@ def run_experiment(
         eps_tol=config.monitor.eps_tol,
     )
 
-    fit_half, cal_half = split_half(calib, part_seed + 1)
+    fit_half, cal_half = split_half(source.subset(calib), part_seed + 1)
     del calib
     model = fit_knn(fit_half, min(config.k, fit_half.n))
     del fit_half

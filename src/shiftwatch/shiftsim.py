@@ -3,9 +3,11 @@
 Feature-split ablation carves a subgroup out of a labeled pool (the
 excluded pool), and production streams reintroduce that subgroup either
 suddenly or along a sigmoid mixing schedule; ``ShiftScenario`` owns the
-split rule that both ``enumerate_scenarios`` and ``split_pools`` apply. A
-small synthetic subgroup-failure dataset generator, which builds each
-feature column together with its kind, is included for experiments and tests.
+split rule that both ``enumerate_scenarios`` and ``split_pools`` apply.
+Pools and streams are row indices into the source dataset, never copies
+of its rows: the caller gathers the rows it reads. A small synthetic
+subgroup-failure dataset generator, which builds each feature column
+together with its kind, is included for experiments and tests.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ SPLIT_KINDS = ("above_median", "below_median", "category")
 DEFAULT_ABLATION_FRACTION = 0.8
 MIN_SUBGROUP = 10
 IMMUNE_BAND = 0.05
-# events whose rows build_stream copies from a pool at once
-GATHER_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,8 @@ def enumerate_scenarios(
 
 
 def split_pools(data: Dataset, scenario: ShiftScenario, seed: int):
-    """Partition a dataset into (retained, excluded) pools.
+    """Partition a dataset's rows into (retained, excluded) pools, each an
+    ascending array of row indices into ``data``.
 
     The excluded pool is a uniform draw, with ``seed``, of the scenario's
     ``excluded_count`` rows from its ``side`` of the feature column: a
@@ -155,42 +156,37 @@ def split_pools(data: Dataset, scenario: ShiftScenario, seed: int):
         raise InvalidInput(f"scenario {scenario.scenario_id} leaves an empty pool")
     mask = np.zeros(data.n, dtype=bool)
     mask[np.random.default_rng(seed).choice(side, size=n_excl, replace=False)] = True
-    return data.subset(np.nonzero(~mask)[0]), data.subset(np.nonzero(mask)[0])
+    return np.flatnonzero(~mask), np.flatnonzero(mask)
 
 
-class ProductionStream(Dataset):
-    """A realized production stream, one event a row; errors ride along for
-    oracle evaluation. ``rows`` (T,) names each event's pool row: an index
-    into the retained test pool, or an index into the excluded pool plus
-    the test pool's size. Events that share a row share its features and
-    error."""
+class ProductionStream:
+    """A realized production stream: ``rows`` (T,) names each event's row
+    of the source its pools index, so events that share a row share its
+    features and error. ``horizon`` is T; it stays a name of its own
+    because the benchmark's tracer counts each ``build_stream`` call by it,
+    until ROADMAP item 19 replaces that tracer."""
 
-    def __init__(self, features, errors, rows):
-        super().__init__(features, errors)
+    def __init__(self, rows):
         self.rows = rows
 
     @property
     def horizon(self) -> int:
-        return self.n
+        return self.rows.size
 
 
-def build_stream(
-    retained_test: Dataset,
-    excluded: Optional[Dataset],
-    schedule: Schedule,
-    seed: int,
-) -> ProductionStream:
-    """Sample a production stream (with replacement) under a schedule.
+def build_stream(test: np.ndarray, excluded: np.ndarray, schedule: Schedule, seed: int) -> ProductionStream:
+    """Sample a production stream (with replacement) under a schedule from
+    two pools of source row indices, the test pool and the excluded pool.
 
-    Before onset every event comes from the retained test pool; afterwards
-    sudden schedules draw from the excluded pool, sigmoid schedules draw
-    from it with probability sigmoid_mixture(t, onset). The stream carries
-    errors only when every pool it draws from has them. Each event's row is
-    copied from its own pool, ``GATHER_ROWS`` events at a time, so neither
-    a copy of the two pools laid end to end nor a second (T, d) array is
-    made.
+    Before onset every event draws from the test pool; afterwards sudden
+    schedules draw from the excluded pool, sigmoid schedules draw from it
+    with probability sigmoid_mixture(t, onset). The excluded pool may be
+    empty only under the ``none`` schedule. No row is copied: the stream
+    holds each event's source row index.
     """
-    if schedule.kind != "none" and (excluded is None or excluded.n == 0):
+    if test.size == 0:
+        raise InvalidInput("a stream needs a nonempty test pool")
+    if schedule.kind != "none" and excluded.size == 0:
         raise InvalidInput("a shifting schedule needs a nonempty excluded pool")
 
     rng = np.random.default_rng(seed)
@@ -204,24 +200,10 @@ def build_stream(
         beta = sigmoid_mixture(t, schedule.onset)
         from_excluded = (t >= schedule.onset) & (rng.random(horizon) < beta)
 
-    rows = rng.integers(0, retained_test.n, size=horizon)
-    pools = [retained_test]
+    rows = test[rng.integers(0, test.size, size=horizon)]
     if from_excluded.any():
-        rows[from_excluded] = retained_test.n + rng.integers(0, excluded.n, size=horizon)[from_excluded]
-        pools.append(excluded)
-    labeled = all(p.errors is not None for p in pools)
-    features = np.empty((horizon, retained_test.d))
-    errors = np.empty(horizon) if labeled else None
-    offset = 0
-    for pool, take in zip(pools, (~from_excluded, from_excluded)):
-        at = np.flatnonzero(take)
-        idx = rows[at] - offset
-        for lo in range(0, at.size, GATHER_ROWS):
-            features[at[lo : lo + GATHER_ROWS]] = pool.features[idx[lo : lo + GATHER_ROWS]]
-        if labeled:
-            errors[at] = pool.errors[idx]
-        offset += pool.n
-    return ProductionStream(features, errors, rows)
+        rows[from_excluded] = excluded[rng.integers(0, excluded.size, size=horizon)[from_excluded]]
+    return ProductionStream(rows)
 
 
 def _build_subgroup_dataset(

@@ -132,9 +132,9 @@ def test_false_alarm_control():
         stats = source_statistics(cal, result.selector, cfg)
         for s in range(5):
             stream = build_stream(
-                data, None, Schedule("none", 2000), 9000 + ds * 10 + s
+                np.arange(data.n), np.arange(0), Schedule("none", 2000), 9000 + ds * 10 + s
             )
-            scores = predict_many(model, stream.features)
+            scores = predict_many(model, data.features[stream.rows])
             state = MonitorState(result.selector, stats, cfg)
             state.feed(result.selector.select(scores))
             total += 1
@@ -267,12 +267,13 @@ def test_delta_diagnostic_smallness(shift_suite):
 def test_perfect_estimator_equivalence():
     """With scores equal to true errors and the score threshold calibrated
     to the error threshold, the plug-in detector's alarm times equal the
-    labeled-oracle detector's on 50 sudden-shift streams. Exact."""
+    labeled-oracle detector's on 50 sudden-shift streams, each drawn from
+    400 retained rows and, from the onset, 200 excluded ones. Exact."""
     rng = np.random.default_rng(7)
     retained_errors = rng.random(400) * 0.4
     excluded_errors = 0.6 + rng.random(200) * 0.4
     retained = Dataset(rng.random((400, 2)), retained_errors, retained_errors)
-    excluded = Dataset(rng.random((200, 2)), excluded_errors, excluded_errors)
+    errors = np.concatenate([retained_errors, excluded_errors])
     # a single-cell grid at matching levels forces q_hat == q
     result = calibrate(GridSpec(p_values=(0.75,), p_hat_values=(0.75,)), retained)
     selector = result.selector
@@ -283,10 +284,10 @@ def test_perfect_estimator_equivalence():
     all_finite = True
     for s in range(50):
         stream = build_stream(
-            retained, excluded, Schedule("sudden", 1000, onset=100), 100 + s
+            np.arange(400), np.arange(400, 600), Schedule("sudden", 1000, onset=100), 100 + s
         )
-        plugin_sel = (stream.errors > selector.q_hat).astype(float)
-        oracle_sel = (stream.errors > selector.q).astype(float)
+        plugin_sel = (errors[stream.rows] > selector.q_hat).astype(float)
+        oracle_sel = (errors[stream.rows] > selector.q).astype(float)
         plugin = MonitorState(selector, stats, cfg)
         plugin.feed(plugin_sel)
         oracle = MonitorState(selector, oracle_stats, cfg)

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from shiftwatch import Dataset, cli, core
 from shiftwatch.cli import main
 from shiftwatch.confidence import hoeffding_halfwidth
-from shiftwatch.core import write_dataset
+from shiftwatch.core import read_dataset, write_dataset
 from shiftwatch.errors import ConfigError, DegenerateError
 from shiftwatch.harness import ExperimentConfig, RunReport, run_experiment
 from shiftwatch.shiftsim import Schedule, ShiftScenario
@@ -626,6 +626,28 @@ def test_file_fuzz(runner, tmp_path):
     check()
 
 
+def _run_slope(d, kind):
+    """run_experiment's traced peak growth a step, from horizon 10,000 to
+    40,000, on a 2,000-row source of ``d`` features that each tell the
+    error, under a ``kind`` schedule."""
+    rng = np.random.default_rng(0)
+    features = rng.random((2000, d))
+    features[:, 1:] = features[:, :1] + 0.01 * features[:, 1:]  # every feature tells the error
+    source = Dataset(features, np.where(features[:, 0] > 0.7, 0.6, 0.1) + 0.1 * rng.random(2000))
+    peaks = []
+    for horizon in (10_000, 40_000):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            schedule = Schedule(kind, horizon)
+            report = run_experiment(source, ShiftScenario(0, "above_median"), schedule, ExperimentConfig(), 1)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert not report.uncalibratable
+    return (peaks[1] - peaks[0]) / 30_000
+
+
 class TestPackageErrors:
     def test_constant_source_errors_are_one_line(self, runner, tmp_path):
         """R^2 of a constant target is undefined: every command that fits
@@ -822,29 +844,20 @@ class TestPackageErrors:
     def test_a_run_in_flight_fits_the_size_check(self, monkeypatch, d, kind):
         """run_experiment's traced peak grows by less a step than
         _check_sizes counts for one run and its report: physical memory of
-        the measured growth over 10^9 steps refuses the run. At 3 features
-        the peak comes after the stream's features die, at 40 while they
-        are held."""
-        rng = np.random.default_rng(0)
-        features = rng.random((2000, d))
-        features[:, 1:] = features[:, :1] + 0.01 * features[:, 1:]  # every feature tells the error
-        source = Dataset(features, np.where(features[:, 0] > 0.7, 0.6, 0.1) + 0.1 * rng.random(2000))
-        peaks = []
-        for horizon in (10_000, 40_000):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                schedule = Schedule(kind, horizon)
-                report = run_experiment(source, ShiftScenario(0, "above_median"), schedule, ExperimentConfig(), 1)
-                peaks.append(tracemalloc.get_traced_memory()[1] - base)
-            finally:
-                tracemalloc.stop()
-            assert not report.uncalibratable
-        per_step = (peaks[1] - peaks[0]) / 30_000
-        memory = int(per_step * 10**9)
+        the measured growth over 10^9 steps refuses the run. At 3 and at 40
+        features the peak comes while the last mean detector's path is
+        built."""
+        memory = int(_run_slope(d, kind) * 10**9)
         monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE" else memory)
         with pytest.raises(ConfigError, match="horizon: one run of 1000000000 events"):
             cli._check_sizes(10**9, d, 1)
+
+    def test_a_run_in_flight_does_not_grow_with_the_features(self):
+        """A run holds its stream as source row indices and copies only its
+        distinct rows, so at 80 features its peak grows by less than the
+        192 bytes a step that _check_sizes counts whatever the feature
+        count; it grew by 692 when the stream was a copy of its rows."""
+        assert _run_slope(80, "sudden") < 192
 
     def test_simulate_fits_the_size_check(self, runner, tmp_path, monkeypatch):
         """simulate builds and writes one stream at a time, so its traced
@@ -1194,6 +1207,28 @@ class TestSimulateCommand:
         assert len(index["scenarios"]) == 4  # two continuous features
         for entry in index["scenarios"]:
             assert (out / entry["stream_file"]).exists()
+
+    def test_a_scored_source_writes_streams_that_monitor_replays(self, runner, tmp_path):
+        """Each stream row is a whole source row, its score included, so a
+        scored source's streams are production files that monitor accepts
+        with that source, which asks for scores exactly when it has them."""
+        src = _scored_source(tmp_path / "src.csv")
+        out = tmp_path / "out"
+        args = ["simulate", "--source", str(src), "--out-dir", str(out), "--horizon", "50", "--onset", "10"]
+        assert runner.invoke(main, args).exit_code == 0
+
+        def rows(data):
+            return set(map(tuple, np.column_stack([data.features, data.errors, data.scores]).tolist()))
+
+        source_rows = rows(read_dataset(src))
+        streams = sorted(out.glob("stream_*.csv"))
+        assert len(streams) == 4  # two continuous features
+        for path in streams:
+            stream = read_dataset(path)
+            assert stream.n == 50 and rows(stream) <= source_rows
+            args = ["monitor", "--source", str(src), "--production", str(path), "--out-dir", str(tmp_path / "m")]
+            result = runner.invoke(main, args)
+            assert result.exit_code in (0, 2), result.output
 
     def test_close_categories_write_one_stream_each(self, runner, tmp_path):
         """0.1234561 and 0.1234562 both print as 0.123456 under :g; each

@@ -96,7 +96,8 @@ class TestScenarioEnumeration:
     def test_enumeration_and_split_pools_agree(self, kind_and_col, fraction):
         """A scenario is admitted exactly when split_pools excludes between
         MIN_SUBGROUP and n // 2 rows, and that pool has the scenario's
-        excluded count of rows, all from its side."""
+        excluded count of distinct rows, all from its side, in ascending
+        order."""
         kind, values = kind_and_col
         col = np.array(values)
         data = Dataset(col.reshape(-1, 1), None)
@@ -115,9 +116,9 @@ class TestScenarioEnumeration:
                 assert scenario.excluded_count(side.size) in (0, data.n)
                 assert scenario not in admitted
                 continue
-            assert excluded.n == scenario.excluded_count(side.size)
-            assert np.isin(excluded.features[:, 0], col[side]).all()
-            admissible = MIN_SUBGROUP <= excluded.n <= data.n // 2
+            assert excluded.size == scenario.excluded_count(side.size)
+            assert np.isin(excluded, side).all() and (np.diff(excluded) > 0).all()
+            admissible = MIN_SUBGROUP <= excluded.size <= data.n // 2
             assert (scenario in admitted) == admissible
         assert all(s in candidates for s in admitted)
 
@@ -129,28 +130,27 @@ class TestSplitPools:
         scenario = ShiftScenario(0, "above_median", ablation_fraction=0.8)
         retained, excluded = split_pools(data, scenario, seed=3)
         # side {6..10} has 5 rows; floor(0.8 * 5) = 4 go to excluded
-        assert excluded.n == 4
-        assert np.all(excluded.features[:, 0] > 5)
-        assert retained.n == 6
+        assert excluded.size == 4
+        assert np.all(values[excluded] > 5)
+        assert retained.size == 6
 
     def test_category_takes_whole_group(self):
         col = np.array([0.0] * 12 + [1.0] * 20)
         data = Dataset(col.reshape(-1, 1), np.full(32, 0.5))
         scenario = ShiftScenario(0, "category", category_value=0.0)
         retained, excluded = split_pools(data, scenario, seed=0)
-        assert excluded.n == 12
-        assert np.all(excluded.features[:, 0] == 0.0)
+        assert excluded.tolist() == list(range(12))
+        assert np.all(col[retained] == 1.0)
 
     def test_partition_property(self):
+        """The two pools are ascending row indices that together name every
+        row of the dataset once."""
         rng = np.random.default_rng(6)
         data = Dataset(rng.random((60, 2)), rng.random(60))
         for kind in ("above_median", "below_median"):
             retained, excluded = split_pools(data, ShiftScenario(1, kind), seed=9)
-            assert retained.n + excluded.n == data.n
-            merged = np.vstack([retained.features, excluded.features])
-            assert np.array_equal(
-                np.sort(merged, axis=0), np.sort(data.features, axis=0)
-            )
+            assert (np.diff(retained) > 0).all() and (np.diff(excluded) > 0).all()
+            assert np.array_equal(np.sort(np.concatenate([retained, excluded])), np.arange(data.n))
 
     def test_seeded_and_deterministic(self):
         rng = np.random.default_rng(7)
@@ -158,7 +158,7 @@ class TestSplitPools:
         s = ShiftScenario(0, "above_median")
         _, e1 = split_pools(data, s, seed=11)
         _, e2 = split_pools(data, s, seed=11)
-        assert np.array_equal(e1.features, e2.features)
+        assert np.array_equal(e1, e2)
 
     def test_scenario_validation(self):
         with pytest.raises(InvalidInput):
@@ -192,59 +192,62 @@ class TestSigmoid:
         assert np.array_equal(sigmoid_mixture(t, 1000), [sigmoid_mixture(int(x), 1000) for x in t])
 
 
+def _pool_rows(n_test, n_excluded, schedule, seed):
+    """Each event's pool row as build_stream drew it when its pools were
+    datasets: an index into the test pool, or one into the excluded pool
+    plus the test pool's size, from the same random calls."""
+    rng = np.random.default_rng(seed)
+    horizon = schedule.horizon
+    t = np.arange(1, horizon + 1)
+    if schedule.kind == "none":
+        from_excluded = np.zeros(horizon, dtype=bool)
+    elif schedule.kind == "sudden":
+        from_excluded = t >= schedule.onset
+    else:
+        beta = sigmoid_mixture(t, schedule.onset)
+        from_excluded = (t >= schedule.onset) & (rng.random(horizon) < beta)
+    rows = rng.integers(0, n_test, size=horizon)
+    if from_excluded.any():
+        rows[from_excluded] = n_test + rng.integers(0, n_excluded, size=horizon)[from_excluded]
+    return rows
+
+
 class TestBuildStream:
     @pytest.fixture
     def pools(self):
+        """A source of 50 rows at f0 = 0 and 30 at f0 = 1, and its test and
+        excluded pools: the first 50 rows and the last 30."""
         rng = np.random.default_rng(8)
-        retained = Dataset(np.zeros((50, 1)), rng.random(50) * 0.2)
-        excluded = Dataset(np.ones((30, 1)), 0.8 + rng.random(30) * 0.2)
-        return retained, excluded
+        errors = np.concatenate([rng.random(50) * 0.2, 0.8 + rng.random(30) * 0.2])
+        source = Dataset(np.repeat([0.0, 1.0], [50, 30])[:, None], errors)
+        return source, np.arange(50), np.arange(50, 80)
 
     def test_schedule_none_only_retained(self, pools):
-        retained, excluded = pools
-        stream = build_stream(retained, excluded, Schedule("none", 200), seed=0)
+        source, test, excluded = pools
+        stream = build_stream(test, excluded, Schedule("none", 200), seed=0)
         assert stream.horizon == 200
-        assert np.all(stream.features[:, 0] == 0.0)
+        assert np.all(source.features[stream.rows, 0] == 0.0)
 
     def test_sudden_switches_at_onset(self, pools):
-        retained, excluded = pools
-        stream = build_stream(retained, excluded, Schedule("sudden", 100, onset=40), seed=0)
-        assert np.all(stream.features[:39, 0] == 0.0)
-        assert np.all(stream.features[39:, 0] == 1.0)
+        source, test, excluded = pools
+        stream = build_stream(test, excluded, Schedule("sudden", 100, onset=40), seed=0)
+        assert np.all(source.features[stream.rows[:39], 0] == 0.0)
+        assert np.all(source.features[stream.rows[39:], 0] == 1.0)
 
     def test_sigmoid_fraction_matches_analytic_mean(self, pools):
-        retained, excluded = pools
+        source, test, excluded = pools
         horizon, t0 = 3000, 1500
-        stream = build_stream(
-            retained, excluded, Schedule("sigmoid", horizon, onset=t0), seed=12
-        )
-        window = stream.features[2000:, 0]
+        stream = build_stream(test, excluded, Schedule("sigmoid", horizon, onset=t0), seed=12)
+        window = source.features[stream.rows[2000:], 0]
         t = np.arange(2001, horizon + 1)
         analytic = float(np.mean(1.0 / (1.0 + np.exp(-(t - t0).astype(float)))))
         assert window.mean() == pytest.approx(analytic, abs=0.05)
 
     def test_reproducible(self, pools):
-        retained, excluded = pools
-        s1 = build_stream(retained, excluded, Schedule("sudden", 100, onset=50), seed=5)
-        s2 = build_stream(retained, excluded, Schedule("sudden", 100, onset=50), seed=5)
-        assert np.array_equal(s1.features, s2.features)
-        assert np.array_equal(s1.errors, s2.errors)
-
-    def test_errors_need_every_pool_drawn_from_to_be_labeled(self, pools):
-        # each event gathers its row's features and error; the excluded
-        # events of an unlabeled excluded pool kept the errors of the
-        # retained rows they replaced
-        retained, excluded = pools
-        stream = build_stream(retained, excluded, Schedule("sigmoid", 200, onset=100), seed=3)
-        for name in ("features", "errors"):
-            pooled = np.concatenate([getattr(retained, name), getattr(excluded, name)])
-            assert np.array_equal(getattr(stream, name), pooled[stream.rows])
-        unlabeled = Dataset(excluded.features)
-        stream = build_stream(retained, unlabeled, Schedule("sudden", 10, onset=6), seed=0)
-        assert np.all(stream.features[5:, 0] == 1.0)
-        assert stream.errors is None
-        stream = build_stream(retained, unlabeled, Schedule("none", 10), seed=0)
-        assert np.array_equal(stream.errors, retained.errors[stream.rows])
+        _, test, excluded = pools
+        s1 = build_stream(test, excluded, Schedule("sudden", 100, onset=50), seed=5)
+        s2 = build_stream(test, excluded, Schedule("sudden", 100, onset=50), seed=5)
+        assert np.array_equal(s1.rows, s2.rows)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -252,39 +255,38 @@ class TestBuildStream:
         st.integers(1, 60),
         st.integers(1, 20),
         st.integers(0, 20),
-        st.integers(1, 3),
-        st.sampled_from(["both", "test", "excluded", "neither"]),
         st.integers(0, 2**32 - 1),
         st.data(),
     )
-    def test_gather_is_the_concatenated_pools_gather(self, kind, horizon, n_test, n_excluded, d, labeled, seed, data):
-        """Each event's features and error, gathered from its own pool,
-        are bit for bit those the stream read from a copy of its pools laid
+    def test_rows_are_the_pool_rows_drawn_from_dataset_pools(self, kind, horizon, n_test, n_excluded, seed, data):
+        """Each event's source row is the pool row that the same random calls
+        drew when the pools were datasets, mapped through the two pools laid
         end to end, for every schedule, a stream drawn only from the test
-        pool and an unlabeled pool of either kind."""
-        rng = np.random.default_rng(seed)
-        test = Dataset(rng.normal(size=(n_test, d)), rng.random(n_test) if labeled in ("both", "test") else None)
-        excluded = None
-        if n_excluded:
-            errors = rng.random(n_excluded) if labeled in ("both", "excluded") else None
-            excluded = Dataset(rng.normal(size=(n_excluded, d)), errors)
-        elif kind != "none":
-            kind = "none"  # a shifting schedule needs an excluded pool
+        pool and an empty excluded pool under ``none``; under a shifting
+        schedule an empty excluded pool is refused."""
+        # the pools name disjoint rows of a larger source, in no particular order
+        rows = np.random.default_rng(seed).permutation(n_test + n_excluded + 5)
+        test, excluded = rows[:n_test], rows[n_test : n_test + n_excluded]
         onset = data.draw(st.none() | st.integers(1, horizon)) if kind != "none" else None
-        stream = build_stream(test, excluded, Schedule(kind, horizon, onset), seed)
-        pools = [test] + ([excluded] if (stream.rows >= test.n).any() else [])
-        reference = np.concatenate([p.features for p in pools])[stream.rows]
-        assert stream.features.tobytes() == reference.tobytes()
-        if all(p.errors is not None for p in pools):
-            reference = np.concatenate([p.errors for p in pools])[stream.rows]
-            assert stream.errors.tobytes() == reference.tobytes()
-        else:
-            assert stream.errors is None
+        schedule = Schedule(kind, horizon, onset)
+        if kind != "none" and n_excluded == 0:
+            with pytest.raises(InvalidInput, match="nonempty excluded pool"):
+                build_stream(test, excluded, schedule, seed)
+            return
+        stream = build_stream(test, excluded, schedule, seed)
+        reference = np.concatenate([test, excluded])[_pool_rows(n_test, n_excluded, schedule, seed)]
+        assert stream.rows.tobytes() == reference.tobytes()
+        assert stream.horizon == horizon
 
     def test_empty_excluded_rejected(self, pools):
-        retained, _ = pools
-        with pytest.raises(InvalidInput):
-            build_stream(retained, None, Schedule("sudden", 100, onset=50), seed=0)
+        _, test, _ = pools
+        with pytest.raises(InvalidInput, match="nonempty excluded pool"):
+            build_stream(test, np.arange(0), Schedule("sudden", 100, onset=50), seed=0)
+
+    def test_empty_test_pool_rejected(self, pools):
+        _, test, _ = pools
+        with pytest.raises(InvalidInput, match="nonempty test pool"):
+            build_stream(np.arange(0), test, Schedule("none", 100), seed=0)
 
     def test_schedule_validation(self):
         with pytest.raises(InvalidInput):
