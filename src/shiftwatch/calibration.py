@@ -26,8 +26,8 @@ DEFAULT_FDP_MAX = 0.2
 
 @dataclass(frozen=True)
 class GridSpec:
-    p_values: tuple = DEFAULT_P_VALUES
-    p_hat_values: tuple = DEFAULT_P_HAT_VALUES
+    p_values: Tuple[float, ...] = DEFAULT_P_VALUES
+    p_hat_values: Tuple[float, ...] = DEFAULT_P_HAT_VALUES
     fdp_max: float = DEFAULT_FDP_MAX
 
     def __post_init__(self):
@@ -110,8 +110,8 @@ def calibrate(grid: GridSpec, data: Dataset) -> CalibrationResult:
 
     eligible = [c for c in report if c.qualifying]
     if not eligible:
-        best = min(report, key=lambda c: (c.fdp, -c.power))
-        raise CalibrationInfeasible(best.fdp)
+        # cells run through p_hat within p; one selecting nothing has FDP 0 by convention only
+        raise CalibrationInfeasible(min((c.fdp for c, sel in zip(report, n_sel * len(qs)) if sel), default=None))
     chosen = max(eligible, key=lambda c: (c.power, -c.fdp, c.p, -c.p_hat))
     return CalibrationResult(
         selector=Selector(q=chosen.q, q_hat=chosen.q_hat, p=chosen.p, p_hat=chosen.p_hat),

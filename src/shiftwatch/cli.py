@@ -41,21 +41,21 @@ def _read_source(cfg: AppConfig):
     return read_dataset(cfg.source)
 
 
-def _check_sizes(horizon: int, d: int, runs: int, workers: int = 1) -> None:
+def _check_sizes(horizon: int, runs: int, workers: int = 1) -> None:
     """Refuse a suite that cannot fit in physical memory before anything of
     its size is allocated. A run in flight holds its stream as source row
     indices and gathers only its distinct rows, so it peaks at 192 bytes a
     step whatever the feature count, while its last mean detector's path
-    is built (README, "Command line", gives the measurements). ``simulate``,
-    which builds one stream at a time, gathers each stream's rows whole:
-    their features and finiteness flags, 9 bytes a feature and 64 more a
-    step. A suite holds min(workers, runs, CPUs) runs in flight and, for
-    each of ``runs``, a report of 6 x 8 bytes a step and 10 KiB: the
-    record points of its four margin bases, a float64 and a step index
-    each, the index of at most 4 bytes below 2^32 steps; beyond, it takes
-    8, and the estimate counts 8 x 8 bytes a step."""
+    is built (README, "Command line", gives the measurements). ``simulate``
+    builds one stream of row indices at a time and writes it a block of
+    rows at a time, so it peaks at 64 bytes a step whatever the feature
+    count, while the indices are drawn. A suite holds min(workers, runs,
+    CPUs) runs in flight and, for each of ``runs``, a report of 6 x 8 bytes
+    a step and 10 KiB: the record points of its four margin bases, a
+    float64 and a step index each, the index of at most 4 bytes below 2^32
+    steps; beyond, it takes 8, and the estimate counts 8 x 8 bytes a step."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    run = (192 if runs else 9 * d + 64) * horizon
+    run = (192 if runs else 64) * horizon
     report = 8 * (6 if horizon < 2**32 else 8) * horizon + 10 * 1024
     in_flight = max(1, min(workers, runs, os.cpu_count() or 1))
     beyond = f"more than the {memory / 2**30:,.1f} GiB of physical memory"
@@ -72,7 +72,7 @@ def _scenarios(cfg: AppConfig, runs_per_scenario: int = 0, workers: int = 1):
     source = _read_source(cfg)
     kinds = (CONTINUOUS,) * source.d if cfg.feature_kinds is None else cfg.feature_kinds
     scenarios = enumerate_scenarios(source, kinds, cfg.ablation_fraction)
-    _check_sizes(cfg.horizon, source.d, len(scenarios) * runs_per_scenario, workers)
+    _check_sizes(cfg.shift_schedule.horizon, len(scenarios) * runs_per_scenario, workers)
     return source, scenarios
 
 
@@ -206,7 +206,7 @@ def cmd_simulate(cfg: AppConfig):
             retained, excluded = split_pools(source, scenario, cfg.seed + i)
             path = os.path.join(cfg.out_dir, f"stream_{scenario.scenario_id}.csv")
             # unnamed, so that a stream dies before the next is built
-            write_dataset(path, source.subset(build_stream(retained, excluded, cfg.shift_schedule, cfg.seed).rows))
+            write_dataset(path, source, build_stream(retained, excluded, cfg.shift_schedule, cfg.seed).rows)
             index.append(
                 {
                     "scenario_id": scenario.scenario_id,
@@ -239,7 +239,7 @@ def cmd_evaluate(cfg: AppConfig):
         summary.update(
             n_runs=len(reports),
             n_uncalibratable=sum(r.uncalibratable for r in reports),
-            detectors={det: suite_metrics(reports, det, eps_harm=0.0).to_dict() for det in PLUGIN_DETECTORS},
+            detectors={det: suite_metrics(reports, det, eps_harm=0.0) for det in PLUGIN_DETECTORS},
             by_r2_decile={det: suite_metrics_by_r2(reports, det, eps_harm=0.0) for det in ("phi_q2", "mean")},
         )
         with open(os.path.join(cfg.out_dir, "runs.json"), "w") as fh:
@@ -256,8 +256,7 @@ def cmd_sweep(cfg: AppConfig):
         for eps_tol in cfg.eps_tol_grid:
             for eps_harm in cfg.eps_harm_grid:
                 for det in PLUGIN_DETECTORS:
-                    m = suite_metrics(reports, det, eps_harm=eps_harm, eps_tol=eps_tol)
-                    rows.append({"eps_tol": eps_tol, **m.to_dict()})
+                    rows.append({"eps_tol": eps_tol, **suite_metrics(reports, det, eps_harm, eps_tol)})
         with open(os.path.join(cfg.out_dir, "sweep.csv"), "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=sorted(rows[0].keys()))
             writer.writeheader()

@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
-from .calibration import DEFAULT_FDP_MAX, DEFAULT_P_HAT_VALUES, DEFAULT_P_VALUES, GridSpec
+from .calibration import GridSpec
 from .errors import ConfigError
 from .estimator import DEFAULT_K
 from .monitor import MonitorConfig
@@ -27,17 +27,6 @@ class AppConfig:
     production: Optional[str] = None
     out_dir: str = "out"
     k: int = DEFAULT_K
-    p_values: Tuple[float, ...] = DEFAULT_P_VALUES
-    p_hat_values: Tuple[float, ...] = DEFAULT_P_HAT_VALUES
-    fdp_max: float = DEFAULT_FDP_MAX
-    alpha_source: float = MonitorConfig.alpha_source
-    alpha_prod: float = MonitorConfig.alpha_prod
-    alpha1: Optional[float] = MonitorConfig.alpha1
-    eps_tol: float = MonitorConfig.eps_tol
-    delta_corr: float = MonitorConfig.delta_corr
-    schedule: str = "sudden"
-    horizon: int = 2000
-    onset: Optional[int] = None
     seed: int = 0
     n_seeds: int = 1
     workers: int = 1
@@ -45,26 +34,33 @@ class AppConfig:
     ablation_fraction: float = DEFAULT_ABLATION_FRACTION
     eps_harm_grid: Tuple[float, ...] = (0.0, 0.02, 0.05, 0.1)
     eps_tol_grid: Tuple[float, ...] = (0.0,)
-    # Settings parse_config builds from the keys BUILT names; not keys.
-    monitor: MonitorConfig = field(init=False, repr=False, compare=False)
-    grid: GridSpec = field(init=False, repr=False, compare=False)
-    shift_schedule: Schedule = field(init=False, repr=False, compare=False)
+    # Settings parse_config builds from their keys (see BUILT); not keys.
+    monitor: MonitorConfig = field(default_factory=MonitorConfig)
+    grid: GridSpec = field(default_factory=GridSpec)
+    shift_schedule: Schedule = field(default_factory=Schedule)
 
 
-# By AppConfig attribute: the settings type and the keys passed to it.
-BUILT = {
-    "monitor": (MonitorConfig, ("alpha_source", "alpha_prod", "alpha1", "eps_tol", "delta_corr")),
-    "grid": (GridSpec, ("p_values", "p_hat_values", "fdp_max")),
-    "shift_schedule": (Schedule, ("schedule", "horizon", "onset")),
+# By AppConfig attribute: the settings type parse_config builds there. Each
+# of its fields is the key of its name, save Schedule's kind, keyed
+# schedule, and the field's annotation is the key's type.
+BUILT = {"monitor": MonitorConfig, "grid": GridSpec, "shift_schedule": Schedule}
+
+
+def _keys_of(kind) -> dict:
+    """Each key of a settings type in BUILT, to the field it sets."""
+    return {"schedule" if f.name == "kind" else f.name: f.name for f in dataclasses.fields(kind)}
+
+
+# Each other key's type is the annotation of its AppConfig field.
+_KEY_TYPES = {key: kind for key, kind in get_type_hints(AppConfig).items() if key not in BUILT} | {
+    key: get_type_hints(kind)[name] for kind in BUILT.values() for key, name in _keys_of(kind).items()
 }
-# Each key's type is the annotation of its AppConfig field.
-_KEY_TYPES = {key: kind for key, kind in get_type_hints(AppConfig).items() if key not in BUILT}
 KNOWN_KEYS = frozenset(_KEY_TYPES)
 
 
 def _coerce(key: str, raw):
     """Parse a file or flag value (a string) into the type of ``key``'s
-    AppConfig field: a comma-separated list for a tuple field."""
+    field: a comma-separated list for a tuple field."""
     kind = _KEY_TYPES[key]
     if get_origin(kind) is Union:  # Optional[X]
         kind = get_args(kind)[0]
@@ -113,24 +109,26 @@ def parse_config(file: Optional[str] = None, **flags) -> AppConfig:
             raise ConfigError(key, "unknown configuration key")
         merged[key] = value
 
-    cfg = AppConfig()
-    for key, raw in merged.items():
-        setattr(cfg, key, _coerce(key, raw))
+    values = {key: _coerce(key, raw) for key, raw in merged.items()}
+    # each settings object from its keys, in BUILT's order; then the rest
+    settings = {
+        name: kind(**{f: values.pop(key) for key, f in _keys_of(kind).items() if key in values})
+        for name, kind in BUILT.items()
+    }
+    cfg = AppConfig(**settings, **values)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: AppConfig) -> None:
-    """Check every key before any command reads an input. The range rules
-    of the monitor, grid, schedule and ablation_fraction keys belong to
-    MonitorConfig, GridSpec, Schedule and ShiftScenario, built here from
-    the parsed values, the first three kept on ``cfg`` (see BUILT); each
-    raises ConfigError under the key at fault; each eps_tol_grid value must
-    pass MonitorConfig's eps_tol rule. The other keys are checked here,
-    then the input paths; the feature kinds, which need the source's
-    feature count, are enumerate_scenarios' to check."""
-    for name, (build, keys) in BUILT.items():
-        setattr(cfg, name, build(*(getattr(cfg, key) for key in keys)))
+    """Check every key not checked as ``cfg``'s settings objects were
+    built, before any command reads an input. Those objects' types
+    (BUILT) own the range rules of their keys, and ShiftScenario that of
+    ablation_fraction, built here; each raises ConfigError under the key
+    at fault; each eps_tol_grid value must pass MonitorConfig's eps_tol
+    rule. The other keys are checked here, then the input paths; the
+    feature kinds, which need the source's feature count, are
+    enumerate_scenarios' to check."""
     ShiftScenario(0, "above_median", ablation_fraction=cfg.ablation_fraction)
     for key, low in (("k", 1), ("seed", 0), ("n_seeds", 1), ("workers", 1)):
         if getattr(cfg, key) < low:

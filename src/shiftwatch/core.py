@@ -278,11 +278,12 @@ def read_dataset(path) -> Dataset:
     )
 
 
-def write_dataset(path, data: Dataset) -> None:
-    """Write a dataset back out in the same CSV schema, ``CHUNK_ROWS``
-    rows at a time, so that one chunk's cells at most are Python floats."""
+def write_dataset(path, data: Dataset, rows=None) -> None:
+    """Write a dataset, or the rows of it that ``rows`` indexes, in the same
+    CSV schema, ``CHUNK_ROWS`` rows at a time, each block gathered as it is
+    written, so that one block's cells at most are copies or Python floats."""
     header = [f"f{i}" for i in range(data.d)]
-    columns = list(data.features.T)
+    columns = []
     for name, column in (("error", data.errors), ("score", data.scores)):
         if column is not None:
             header.append(name)
@@ -291,5 +292,6 @@ def write_dataset(path, data: Dataset) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         # csv writes a Python float as str(x), which equals repr(x)
-        for lo in range(0, data.n, CHUNK_ROWS):
-            writer.writerows(zip(*(column[lo : lo + CHUNK_ROWS].tolist() for column in columns)))
+        for lo in range(0, data.n if rows is None else len(rows), CHUNK_ROWS):
+            block = slice(lo, lo + CHUNK_ROWS) if rows is None else rows[lo : lo + CHUNK_ROWS]
+            writer.writerows(zip(*data.features[block].T.tolist(), *(column[block].tolist() for column in columns)))

@@ -44,12 +44,14 @@ class DegenerateError(ShiftwatchError, ValueError):
 class CalibrationInfeasible(ShiftwatchError):
     """No grid cell satisfied the FDP cap.
 
-    ``best_fdp`` is the lowest FDP any cell reached, so callers can report
-    how far calibration fell short.
+    ``best_fdp`` is the lowest FDP of the cells that select at least one
+    row, so callers can report how far calibration fell short, or None
+    when no cell selects a row.
     """
 
-    def __init__(self, best_fdp: float):
+    def __init__(self, best_fdp: float | None):
         self.best_fdp = best_fdp
         super().__init__(
-            f"no threshold pair reached the FDP cap; best achievable FDP={best_fdp:.4f}"
+            "no threshold pair selects a calibration row" if best_fdp is None
+            else f"no threshold pair reached the FDP cap; best achievable FDP={best_fdp:.4f}"
         )

@@ -2,10 +2,11 @@
 
 One experiment = ablate a source dataset per a shift scenario, run the
 full calibration pipeline on the retained pool, stream a simulated
-production environment, and record the margin trajectory of every
-detector (plug-in and labeled-oracle variants). Suite metrics aggregate
-power, FDP, and detection times across many such runs, judging each
-detector family against its own oracle's ground-truth harmfulness.
+production environment, and keep every detector's margin trajectory
+(plug-in and labeled-oracle variants) as its record points. Suite
+metrics aggregate power, FDP, and detection times across many such
+runs, judging each detector family against its own oracle's
+ground-truth harmfulness.
 """
 
 from __future__ import annotations
@@ -260,29 +261,14 @@ def run_experiment(
     return report
 
 
-@dataclass(frozen=True)
-class SuiteMetrics:
-    detector: str
-    eps_harm: float
-    n_runs: int
-    n_harmful: int
-    n_alarms: int
-    power: Optional[float]
-    fdp: Optional[float]
-    mean_detection_time: Optional[float]
-    mean_oracle_time_gap: Optional[float]
-
-    def to_dict(self) -> dict:
-        return {"schema_version": SCHEMA_VERSION, **dataclasses.asdict(self)}
-
-
 def suite_metrics(
     reports: Sequence[RunReport],
     detector: str,
     eps_harm: float,
     eps_tol: Optional[float] = None,
-) -> SuiteMetrics:
-    """Aggregate one plug-in detector over a suite of runs.
+) -> dict:
+    """Aggregate one plug-in detector over a suite of runs into the record
+    that metrics.json, sweep.json and sweep.csv write.
 
     Ground truth per run comes from the same family's oracle trace at
     tolerance ``eps_harm``; the plug-in alarms at its configured eps_tol
@@ -311,17 +297,18 @@ def suite_metrics(
             gaps.append(abs(t_plugin - t_oracle))
 
     true_pos = len(det_times)
-    return SuiteMetrics(
-        detector=detector,
-        eps_harm=eps_harm,
-        n_runs=len(usable),
-        n_harmful=n_harmful,
-        n_alarms=n_alarms,
-        power=None if n_harmful == 0 else true_pos / n_harmful,
-        fdp=None if n_alarms == 0 else (n_alarms - true_pos) / n_alarms,
-        mean_detection_time=None if not det_times else float(np.mean(det_times)),
-        mean_oracle_time_gap=None if not gaps else float(np.mean(gaps)),
-    )
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "detector": detector,
+        "eps_harm": eps_harm,
+        "n_runs": len(usable),
+        "n_harmful": n_harmful,
+        "n_alarms": n_alarms,
+        "power": None if n_harmful == 0 else true_pos / n_harmful,
+        "fdp": None if n_alarms == 0 else (n_alarms - true_pos) / n_alarms,
+        "mean_detection_time": None if not det_times else float(np.mean(det_times)),
+        "mean_oracle_time_gap": None if not gaps else float(np.mean(gaps)),
+    }
 
 
 def _linear_quantiles(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -366,7 +353,7 @@ def suite_metrics_by_r2(
                 "r2_low": float(edges[b]),
                 "r2_high": float(edges[b + 1]),
                 "count": len(members),
-                "metrics": suite_metrics(members, detector, eps_harm).to_dict(),
+                "metrics": suite_metrics(members, detector, eps_harm),
             }
         )
     return out

@@ -79,12 +79,14 @@ class ShiftScenario:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Production schedule: none, sudden(T), or sigmoid(t0). A given onset
-    lies in [1, horizon] whatever the kind; a shifting schedule without
-    one shifts at half the horizon (at least 1)."""
+    """Production schedule: none, sudden(T), or sigmoid(t0); by default
+    sudden over 2,000 events. A given onset lies in [1, horizon] whatever
+    the kind; a shifting schedule without one shifts at half the horizon
+    (at least 1). Each field is the key of its name, save ``kind``, keyed
+    ``schedule``."""
 
-    kind: str  # none | sudden | sigmoid
-    horizon: int
+    kind: str = "sudden"  # none | sudden | sigmoid
+    horizon: int = 2000
     onset: Optional[int] = None
 
     def __post_init__(self):

@@ -201,22 +201,22 @@ def test_quantile_beats_mean_with_weak_estimator(shift_suite):
     ok = (
         len(usable) >= 200
         and r2_median < 0.3
-        and m_q2.power is not None
-        and m_mean.power is not None
-        and m_q2.fdp is not None
-        and m_mean.fdp is not None
-        and m_q2.power > m_mean.power
-        and m_q2.power - m_mean.power >= 0.1
-        and m_q2.fdp < m_mean.fdp
+        and m_q2["power"] is not None
+        and m_mean["power"] is not None
+        and m_q2["fdp"] is not None
+        and m_mean["fdp"] is not None
+        and m_q2["power"] > m_mean["power"]
+        and m_q2["power"] - m_mean["power"] >= 0.1
+        and m_q2["fdp"] < m_mean["fdp"]
         and elapsed < 900
     )
     _verdict(
         "quantile vs mean direction",
         ok,
         f"{len(usable)} runs (need >= 200), estimator r2 median "
-        f"{r2_median:.3f} (need < 0.3), quantile power {m_q2.power:.2f} / "
-        f"fdp {m_q2.fdp:.2f} vs mean power {m_mean.power:.2f} / fdp "
-        f"{m_mean.fdp:.2f} (need +0.1 power and lower fdp), "
+        f"{r2_median:.3f} (need < 0.3), quantile power {m_q2['power']:.2f} / "
+        f"fdp {m_q2['fdp']:.2f} vs mean power {m_mean['power']:.2f} / fdp "
+        f"{m_mean['fdp']:.2f} (need +0.1 power and lower fdp), "
         f"{elapsed:.0f}s (limit 900s)",
     )
 

@@ -67,6 +67,17 @@ class TestCalibrateCommand:
         result = runner.invoke(main, ["calibrate", "--out-dir", str(tmp_path / "o")])
         assert result.exit_code == 1
 
+    def test_no_selecting_cell_is_no_fdp(self, runner, tmp_path):
+        """On a 21-row source at k = 10 every score is the mean of the whole
+        10-row fit half, so no threshold pair selects a row: the error says
+        so, where it once gave a 0/0 convention as the best FDP, 0.0000."""
+        src = tmp_path / "src.csv"
+        features = np.random.default_rng(0).random((21, 2))
+        write_dataset(src, Dataset(features, 0.9 * features[:, 0]))
+        result = runner.invoke(main, ["calibrate", "--source", str(src), "--out-dir", str(tmp_path / "o")])
+        assert result.output == "Error: no threshold pair selects a calibration row\n"
+        assert result.exit_code == 1 and not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("later", ["0.5,0.4,0.1", '"0.5",0.4,0.1'], ids=["loadtxt", "per-cell"])
     def test_cell_longer_than_the_csv_field_limit_is_one_line(self, runner, tmp_path, later):
         """A finite 200,003-character cell is refused on both parse paths:
@@ -648,6 +659,33 @@ def _run_slope(d, kind):
     return (peaks[1] - peaks[0]) / 30_000
 
 
+def _simulate_slope(runner, tmp_path, d, kind, horizons):
+    """simulate's traced peak growth a step between two ``horizons`` on a
+    2,000-row source of ``d`` categorical features, under a ``kind``
+    schedule. f0 is 1 on about 600 rows and 0 on the rest, and every other
+    feature one value, a category of every row, so the source has one
+    scenario, f0's category 1."""
+    features = np.zeros((2000, d)) + np.arange(d)
+    features[:, 0] = np.random.default_rng(0).random(2000) < 0.3
+    tmp_path.mkdir(exist_ok=True)
+    src = tmp_path / "src.csv"
+    write_dataset(src, Dataset(features, 0.5 * features[:, 0]))
+    kinds = ["--feature-kinds", ",".join(["categorical"] * d), "--schedule", kind]
+    peaks = []
+    for horizon in horizons:
+        out = tmp_path / f"o{horizon}"
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, ["simulate", "--source", str(src), "--out-dir", str(out),
+                                          "--horizon", str(horizon), *kinds])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        assert [p.name for p in out.glob("stream_*.csv")] == ["stream_f0_category_1.csv"]
+    return (peaks[1] - peaks[0]) / (horizons[1] - horizons[0])
+
+
 class TestPackageErrors:
     def test_constant_source_errors_are_one_line(self, runner, tmp_path):
         """R^2 of a constant target is undefined: every command that fits
@@ -834,11 +872,11 @@ class TestPackageErrors:
         # physical memory one byte short of a run in flight, 192 bytes a
         # step, and 1,000 runs of these arrays and 10 KiB each: the suite
         # is refused
-        d, runs = 3, 1000
+        runs = 1000
         memory = 192 * horizon + runs * (held_bytes + 10 * 1024) - 1
         monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE" else memory)
         with pytest.raises(ConfigError, match="n_seeds: 1000 runs"):
-            cli._check_sizes(horizon, d, runs)
+            cli._check_sizes(horizon, runs)
 
     @pytest.mark.parametrize("d, kind", [(3, "sudden"), (40, "sigmoid")])
     def test_a_run_in_flight_fits_the_size_check(self, monkeypatch, d, kind):
@@ -850,7 +888,7 @@ class TestPackageErrors:
         memory = int(_run_slope(d, kind) * 10**9)
         monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE" else memory)
         with pytest.raises(ConfigError, match="horizon: one run of 1000000000 events"):
-            cli._check_sizes(10**9, d, 1)
+            cli._check_sizes(10**9, 1)
 
     def test_a_run_in_flight_does_not_grow_with_the_features(self):
         """A run holds its stream as source row indices and copies only its
@@ -861,32 +899,27 @@ class TestPackageErrors:
 
     def test_simulate_fits_the_size_check(self, runner, tmp_path, monkeypatch):
         """simulate builds and writes one stream at a time, so its traced
-        peak grows by less a step than _check_sizes counts for a stream."""
-        features = np.random.default_rng(0).random((2000, 3))
-        src = tmp_path / "src.csv"
-        write_dataset(src, Dataset(features, 0.5 * features[:, 0]))
-        peaks = []
-        for horizon in (5_000, 20_000):
-            out = tmp_path / f"o{horizon}"
-            # the categorical columns have no category of 10 rows: two scenarios
-            kinds = ["--feature-kinds", "continuous,categorical,categorical"]
-            tracemalloc.start()
-            try:
-                result = runner.invoke(main, ["simulate", "--source", str(src), "--out-dir", str(out),
-                                              "--horizon", str(horizon), *kinds])
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert result.exit_code == 0 and len(list(out.glob("stream_*.csv"))) == 2, result.output
-        memory = int((peaks[1] - peaks[0]) / 15_000 * 10**9)
-        monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE" else memory)
-        with pytest.raises(ConfigError, match="horizon: one run of 1000000000 events"):
-            cli._check_sizes(10**9, 3, 0)
+        peak grows by less a step than _check_sizes counts for a stream,
+        under each schedule: from horizon 20,000 to 80,000, where drawing
+        the stream sets the peak, it grew by 25, 29 and 37 bytes under
+        none, sudden and sigmoid."""
+        for kind in ("none", "sudden", "sigmoid"):
+            memory = int(_simulate_slope(runner, tmp_path / kind, 1, kind, (20_000, 80_000)) * 10**9)
+            monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE" else memory)
+            with pytest.raises(ConfigError, match="horizon: one run of 1000000000 events"):
+                cli._check_sizes(10**9, 0)
+
+    def test_simulate_does_not_grow_with_the_features(self, runner, tmp_path):
+        """simulate gathers a stream's rows a block at a time as it writes
+        them, so at 80 features its peak grows by less than the 64 bytes a
+        step that _check_sizes counts for a stream, from horizon 2,500 to
+        10,000; it grew by 646 when it gathered each stream's rows whole."""
+        assert _simulate_slope(runner, tmp_path, 80, "sudden", (2_500, 10_000)) < 64
 
     def test_each_run_in_flight_is_counted(self, monkeypatch):
         """A suite holds min(workers, runs, CPUs) runs in flight, 192 bytes
-        a step each at 3 features, beside every run's report."""
-        horizon, d, runs = 1000, 3, 5
+        a step each, beside every run's report."""
+        horizon, runs = 1000, 5
         report = 6 * 8 * horizon + 10 * 1024
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         for workers, in_flight in ((1, 1), (3, 3), (8, 4)):
@@ -894,10 +927,10 @@ class TestPackageErrors:
             for spare, fits in ((0, True), (-1, False)):
                 monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE" else memory + spare)
                 if fits:
-                    cli._check_sizes(horizon, d, runs, workers)
+                    cli._check_sizes(horizon, runs, workers)
                 else:
                     with pytest.raises(ConfigError, match="n_seeds: 5 runs"):
-                        cli._check_sizes(horizon, d, runs, workers)
+                        cli._check_sizes(horizon, runs, workers)
 
     def test_empty_sweep_grid_is_config_error(self, runner, tmp_path):
         src = _scored_source(tmp_path / "src.csv")

@@ -1,13 +1,14 @@
 """Configuration parsing: defaults, file values, flag precedence."""
 
 import ast
+import dataclasses
 import pathlib
-from typing import get_args, get_type_hints
+from typing import get_args
 
 import pytest
 
 from shiftwatch import cli
-from shiftwatch.config import BUILT, KNOWN_KEYS, AppConfig, parse_config
+from shiftwatch.config import _KEY_TYPES, BUILT, KNOWN_KEYS, AppConfig, _keys_of, parse_config
 from shiftwatch.errors import ConfigError
 from shiftwatch.monitor import MonitorConfig
 from shiftwatch.shiftsim import Schedule
@@ -18,8 +19,9 @@ def _is_numeric(kind) -> bool:
     return kind in (int, float) or any(_is_numeric(arg) for arg in get_args(kind))
 
 
-# Every numeric AppConfig key, read from the annotations so a new key is covered.
-_NUMERIC_KEYS = sorted(key for key, kind in get_type_hints(AppConfig).items() if _is_numeric(kind))
+# Every numeric key, read from the annotations of the fields that hold the
+# keys, AppConfig's and its settings types', so a new key is covered.
+_NUMERIC_KEYS = sorted(key for key, kind in _KEY_TYPES.items() if _is_numeric(kind))
 
 
 class TestDefaults:
@@ -27,12 +29,12 @@ class TestDefaults:
         src = tmp_path / "source.csv"
         src.write_text("f0,error\n1.0,0.5\n")
         cfg = parse_config(source=str(src))
-        assert cfg.alpha_source == 0.05
-        assert cfg.alpha_prod == 0.05
-        assert cfg.fdp_max == 0.2
+        assert cfg.monitor.alpha_source == 0.05
+        assert cfg.monitor.alpha_prod == 0.05
+        assert cfg.grid.fdp_max == 0.2
         assert cfg.k == 10
-        assert cfg.eps_tol == 0.0
-        assert cfg.schedule == "sudden"
+        assert cfg.monitor.eps_tol == 0.0
+        assert (cfg.shift_schedule.kind, cfg.shift_schedule.horizon) == ("sudden", 2000)
 
     def test_no_arguments_is_valid(self):
         cfg = parse_config()
@@ -44,6 +46,19 @@ class TestDefaults:
         assert cfg.monitor == MonitorConfig(alpha1=0.01, eps_tol=0.1)
         assert (cfg.grid.p_values, cfg.grid.fdp_max) == ((0.6, 0.7), 0.2)
         assert cfg.shift_schedule == Schedule("none", 100)
+
+    def test_each_key_is_declared_once(self):
+        """A key is a field of AppConfig or of the settings type that checks
+        it, never of both, and the keys are still these 22."""
+        assert not {f.name for f in dataclasses.fields(AppConfig)} & {
+            f.name for kind in BUILT.values() for f in dataclasses.fields(kind)
+        }
+        assert sorted(KNOWN_KEYS) == sorted(
+            "source production out_dir k seed n_seeds workers feature_kinds ablation_fraction eps_harm_grid "
+            "eps_tol_grid alpha_source alpha_prod alpha1 eps_tol delta_corr p_values p_hat_values fdp_max "
+            "schedule horizon onset".split()
+        )
+        assert _NUMERIC_KEYS == sorted(KNOWN_KEYS - {"source", "production", "out_dir", "feature_kinds", "schedule"})
 
 
 class TestValidation:
@@ -183,7 +198,7 @@ class TestPrecedence:
         path = tmp_path / "c.cfg"
         path.write_text("eps_tol = 0\nk = 25\n")
         cfg = parse_config(str(path), eps_tol=0.05)
-        assert cfg.eps_tol == 0.05
+        assert cfg.monitor.eps_tol == 0.05
         assert cfg.k == 25
 
     def test_none_flags_are_unset(self, tmp_path):
@@ -219,13 +234,13 @@ CLI_TREE = ast.parse((pathlib.Path(__file__).resolve().parent.parent / "src" / "
 
 def _cfg_reads(node):
     """Names read as ``cfg.<name>``; reading a setting that parse_config
-    builds, such as ``cfg.monitor``, reads the keys BUILT lists for it."""
+    builds, such as ``cfg.monitor``, reads every key of its type."""
     reads = {
         sub.attr
         for sub in ast.walk(node)
         if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) and sub.value.id == "cfg"
     }
-    return reads.union(*(BUILT[name][1] for name in reads & BUILT.keys()))
+    return reads.union(*(_keys_of(BUILT[name]) for name in reads & BUILT.keys()))
 
 
 def test_every_key_is_read_by_the_cli():

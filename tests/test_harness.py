@@ -13,9 +13,9 @@ from shiftwatch.errors import InvalidInput
 from shiftwatch.estimator import predict_many
 from shiftwatch.monitor import first_alarm_time
 from shiftwatch.harness import (
+    SCHEMA_VERSION,
     ExperimentConfig,
     RunReport,
-    SuiteMetrics,
     reports_to_json,
     run_experiment,
     run_suite,
@@ -73,17 +73,18 @@ def _reference_metrics(reports, family, plugin_key, oracle_key, eps_harm, eps_to
                 det_times.append(t_plugin)
             if t_oracle is not None:
                 gaps.append(abs(t_plugin - t_oracle))
-    return SuiteMetrics(
-        detector=family,
-        eps_harm=eps_harm,
-        n_runs=n_runs,
-        n_harmful=n_harmful,
-        n_alarms=n_alarms,
-        power=None if n_harmful == 0 else true_pos / n_harmful,
-        fdp=None if n_alarms == 0 else false_pos / n_alarms,
-        mean_detection_time=None if not det_times else float(np.mean(det_times)),
-        mean_oracle_time_gap=None if not gaps else float(np.mean(gaps)),
-    )
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "detector": family,
+        "eps_harm": eps_harm,
+        "n_runs": n_runs,
+        "n_harmful": n_harmful,
+        "n_alarms": n_alarms,
+        "power": None if n_harmful == 0 else true_pos / n_harmful,
+        "fdp": None if n_alarms == 0 else false_pos / n_alarms,
+        "mean_detection_time": None if not det_times else float(np.mean(det_times)),
+        "mean_oracle_time_gap": None if not gaps else float(np.mean(gaps)),
+    }
 
 
 class TestSuiteMetrics:
@@ -97,31 +98,31 @@ class TestSuiteMetrics:
         for i in range(5, 10):
             reports.append(_report(i, oracle_max=-0.2, plugin_max=-0.1))
         m = suite_metrics(reports, "phi_q2", eps_harm=0.0)
-        assert m.n_harmful == 4 and m.n_alarms == 4
-        assert m.power == pytest.approx(0.75)
-        assert m.fdp == pytest.approx(0.25)
+        assert m["n_harmful"] == 4 and m["n_alarms"] == 4
+        assert m["power"] == pytest.approx(0.75)
+        assert m["fdp"] == pytest.approx(0.25)
 
     def test_never_fires(self):
         reports = [_report(i, oracle_max=0.2, plugin_max=-0.1) for i in range(4)]
         m = suite_metrics(reports, "phi_q2", eps_harm=0.0)
-        assert m.power == 0.0
-        assert m.fdp is None
-        assert m.mean_detection_time is None
+        assert m["power"] == 0.0
+        assert m["fdp"] is None
+        assert m["mean_detection_time"] is None
 
     def test_all_harmful_all_detected(self):
         reports = [_report(i, oracle_max=0.2, plugin_max=0.1) for i in range(4)]
         m = suite_metrics(reports, "phi_q2", eps_harm=0.0)
-        assert m.power == 1.0 and m.fdp == 0.0
+        assert m["power"] == 1.0 and m["fdp"] == 0.0
 
     def test_raising_eps_harm_shrinks_harmful_set(self):
         reports = [_report(i, oracle_max=0.05 * i, plugin_max=0.1) for i in range(10)]
         harmful_counts = [
-            suite_metrics(reports, "phi_q2", eps_harm=e).n_harmful
+            suite_metrics(reports, "phi_q2", eps_harm=e)["n_harmful"]
             for e in (0.0, 0.1, 0.2, 0.4)
         ]
         assert harmful_counts == sorted(harmful_counts, reverse=True)
         alarms = {
-            suite_metrics(reports, "phi_q2", eps_harm=e).n_alarms
+            suite_metrics(reports, "phi_q2", eps_harm=e)["n_alarms"]
             for e in (0.0, 0.1, 0.2, 0.4)
         }
         assert len(alarms) == 1  # alarms unchanged by the harmfulness threshold
@@ -135,7 +136,7 @@ class TestSuiteMetrics:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_matches_per_run_reference(self, data):
-        """Every SuiteMetrics field, for each family with and without an
+        """Every suite metrics record field, for each family with and without an
         eps_tol override, equals a plain per-run count over non-decreasing
         margins that cross, touch or miss eps_harm and eps_tol."""
         eps_harm = data.draw(st.sampled_from(_LEVELS), label="eps_harm")
