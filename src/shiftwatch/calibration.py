@@ -11,46 +11,53 @@ positives.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
 from .core import Dataset, Selector, empirical_quantile
-from .errors import CalibrationInfeasible, ConfigError, InvalidInput
+from .errors import CalibrationInfeasible, Checked, ConfigError, InvalidInput
 
 DEFAULT_P_VALUES = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))  # 0.50..0.95
 DEFAULT_P_HAT_VALUES = tuple(round(0.1 * i, 1) for i in range(1, 10))  # 0.1..0.9
 DEFAULT_FDP_MAX = 0.2
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class _GridFields(NamedTuple):
     p_values: Tuple[float, ...] = DEFAULT_P_VALUES
     p_hat_values: Tuple[float, ...] = DEFAULT_P_HAT_VALUES
     fdp_max: float = DEFAULT_FDP_MAX
 
-    def __post_init__(self):
-        object.__setattr__(self, "p_values", tuple(self.p_values))
-        object.__setattr__(self, "p_hat_values", tuple(self.p_hat_values))
-        if not self.p_values:
+
+class GridSpec(Checked, _GridFields):
+    """The calibration grid: the levels p of q and p_hat of q_hat, and
+    the FDP cap. Each level list is held as a tuple. Every way to make
+    one checks its fields and raises ConfigError under the key at
+    fault."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check(p_values, p_hat_values, fdp_max):
+        p_values, p_hat_values = tuple(p_values), tuple(p_hat_values)
+        if not p_values:
             raise ConfigError("p_values", "must list at least one value")
-        if list(self.p_values) != sorted(set(self.p_values)):
+        if list(p_values) != sorted(set(p_values)):
             raise ConfigError("p_values", "must be strictly increasing")
-        if any(not 0.5 <= p < 1.0 for p in self.p_values):
+        if any(not 0.5 <= p < 1.0 for p in p_values):
             raise ConfigError("p_values", "must lie in [0.5, 1)")
-        if not self.p_hat_values:
+        if not p_hat_values:
             raise ConfigError("p_hat_values", "must list at least one value")
-        if list(self.p_hat_values) != sorted(set(self.p_hat_values)):
+        if list(p_hat_values) != sorted(set(p_hat_values)):
             raise ConfigError("p_hat_values", "must be strictly increasing")
-        if any(not 0.0 < p < 1.0 for p in self.p_hat_values):
+        if any(not 0.0 < p < 1.0 for p in p_hat_values):
             raise ConfigError("p_hat_values", "must lie in (0, 1)")
-        if not 0.0 < self.fdp_max < 1.0:
-            raise ConfigError("fdp_max", f"must lie in (0, 1), got {self.fdp_max}")
+        if not 0.0 < fdp_max < 1.0:
+            raise ConfigError("fdp_max", f"must lie in (0, 1), got {fdp_max}")
+        return p_values, p_hat_values, fdp_max
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):
     p: float
     p_hat: float
     q: float
@@ -60,12 +67,11 @@ class GridCell:
     qualifying: bool
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(NamedTuple):
     selector: Selector
     power: float
     fdp: float
-    grid_report: Tuple[GridCell, ...] = field(repr=False)
+    grid_report: Tuple[GridCell, ...]
 
 
 def calibrate(grid: GridSpec, data: Dataset) -> CalibrationResult:

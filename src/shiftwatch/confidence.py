@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import Checked, InvalidInput
 
 # Named in the environment line that perfbench/run.py prints.
 BACKEND = "numpy"
@@ -44,16 +43,7 @@ def hoeffding_halfwidth(n: int, alpha: float) -> float:
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
 
 
-@dataclass(frozen=True)
-class PmEbState:
-    """Accumulators of the predictably-mixed empirical-Bernstein lower
-    confidence sequence for a running mean of [0, 1]-valued variables.
-
-    ``best_lower`` is the running maximum of the per-step lower bounds,
-    the current anytime-valid lower bound (vacuous 0 before any data);
-    intersecting a confidence sequence over time keeps it valid.
-    """
-
+class _PmEbFields(NamedTuple):
     alpha: float
     t: int = 0
     sum_lx: float = 0.0
@@ -63,9 +53,25 @@ class PmEbState:
     sum_dev: float = 0.0
     best_lower: float = 0.0
 
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidInput(f"miscoverage level must lie in (0, 1), got {self.alpha}")
+
+class PmEbState(Checked, _PmEbFields):
+    """Accumulators of the predictably-mixed empirical-Bernstein lower
+    confidence sequence for a running mean of [0, 1]-valued variables.
+
+    ``best_lower`` is the running maximum of the per-step lower bounds,
+    the current anytime-valid lower bound (vacuous 0 before any data);
+    intersecting a confidence sequence over time keeps it valid. Every
+    way to make one, ``_replace`` included, raises InvalidInput for an
+    ``alpha`` outside (0, 1).
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check(alpha, *sums):
+        if not 0.0 < alpha < 1.0:
+            raise InvalidInput(f"miscoverage level must lie in (0, 1), got {alpha}")
+        return (alpha, *sums)
 
 
 def _running(carry: float, values: np.ndarray) -> np.ndarray:

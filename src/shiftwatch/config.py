@@ -3,11 +3,9 @@ overrides. Flags win over file values, which win over defaults."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import re
-from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 from .calibration import GridSpec
@@ -21,8 +19,11 @@ from .shiftsim import DEFAULT_ABLATION_FRACTION, Schedule, ShiftScenario
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
-@dataclass
 class AppConfig:
+    """Every setting of a command. ``parse_config`` makes one from the
+    keys it read, each as its field; a field it did not set keeps the
+    default below."""
+
     source: Optional[str] = None
     production: Optional[str] = None
     out_dir: str = "out"
@@ -35,9 +36,15 @@ class AppConfig:
     eps_harm_grid: Tuple[float, ...] = (0.0, 0.02, 0.05, 0.1)
     eps_tol_grid: Tuple[float, ...] = (0.0,)
     # Settings parse_config builds from their keys (see BUILT); not keys.
-    monitor: MonitorConfig = field(default_factory=MonitorConfig)
-    grid: GridSpec = field(default_factory=GridSpec)
-    shift_schedule: Schedule = field(default_factory=Schedule)
+    monitor: MonitorConfig = MonitorConfig()
+    grid: GridSpec = GridSpec()
+    shift_schedule: Schedule = Schedule()
+
+    def __init__(self, **settings):
+        unknown = settings.keys() - AppConfig.__annotations__
+        if unknown:
+            raise TypeError(f"AppConfig has no fields {sorted(unknown)}")
+        vars(self).update(settings)
 
 
 # By AppConfig attribute: the settings type parse_config builds there. Each
@@ -48,7 +55,7 @@ BUILT = {"monitor": MonitorConfig, "grid": GridSpec, "shift_schedule": Schedule}
 
 def _keys_of(kind) -> dict:
     """Each key of a settings type in BUILT, to the field it sets."""
-    return {"schedule" if f.name == "kind" else f.name: f.name for f in dataclasses.fields(kind)}
+    return {"schedule" if name == "kind" else name: name for name in kind._fields}
 
 
 # Each other key's type is the annotation of its AppConfig field.
@@ -141,7 +148,7 @@ def _validate(cfg: AppConfig) -> None:
         raise ConfigError("eps_tol_grid", "must list at least one value")
     for eps in cfg.eps_tol_grid:  # each is some sweep row's eps_tol
         try:
-            dataclasses.replace(cfg.monitor, eps_tol=eps)
+            cfg.monitor._replace(eps_tol=eps)
         except ConfigError as exc:
             raise ConfigError("eps_tol_grid", exc.message) from None
     if cfg.source == cfg.production == "-":  # stdin is one stream

@@ -17,8 +17,7 @@ import csv
 import itertools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,13 +28,13 @@ from .errors import IngestError, InvalidInput
 CHUNK_ROWS = 1024
 
 
-@dataclass(frozen=True)
-class Selector:
+class Selector(NamedTuple):
     """Calibrated threshold pair defining the high-error flag 1{score > q_hat}.
 
     ``q`` thresholds true errors, ``q_hat`` thresholds estimated scores;
     ``p``/``p_hat`` are the quantile levels they were read off at. Both
     thresholds are attained order statistics of their calibration multisets.
+    ``_asdict()`` is the record that selector.json and runs.json write.
     """
 
     q: float
@@ -120,12 +119,16 @@ def empirical_quantile(p, values):
     return np.sort(values)[k - 1].tolist()
 
 
-def sorted_distinct(values) -> np.ndarray:
+def sorted_distinct(values, return_counts=False):
     """The distinct values of a 1-d array, ascending, as np.unique finds
     them (a sort and a neighbour-inequality mask), without its masked-array
-    check, which imports numpy.ma: no command needs that module."""
+    check, which imports numpy.ma: no command needs that module. With
+    ``return_counts``, also how often each occurs, as np.unique counts."""
     values = np.sort(values)
-    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+    first = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    if return_counts:
+        return values[first], np.diff(first, append=values.size)
+    return values[first]
 
 
 def _feature_columns(header: Sequence[str], where) -> list:

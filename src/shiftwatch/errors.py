@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``Checked``, the base
+of the value types that raise them when they are made."""
 
 
 class ShiftwatchError(Exception):
@@ -55,3 +56,25 @@ class CalibrationInfeasible(ShiftwatchError):
             "no threshold pair selects a calibration row" if best_fdp is None
             else f"no threshold pair reached the FDP cap; best achievable FDP={best_fdp:.4f}"
         )
+
+
+class Checked:
+    """Base of an immutable value type whose fields are checked: it comes
+    before the type's ``typing.NamedTuple`` base, and the type defines
+    ``_check``, which takes the fields in order, raises on a bad value and
+    returns the fields to hold. A NamedTuple's own ``_make`` and
+    ``_replace`` skip an overridden ``__new__``; these go through it, so
+    every way to make a value (a call, ``_make``, ``_replace``,
+    unpickling) runs the check."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return tuple.__new__(cls, cls._check(*super().__new__(cls, *args, **kwargs)))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})

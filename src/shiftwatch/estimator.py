@@ -9,7 +9,7 @@ high-error observations above low-error ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ BLOCK = 1 << 18
 SCREEN_LIMIT = 2.0**100
 
 
-@dataclass(frozen=True)
-class KnnModel:
+class KnnModel(NamedTuple):
     """k-NN error regressor over z-scored features.
 
     Constant columns get std 1 so standardization never divides by zero. A

@@ -11,11 +11,9 @@ ground-truth harmfulness.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,17 +49,15 @@ TEST_FRAC = 0.2
 R2_BINS = 10
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """Knobs shared by every run in a suite."""
 
     k: int = DEFAULT_K
-    grid: GridSpec = field(default_factory=GridSpec)
-    monitor: MonitorConfig = field(default_factory=MonitorConfig)
+    grid: GridSpec = GridSpec()
+    monitor: MonitorConfig = MonitorConfig()
 
 
-@dataclass(frozen=True)
-class Records:
+class Records(NamedTuple):
     """A non-decreasing trajectory held as its record points: from step
     ``steps[i]`` (0-based) to the next record it holds ``values[i]``. A
     record starts wherever the value's bits change, so -0.0 beside 0.0
@@ -85,14 +81,16 @@ class Records:
         return cls(steps.astype(np.min_scalar_type(trace.size)), trace[steps], float(trace.max()))
 
 
-@dataclass
 class RunReport:
-    """Outcome of one run. ``records`` maps each detector key to the record
-    points of its base trajectory and the upper bound its margins subtract,
-    margin_t = lower_t - upper; the detector at tolerance eps alarms iff
-    some margin exceeds eps, so one trajectory answers every tolerance
-    sweep. A base is a running maximum, so it changes at few of its steps:
-    183 to 431 of 3,000 on average in the benchmark's suite."""
+    """Outcome of one run, which ``run_experiment`` fills in as the run
+    goes: made with the run's identity and any of the outcome fields
+    below it, each of which keeps its default until set. ``records`` maps
+    each detector key to the record points of its base trajectory and the
+    upper bound its margins subtract, margin_t = lower_t - upper; the
+    detector at tolerance eps alarms iff some margin exceeds eps, so one
+    trajectory answers every tolerance sweep. A base is a running maximum,
+    so it changes at few of its steps: 183 to 431 of 3,000 on average in
+    the benchmark's suite."""
 
     scenario_id: str
     seed: int
@@ -105,7 +103,15 @@ class RunReport:
     selector: Optional[Selector] = None
     delta: Optional[float] = None
     n_clipped: int = 0
-    records: Dict[str, Tuple[Records, float]] = field(default_factory=dict)
+    records: Dict[str, Tuple[Records, float]]
+
+    def __init__(self, scenario_id: str, seed: int, horizon: int, eps_tol: float, **outcome):
+        unknown = outcome.keys() - RunReport.__annotations__
+        if unknown:
+            raise TypeError(f"RunReport has no fields {sorted(unknown)}")
+        self.scenario_id, self.seed, self.horizon, self.eps_tol = scenario_id, seed, horizon, eps_tol
+        self.records = {}
+        vars(self).update(outcome)
 
     def record_margins(self, bases) -> None:
         """Hold each (base trajectory, {detector key: upper bound}) of
@@ -137,9 +143,9 @@ class RunReport:
     def to_dict(self, include_margins: bool = False) -> dict:
         """The runs.json record: every field but ``records``, which gives
         each detector's first alarm and maximum margin (and its margins)."""
-        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "records"}
+        out = {name: getattr(self, name) for name in RunReport.__annotations__ if name != "records"}
         if self.selector is not None:
-            out["selector"] = dataclasses.asdict(self.selector)
+            out["selector"] = self.selector._asdict()
         out["schema_version"] = SCHEMA_VERSION
         traces = self.traces if include_margins else {}
         out["detectors"] = {
@@ -359,6 +365,15 @@ def suite_metrics_by_r2(
     return out
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else the machine's count, or 1 when that is
+    unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_one(args):
     source, scenario, schedule, config, seed = args
     return run_experiment(source, scenario, schedule, config, seed)
@@ -381,7 +396,7 @@ def run_suite(
     jobs = ((source, scenario, schedule, config, seed) for scenario in scenarios for seed in seeds)
     # a pool forks all its workers at the first submit, so never more than
     # there are runs or CPUs
-    workers = min(workers, runs, os.cpu_count() or 1)
+    workers = min(workers, runs, usable_cpus())
     if workers <= 1:
         return [_run_one(job) for job in jobs]
     # imported here, so that only runs with workers pay for loading multiprocessing

@@ -10,8 +10,7 @@ alarms latch: once fired, a detector stays fired.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -22,40 +21,47 @@ from .confidence import (
     pmeb_update,
 )
 from .core import Dataset, Selector
-from .errors import ConfigError, InvalidInput
+from .errors import Checked, ConfigError, InvalidInput
 
 
-@dataclass(frozen=True)
-class MonitorConfig:
-    """Miscoverage budget and tolerances.
-
-    ``alpha_prod`` is split between the production confidence sequence
-    (``alpha1``, by default half of it) and the source false-discovery
-    interval, which gets the rest (``alpha2``). ``delta_corr`` is the
-    additive lower-bound correction covering violations of the
-    source-to-production false-discovery assumption.
-    """
-
+class _MonitorFields(NamedTuple):
     alpha_source: float = 0.05
     alpha_prod: float = 0.05
     alpha1: Optional[float] = None
     eps_tol: float = 0.0
     delta_corr: float = 0.0
 
-    def __post_init__(self):
-        if not 0.0 < self.alpha_source < 1.0:
-            raise ConfigError("alpha_source", f"must lie in (0, 1), got {self.alpha_source}")
-        if not 0.0 < self.alpha_prod < 1.0:
-            raise ConfigError("alpha_prod", f"must lie in (0, 1), got {self.alpha_prod}")
-        if self.alpha1 is None:
-            object.__setattr__(self, "alpha1", self.alpha_prod / 2.0)
-        if not 0.0 < self.alpha1 < self.alpha_prod:
-            raise ConfigError("alpha1", f"must lie in (0, alpha_prod), got {self.alpha1}")
+
+class MonitorConfig(Checked, _MonitorFields):
+    """Miscoverage budget and tolerances.
+
+    ``alpha_prod`` is split between the production confidence sequence
+    (``alpha1``, by default half of it) and the source false-discovery
+    interval, which gets the rest (``alpha2``). ``delta_corr`` is the
+    additive lower-bound correction covering violations of the
+    source-to-production false-discovery assumption. Every way to make
+    one, ``_replace`` included, checks its fields and raises ConfigError
+    under the key at fault.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check(alpha_source, alpha_prod, alpha1, eps_tol, delta_corr):
+        if not 0.0 < alpha_source < 1.0:
+            raise ConfigError("alpha_source", f"must lie in (0, 1), got {alpha_source}")
+        if not 0.0 < alpha_prod < 1.0:
+            raise ConfigError("alpha_prod", f"must lie in (0, 1), got {alpha_prod}")
+        if alpha1 is None:
+            alpha1 = alpha_prod / 2.0
+        if not 0.0 < alpha1 < alpha_prod:
+            raise ConfigError("alpha1", f"must lie in (0, alpha_prod), got {alpha1}")
         # written as "not >=" so that NaN, which compares false, fails too
-        if not self.eps_tol >= 0.0:
-            raise ConfigError("eps_tol", f"must be >= 0, got {self.eps_tol}")
-        if not self.delta_corr >= 0.0:
-            raise ConfigError("delta_corr", f"must be >= 0, got {self.delta_corr}")
+        if not eps_tol >= 0.0:
+            raise ConfigError("eps_tol", f"must be >= 0, got {eps_tol}")
+        if not delta_corr >= 0.0:
+            raise ConfigError("delta_corr", f"must be >= 0, got {delta_corr}")
+        return alpha_source, alpha_prod, alpha1, eps_tol, delta_corr
 
     @property
     def alpha2(self) -> float:
@@ -63,8 +69,7 @@ class MonitorConfig:
         return self.alpha_prod - self.alpha1
 
 
-@dataclass(frozen=True)
-class SourceStats:
+class SourceStats(NamedTuple):
     """Empirical source rates plus Hoeffding half-widths.
 
     ``u_q`` upper-bounds the source probability of a true error above q;

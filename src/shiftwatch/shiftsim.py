@@ -12,13 +12,12 @@ together with its kind, is included for experiments and tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import Dataset, empirical_quantile, sorted_distinct
-from .errors import ConfigError, InvalidInput
+from .errors import Checked, ConfigError, InvalidInput
 
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical"
@@ -30,26 +29,32 @@ MIN_SUBGROUP = 10
 IMMUNE_BAND = 0.05
 
 
-@dataclass(frozen=True)
-class ShiftScenario:
-    """Recipe for one feature-split ablation. It carries no seed: the
-    caller of ``split_pools`` owns the seed of each ablation. It owns the
-    split rule (its kind among ``SPLIT_KINDS``, its ``side`` of a column
-    and the ``excluded_count`` of that side) and the ``ablation_fraction``
-    range rule, which it raises under that key."""
-
+class _ScenarioFields(NamedTuple):
     feature_index: int
     split_kind: str  # one of SPLIT_KINDS
     category_value: Optional[float] = None
     ablation_fraction: float = DEFAULT_ABLATION_FRACTION
 
-    def __post_init__(self):
-        if self.split_kind not in SPLIT_KINDS:
-            raise InvalidInput(f"unknown split kind {self.split_kind!r}")
-        if self.split_kind == "category" and self.category_value is None:
+
+class ShiftScenario(Checked, _ScenarioFields):
+    """Recipe for one feature-split ablation. It carries no seed: the
+    caller of ``split_pools`` owns the seed of each ablation. It owns the
+    split rule (its kind among ``SPLIT_KINDS``, its ``side`` of a column
+    and the ``excluded_count`` of that side) and the ``ablation_fraction``
+    range rule, which it raises under that key. Every way to make one,
+    ``_replace`` included, runs these checks."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check(feature_index, split_kind, category_value, ablation_fraction):
+        if split_kind not in SPLIT_KINDS:
+            raise InvalidInput(f"unknown split kind {split_kind!r}")
+        if split_kind == "category" and category_value is None:
             raise InvalidInput("category splits need a category value")
-        if not 0.0 < self.ablation_fraction <= 1.0:
+        if not 0.0 < ablation_fraction <= 1.0:
             raise ConfigError("ablation_fraction", "must lie in (0, 1]")
+        return feature_index, split_kind, category_value, ablation_fraction
 
     @property
     def scenario_id(self) -> str:
@@ -77,27 +82,33 @@ class ShiftScenario:
         return int(self.ablation_fraction * side_size)
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Production schedule: none, sudden(T), or sigmoid(t0); by default
-    sudden over 2,000 events. A given onset lies in [1, horizon] whatever
-    the kind; a shifting schedule without one shifts at half the horizon
-    (at least 1). Each field is the key of its name, save ``kind``, keyed
-    ``schedule``."""
-
+class _ScheduleFields(NamedTuple):
     kind: str = "sudden"  # none | sudden | sigmoid
     horizon: int = 2000
     onset: Optional[int] = None
 
-    def __post_init__(self):
-        if self.kind not in ("none", "sudden", "sigmoid"):
-            raise ConfigError("schedule", f"unknown schedule {self.kind!r}")
-        if self.horizon < 1:
+
+class Schedule(Checked, _ScheduleFields):
+    """Production schedule: none, sudden(T), or sigmoid(t0); by default
+    sudden over 2,000 events. A given onset lies in [1, horizon] whatever
+    the kind; a shifting schedule without one shifts at half the horizon
+    (at least 1). Each field is the key of its name, save ``kind``, keyed
+    ``schedule``. Every way to make one, ``_replace`` included, checks
+    its fields and raises ConfigError under the key at fault."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check(kind, horizon, onset):
+        if kind not in ("none", "sudden", "sigmoid"):
+            raise ConfigError("schedule", f"unknown schedule {kind!r}")
+        if horizon < 1:
             raise ConfigError("horizon", "must be >= 1")
-        if self.onset is not None and not 1 <= self.onset <= self.horizon:
+        if onset is not None and not 1 <= onset <= horizon:
             raise ConfigError("onset", "must lie in [1, horizon]")
-        if self.kind != "none" and self.onset is None:
-            object.__setattr__(self, "onset", max(1, self.horizon // 2))
+        if kind != "none" and onset is None:
+            onset = max(1, horizon // 2)
+        return kind, horizon, onset
 
 
 def sigmoid_mixture(t, t0):
@@ -120,7 +131,10 @@ def enumerate_scenarios(
     majority is not a subgroup shift. ``feature_kinds`` declares one kind
     per feature column; a wrong count or an unknown kind raises
     ``ConfigError`` under ``feature_kinds``, and a continuous feature's
-    ``ablation_fraction`` outside (0, 1] under that key."""
+    ``ablation_fraction`` outside (0, 1] under that key. A category
+    excludes its whole side, so ``sorted_distinct`` counts every category
+    of a column in one sort, and only the kept ones are built; as ``side``
+    finds them with ``==``, 0.0 and -0.0 are one category."""
     if len(feature_kinds) != data.d:
         raise ConfigError("feature_kinds", f"expected {data.d} kinds, got {len(feature_kinds)}")
     scenarios: List[ShiftScenario] = []
@@ -131,15 +145,15 @@ def enumerate_scenarios(
                 ShiftScenario(j, split, ablation_fraction=ablation_fraction)
                 for split in SPLIT_KINDS[:2]  # the median sides
             ]
-        elif kind == CATEGORICAL:
-            candidates = [
-                ShiftScenario(j, "category", v, ablation_fraction=1.0) for v in sorted_distinct(col).tolist()
+            scenarios += [
+                s for s in candidates if MIN_SUBGROUP <= s.excluded_count(s.side(col).size) <= data.n // 2
             ]
+        elif kind == CATEGORICAL:
+            values, sizes = sorted_distinct(col, return_counts=True)
+            kept = values[(MIN_SUBGROUP <= sizes) & (sizes <= data.n // 2)]
+            scenarios += [ShiftScenario(j, "category", v, ablation_fraction=1.0) for v in kept.tolist()]
         else:
             raise ConfigError("feature_kinds", f"unknown kind {kind!r} for feature {j}")
-        scenarios += [
-            s for s in candidates if MIN_SUBGROUP <= s.excluded_count(s.side(col).size) <= data.n // 2
-        ]
     return scenarios
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures for the test suite."""
 
 import contextlib
+import gc
 import io
 import sys
 from dataclasses import dataclass
@@ -47,7 +48,9 @@ class Result:
 class Runner:
     """Runs the command line in process. stdin is ``input`` (text or bytes)
     in a UTF-8 text stream with universal newlines, as a console's is, and
-    empty without it."""
+    empty without it. ``main`` freezes the garbage collector's objects,
+    which a process does once before it exits; here the test process
+    goes on, so each command's freeze is undone when it returns."""
 
     def invoke(self, main, args, input=None):
         data = input.encode() if isinstance(input, str) else input or b""
@@ -64,6 +67,7 @@ class Runner:
             exit_code, exception = 1, exc
         finally:
             sys.stdin = stdin
+            gc.unfreeze()
         return Result(exit_code, output.getvalue(), exception)
 
 

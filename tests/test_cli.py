@@ -917,11 +917,11 @@ class TestPackageErrors:
         assert _simulate_slope(runner, tmp_path, 80, "sudden", (2_500, 10_000)) < 64
 
     def test_each_run_in_flight_is_counted(self, monkeypatch):
-        """A suite holds min(workers, runs, CPUs) runs in flight, 192 bytes
-        a step each, beside every run's report."""
+        """A suite holds min(workers, runs, usable CPUs) runs in flight, 192
+        bytes a step each, beside every run's report."""
         horizon, runs = 1000, 5
         report = 6 * 8 * horizon + 10 * 1024
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 4)
         for workers, in_flight in ((1, 1), (3, 3), (8, 4)):
             memory = in_flight * 192 * horizon + runs * report
             for spare, fits in ((0, True), (-1, False)):
@@ -1130,6 +1130,37 @@ def test_start_up_imports_no_worker_processes():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_start_up_generates_no_dataclass_code():
+    """The package's value types are NamedTuples and plain classes, so
+    importing the CLI never loads ``dataclasses``, whose decorators
+    generate and compile each type's methods at every start-up."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = "import sys, shiftwatch.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_a_command_freezes_the_loaded_modules(tmp_path):
+    """``main`` moves the objects of the loaded modules out of the cyclic
+    collector's reach, so the collections at the interpreter's exit skip
+    them; the command's output is written as before."""
+    src = _scored_source(tmp_path / "src.csv")
+    args = ["calibrate", "--source", str(src), "--out-dir", str(tmp_path / "out")]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = (
+        "import gc; from shiftwatch.cli import main\n"
+        f"before = gc.get_freeze_count()\nmain({args!r})\n"
+        "print(before, gc.get_freeze_count() > 0)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 True", proc.stdout
+    assert (tmp_path / "out" / "selector.json").is_file()
 
 
 def test_evaluate_with_category_splits_never_imports_numpy_ma(tmp_path):

@@ -1,17 +1,19 @@
 """Configuration parsing: defaults, file values, flag precedence."""
 
 import ast
-import dataclasses
 import pathlib
-from typing import get_args
+import pickle
+from typing import get_args, get_type_hints
 
 import pytest
 
 from shiftwatch import cli
+from shiftwatch.calibration import GridSpec
+from shiftwatch.confidence import PmEbState
 from shiftwatch.config import _KEY_TYPES, BUILT, KNOWN_KEYS, AppConfig, _keys_of, parse_config
-from shiftwatch.errors import ConfigError
+from shiftwatch.errors import ConfigError, InvalidInput
 from shiftwatch.monitor import MonitorConfig
-from shiftwatch.shiftsim import Schedule
+from shiftwatch.shiftsim import Schedule, ShiftScenario
 
 
 def _is_numeric(kind) -> bool:
@@ -50,9 +52,7 @@ class TestDefaults:
     def test_each_key_is_declared_once(self):
         """A key is a field of AppConfig or of the settings type that checks
         it, never of both, and the keys are still these 22."""
-        assert not {f.name for f in dataclasses.fields(AppConfig)} & {
-            f.name for kind in BUILT.values() for f in dataclasses.fields(kind)
-        }
+        assert not set(get_type_hints(AppConfig)) & {name for kind in BUILT.values() for name in kind._fields}
         assert sorted(KNOWN_KEYS) == sorted(
             "source production out_dir k seed n_seeds workers feature_kinds ablation_fraction eps_harm_grid "
             "eps_tol_grid alpha_source alpha_prod alpha1 eps_tol delta_corr p_values p_hat_values fdp_max "
@@ -191,6 +191,52 @@ class TestValidation:
         path.write_text("just a line\n")
         with pytest.raises(ConfigError):
             parse_config(str(path))
+
+
+# Each checked type, a valid value of it, fields that its checks refuse,
+# and the error they raise, with the key at fault for a ConfigError.
+_CHECKED = [
+    (MonitorConfig(), {"eps_tol": -1.0}, ConfigError, "eps_tol"),
+    (MonitorConfig(), {"eps_tol": float("nan")}, ConfigError, "eps_tol"),
+    (MonitorConfig(), {"alpha1": 0.5}, ConfigError, "alpha1"),
+    (GridSpec(), {"fdp_max": 1.0}, ConfigError, "fdp_max"),
+    (GridSpec(), {"p_values": (0.9, 0.5)}, ConfigError, "p_values"),
+    (Schedule(), {"onset": 5000}, ConfigError, "onset"),
+    (Schedule(), {"kind": "sometimes"}, ConfigError, "schedule"),
+    (ShiftScenario(0, "above_median"), {"ablation_fraction": 0.0}, ConfigError, "ablation_fraction"),
+    (ShiftScenario(0, "above_median"), {"split_kind": "category"}, InvalidInput, None),
+    (PmEbState(0.05), {"alpha": 1.0}, InvalidInput, None),
+]
+
+
+class TestCheckedTypes:
+    @pytest.mark.parametrize(
+        "good, bad, error, key", _CHECKED, ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else None
+    )
+    def test_every_construction_path_checks(self, good, bad, error, key):
+        """A call, ``_make`` and ``_replace`` all run the type's checks; a
+        NamedTuple's own ``_make`` and ``_replace`` would skip them."""
+        kind, fields = type(good), {**good._asdict(), **bad}
+        for make in (lambda: kind(**fields), lambda: kind._make(fields.values()), lambda: good._replace(**bad)):
+            with pytest.raises(error) as exc:
+                make()
+            assert getattr(exc.value, "key", None) == key
+
+    @pytest.mark.parametrize("good", sorted({type(g): g for g, *_ in _CHECKED}.values(), key=repr), ids=lambda g: type(g).__name__)
+    def test_valid_values_pass_every_path(self, good):
+        """What a check fills in (MonitorConfig's alpha1, Schedule's onset)
+        is held, so every path, unpickling included, gives the value back."""
+        kind = type(good)
+        for made in (kind(*good), kind._make(good), good._replace(), pickle.loads(pickle.dumps(good))):
+            assert type(made) is kind and made == good
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_eps_tol_grid_values_pass_monitor_config(self, value):
+        """Each eps_tol_grid value is some sweep row's eps_tol, so a value
+        MonitorConfig refuses fails parse_config under eps_tol_grid."""
+        with pytest.raises(ConfigError) as exc:
+            parse_config(eps_tol_grid=f"0,{value}")
+        assert exc.value.key == "eps_tol_grid"
 
 
 class TestPrecedence:

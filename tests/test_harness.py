@@ -1,5 +1,9 @@
 """Experiment runner and suite metrics."""
 
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -21,6 +25,7 @@ from shiftwatch.harness import (
     run_suite,
     suite_metrics,
     suite_metrics_by_r2,
+    usable_cpus,
 )
 from shiftwatch.shiftsim import (
     Schedule,
@@ -29,6 +34,8 @@ from shiftwatch.shiftsim import (
     make_subgroup_dataset,
     subgroup_feature_kinds,
 )
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def _report(i, oracle_max, plugin_max, r2=0.5):
@@ -426,11 +433,11 @@ class TestRunExperiment:
     )
     def test_pool_never_has_more_workers_than_jobs(self, small_run, monkeypatch, workers, n_runs, pool, cpus):
         # a fork pool starts all max_workers children at the first submit,
-        # so it is capped at the jobs and at the CPUs, one when os.cpu_count
-        # cannot tell; the stand-in records the size and runs the jobs in
-        # this process
+        # so it is capped at the jobs and at usable_cpus(): here, with no
+        # affinity set to read, the CPU count, one when os.cpu_count cannot
+        # tell; the stand-in records the size and runs the jobs in this
+        # process
         import concurrent.futures
-        import os
 
         sizes = []
 
@@ -448,6 +455,7 @@ class TestRunExperiment:
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandIn)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         data, scenario, schedule, config = small_run
         # n_runs scenarios by n_runs seeds: 4 jobs or 1
@@ -458,3 +466,34 @@ class TestRunExperiment:
         assert reports_to_json(reports, include_margins=True) == reports_to_json(
             run_suite(data, scenarios, schedule, config, seeds=seeds), include_margins=True
         )
+
+    def test_usable_cpus(self, monkeypatch):
+        """The CPUs of the process's affinity set where the platform has
+        one; else the machine's count, one when that is unknown."""
+        if hasattr(os, "sched_getaffinity"):
+            assert usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for count, usable in ((3, 3), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            assert usable_cpus() == usable
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+    def test_a_process_pinned_to_one_cpu_runs_its_suite_in_process(self):
+        """A process pinned to one CPU runs a suite of two workers in
+        itself: it never loads the worker pool, whatever the machine's
+        CPU count."""
+        code = (
+            "import os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from shiftwatch.harness import ExperimentConfig, run_suite\n"
+            "from shiftwatch.shiftsim import Schedule, ShiftScenario, make_subgroup_dataset\n"
+            "scenarios = [ShiftScenario(0, 'above_median'), ShiftScenario(1, 'below_median')]\n"
+            "reports = run_suite(make_subgroup_dataset(400, seed=21), scenarios, Schedule('sudden', 50), "
+            "ExperimentConfig(), seeds=[0, 1], workers=2)\n"
+            "print(len(reports), 'concurrent.futures.process' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["4", "False"]
