@@ -160,7 +160,8 @@ def cmd_monitor(cfg: AppConfig):
 
     Production rows carry a 'score' column exactly when the source does;
     otherwise the k-NN fitted on the source scores each chunk of rows in
-    one call, and a row's score does not depend on its chunk. trajectory.csv
+    one call, and a row's score does not depend on its chunk. The header is
+    checked against the source before any row is read. trajectory.csv
     is written as the chunks are read, monitor.json when the input ends.
     Exits 2 when an alarm latched."""
     if cfg.production is None:
@@ -168,26 +169,30 @@ def cmd_monitor(cfg: AppConfig):
     model, cal_scored, calres, r2 = _calibration_pipeline(cfg)
     stats = source_statistics(cal_scored, calres.selector, cfg.monitor)
     state = MonitorState(calres.selector, stats, cfg.monitor)
+    d_source = None if model is None else model.train_features.shape[1]
+
+    def check_header(d, has_score):  # a header that does not fit the source is no one event's fault
+        if has_score != (model is None):
+            raise IngestError(
+                "production stream: the source file has a 'score' column, so the "
+                "production rows need one too"
+                if model is None
+                else "production stream: a 'score' column is not allowed when the "
+                "k-NN fitted on the source scores the rows"
+            )
+        if d_source not in (None, d):
+            raise IngestError(f"production stream: query dimension {d} does not match model dimension {d_source}")
+
     with (
         _outputs(cfg, "monitor.json") as summary,
         open(os.path.join(cfg.out_dir, "trajectory.csv"), "w", newline="") as fh,
     ):
         fh.write(TRAJECTORY_HEADER)
-        for chunk in read_chunks(cfg.production, "production stream"):
-            if (chunk.scores is None) != (model is not None):
-                raise IngestError(
-                    "production stream: the source file has a 'score' column, so the "
-                    "production rows need one too"
-                    if model is None
-                    else "production stream: a 'score' column is not allowed when the "
-                    "k-NN fitted on the source scores the rows"
-                )
+        for chunk in read_chunks(cfg.production, "production stream", check_header):
             try:
                 scores = chunk.scores if model is None else predict(model, chunk.features)
             except QueryRowError as exc:  # the refused row, named by its event time t as in trajectory.csv
                 raise InvalidInput(f"production event t={state.t + exc.row + 1}: k-NN query: {exc.message}") from None
-            except InvalidInput as exc:  # a feature count other than the source's
-                raise IngestError(f"production stream: {exc}") from None
             write_trajectory_csv(fh, state.observe(scores))
         summary.update(events=state.t, phi_q_alarm_time=state.phi_q_time, phi_q2_alarm_time=state.phi_q2_time)
     if state.phi_q or state.phi_q2:

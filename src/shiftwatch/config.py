@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import NamedTuple, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 from .calibration import GridSpec
 from .errors import ConfigError
@@ -19,10 +19,9 @@ from .shiftsim import DEFAULT_ABLATION_FRACTION, Schedule, ShiftScenario
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
-class AppConfig:
-    """Every setting of a command. ``parse_config`` makes one from the
-    keys it read, each as its field; a field it did not set keeps the
-    default below."""
+class AppConfig(NamedTuple):
+    """Every setting of a command, made once by ``parse_config`` from the
+    keys it read; a field it did not set keeps the default below."""
 
     source: Optional[str] = None
     production: Optional[str] = None
@@ -39,12 +38,6 @@ class AppConfig:
     monitor: MonitorConfig = MonitorConfig()
     grid: GridSpec = GridSpec()
     shift_schedule: Schedule = Schedule()
-
-    def __init__(self, **settings):
-        unknown = settings.keys() - AppConfig.__annotations__
-        if unknown:
-            raise TypeError(f"AppConfig has no fields {sorted(unknown)}")
-        vars(self).update(settings)
 
 
 # By AppConfig attribute: the settings type parse_config builds there. Each
@@ -104,8 +97,9 @@ def _read_config_file(path: str) -> dict:
 
 
 def parse_config(file: Optional[str] = None, **flags) -> AppConfig:
-    """Build and validate an AppConfig from an optional file plus flag
-    overrides (flags with value None are treated as unset)."""
+    """Build and validate a command's one AppConfig from an optional file
+    plus flag overrides (flags with value None are treated as unset),
+    once the settings types in BUILT are built from their keys."""
     merged = {}
     if file:
         merged.update(_read_config_file(file))

@@ -145,7 +145,7 @@ def _feature_columns(header: Sequence[str], where) -> list:
     return cols
 
 
-def read_chunks(path, where) -> Iterator[Dataset]:
+def read_chunks(path, where, check_header=None) -> Iterator[Dataset]:
     """Read a CSV of the dataset schema, f0..f{d-1}, [error], [score], as
     Datasets of the rows of at most ``CHUNK_ROWS`` lines each, in file
     order; ``path`` '-' reads stdin, in the same chunks. ``where`` names
@@ -157,7 +157,10 @@ def read_chunks(path, where) -> Iterator[Dataset]:
     otherwise IngestError names the line and the column. Blank lines are
     skipped. A header that names ``error`` or ``score`` twice, a cell
     longer than csv's field size limit, and a file that cannot be opened,
-    read or decoded are IngestErrors too."""
+    read or decoded are IngestErrors too. ``check_header``, if given, is
+    called with the header's feature count and whether it has a ``score``
+    column once the header is read, so its rules hold for a file with no
+    data rows too."""
     lines = _lines(path, where)
     head = [line.removeprefix("\ufeff") for line in itertools.islice(lines, 1)]
     reader = csv.reader(itertools.chain(head, lines))
@@ -175,6 +178,8 @@ def read_chunks(path, where) -> Iterator[Dataset]:
     has_error, has_score = "error" in header, "score" in header
     names += [c for c in ("error", "score") if c in header]
     cols = [(header.index(name), name) for name in names]
+    if check_header is not None:
+        check_header(d, has_score)
 
     line = reader.line_num  # the physical lines read so far
     while True:

@@ -81,21 +81,23 @@ class Records(NamedTuple):
         return cls(steps.astype(np.min_scalar_type(trace.size)), trace[steps], float(trace.max()))
 
 
-class RunReport:
-    """Outcome of one run, which ``run_experiment`` fills in as the run
-    goes: made with the run's identity and any of the outcome fields
-    below it, each of which keeps its default until set. ``records`` maps
-    each detector key to the record points of its base trajectory and the
-    upper bound its margins subtract, margin_t = lower_t - upper; the
-    detector at tolerance eps alarms iff some margin exceeds eps, so one
-    trajectory answers every tolerance sweep. A base is a running maximum,
-    so it changes at few of its steps: 183 to 431 of 3,000 on average in
-    the benchmark's suite."""
+class RunReport(NamedTuple):
+    """Outcome of one run, made once where ``run_experiment`` ends: the
+    run's identity, then ``records``, which has no default, so that no two
+    reports share one dict, then the outcome fields, which keep their
+    defaults on an uncalibratable run. ``records`` maps each detector
+    key to the record points of its base trajectory and the upper bound
+    its margins subtract, margin_t = lower_t - upper; the detector at
+    tolerance eps alarms iff some margin exceeds eps, so one trajectory
+    answers every tolerance sweep. A base is a running maximum, so it
+    changes at few of its steps: 183 to 431 of 3,000 on average in the
+    benchmark's suite."""
 
     scenario_id: str
     seed: int
     horizon: int
     eps_tol: float
+    records: Dict[str, Tuple[Records, float]]
     uncalibratable: bool = False
     r2: Optional[float] = None
     calib_power: Optional[float] = None
@@ -103,22 +105,6 @@ class RunReport:
     selector: Optional[Selector] = None
     delta: Optional[float] = None
     n_clipped: int = 0
-    records: Dict[str, Tuple[Records, float]]
-
-    def __init__(self, scenario_id: str, seed: int, horizon: int, eps_tol: float, **outcome):
-        unknown = outcome.keys() - RunReport.__annotations__
-        if unknown:
-            raise TypeError(f"RunReport has no fields {sorted(unknown)}")
-        self.scenario_id, self.seed, self.horizon, self.eps_tol = scenario_id, seed, horizon, eps_tol
-        self.records = {}
-        vars(self).update(outcome)
-
-    def record_margins(self, bases) -> None:
-        """Hold each (base trajectory, {detector key: upper bound}) of
-        ``bases`` as the base's record points, shared by its keys."""
-        for trace, uppers in bases:
-            held = Records.of(trace)
-            self.records.update((key, (held, upper)) for key, upper in uppers.items())
 
     def first_alarm(self, key: str, eps_tol: Optional[float] = None) -> Optional[int]:
         """First 1-based step whose margin strictly exceeds the tolerance,
@@ -143,7 +129,7 @@ class RunReport:
     def to_dict(self, include_margins: bool = False) -> dict:
         """The runs.json record: every field but ``records``, which gives
         each detector's first alarm and maximum margin (and its margins)."""
-        out = {name: getattr(self, name) for name in RunReport.__annotations__ if name != "records"}
+        out = {name: getattr(self, name) for name in self._fields if name != "records"}
         if self.selector is not None:
             out["selector"] = self.selector._asdict()
         out["schema_version"] = SCHEMA_VERSION
@@ -154,6 +140,14 @@ class RunReport:
             for key in self.records
         }
         return out
+
+
+def record_margins(bases) -> Dict[str, Tuple[Records, float]]:
+    """The records of a report: each (base trajectory, {detector key:
+    upper bound}) of ``bases`` held as the base's record points, shared by
+    its keys."""
+    bases = [(Records.of(trace), uppers) for trace, uppers in bases]
+    return {key: (held, upper) for held, uppers in bases for key, upper in uppers.items()}
 
 
 def _sub_seeds(seed: int, scenario: ShiftScenario) -> Tuple[int, int, int]:
@@ -197,6 +191,9 @@ def run_experiment(
     ``MonitorState.feed``, which the streaming monitor calls per chunk,
     here once per stream.
 
+    The report is made once, at the exit the run takes: uncalibratable,
+    with no records and the R^2 if it was computed, or with every outcome.
+
     The pools, their shares and the stream are row indices into the
     source, each dropped at its last read, so the run copies from the
     source only the calibration share and the stream's distinct rows. Per
@@ -216,29 +213,20 @@ def run_experiment(
     stream_errors = source.errors[stream.rows]
     del stream, first
 
-    report = RunReport(
-        scenario_id=scenario.scenario_id,
-        seed=seed,
-        horizon=schedule.horizon,
-        eps_tol=config.monitor.eps_tol,
-    )
-
+    identity = scenario.scenario_id, seed, schedule.horizon, config.monitor.eps_tol
     fit_half, cal_half = split_half(source.subset(calib), part_seed + 1)
     del calib
     model = fit_knn(fit_half, min(config.k, fit_half.n))
     del fit_half
     cal_scored = score_dataset(model, cal_half)
+    r2 = None
     try:
-        report.r2 = r_squared(cal_scored.scores, cal_scored.errors)
+        r2 = r_squared(cal_scored.scores, cal_scored.errors)
         calres = calibrate(config.grid, cal_scored)
     except (CalibrationInfeasible, DegenerateError):
         # all-equal errors have no R^2, and no error exceeds q to qualify
-        report.uncalibratable = True
-        return report
+        return RunReport(*identity, {}, uncalibratable=True, r2=r2)
     selector = calres.selector
-    report.selector = selector
-    report.calib_power = calres.power
-    report.calib_fdp = calres.fdp
 
     mon_cfg = config.monitor
     stats = source_statistics(cal_scored, selector, mon_cfg)
@@ -253,18 +241,25 @@ def run_experiment(
     l_oracle = MonitorState(selector, oracle_stats, mon_cfg).feed(stream_errors > selector.q)
     # mean detectors
     clipped = np.clip(stream_scores, 0.0, 1.0)
-    report.n_clipped = int((stream_scores != clipped).sum())
     low_mean_plugin = mean_lower_path(clipped, mon_cfg)
     low_mean_oracle = mean_lower_path(stream_errors, mon_cfg)
 
-    report.record_margins((
+    records = record_margins((
         (l_plugin, {"plugin_q": stats.u_q, "plugin_q2": stats.u_q2}),
         (l_oracle, {"oracle_q": oracle_stats.u_q, "oracle_q2": oracle_stats.u_q2}),
         (low_mean_plugin, {"plugin_mean": upper_mean}),
         (low_mean_oracle, {"oracle_mean": upper_mean}),
     ))
-    report.delta = delta_diagnostic(stream_errors, stream_scores, selector, stats)
-    return report
+    return RunReport(
+        *identity,
+        records,
+        r2=r2,
+        calib_power=calres.power,
+        calib_fdp=calres.fdp,
+        selector=selector,
+        delta=delta_diagnostic(stream_errors, stream_scores, selector, stats),
+        n_clipped=int((stream_scores != clipped).sum()),
+    )
 
 
 def suite_metrics(

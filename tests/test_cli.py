@@ -19,7 +19,7 @@ from shiftwatch.cli import main
 from shiftwatch.confidence import hoeffding_halfwidth
 from shiftwatch.core import read_dataset, write_dataset
 from shiftwatch.errors import ConfigError, DegenerateError
-from shiftwatch.harness import ExperimentConfig, RunReport, run_experiment
+from shiftwatch.harness import ExperimentConfig, record_margins, run_experiment
 from shiftwatch.shiftsim import Schedule, ShiftScenario
 
 
@@ -297,13 +297,16 @@ class TestMonitorCommand:
 
     def test_score_column_with_fitted_knn_is_rejected(self, runner, tmp_path):
         # the production scores would be compared with a q_hat calibrated
-        # on k-NN scores
-        result = self._monitor_knn_rows(runner, tmp_path, ["f0", "f1", "f2", "f3", "score"])
-        _assert_one_line_error(result, "production stream", "'score' column")
+        # on k-NN scores; the header is checked when it is read, so also
+        # with no row after it
+        for n in (60, 0):
+            result = self._monitor_knn_rows(runner, tmp_path, ["f0", "f1", "f2", "f3", "score"], n)
+            _assert_one_line_error(result, "production stream", "'score' column")
 
     def test_scored_source_needs_production_scores(self, runner, tmp_path):
-        result = self._monitor_rows(runner, tmp_path, ["f0,f1", "0.5,0.5"])
-        _assert_one_line_error(result, "production stream", "'score' column")
+        for rows in (["f0,f1", "0.5,0.5"], ["f0,f1"]):
+            result = self._monitor_rows(runner, tmp_path, rows)
+            _assert_one_line_error(result, "production stream", "'score' column")
 
     def test_failed_run_leaves_no_summary(self, runner, tmp_path, monkeypatch):
         src = _scored_source(tmp_path / "src.csv")
@@ -386,12 +389,14 @@ class TestMonitorCommand:
 
     @pytest.mark.parametrize("header", [["f0"], ["f0", "f1", "f2", "f3", "f4"]])
     def test_feature_count_other_than_the_source_is_a_stream_error(self, runner, tmp_path, header):
-        # a header that does not fit the source is no one event's fault
-        result = self._monitor_knn_rows(runner, tmp_path, header)
-        _assert_one_line_error(
-            result, "production stream:", f"dimension {len(header)} ", "dimension 4"
-        )
-        assert "event" not in result.output
+        # a header that does not fit the source is no one event's fault,
+        # and is refused with no row after it too
+        for n in (60, 0):
+            result = self._monitor_knn_rows(runner, tmp_path, header, n)
+            _assert_one_line_error(
+                result, "production stream:", f"dimension {len(header)} ", "dimension 4"
+            )
+            assert "event" not in result.output
 
     def test_memory_is_flat_over_stream_length(self, runner, tmp_path):
         # a long run holds one chunk of rows at a time: ten times the
@@ -858,15 +863,14 @@ class TestPackageErrors:
         run_experiment records them, holds no more array bytes than
         _check_sizes counts for one report beside its fixed 10 KiB; at
         70,000 steps the step index takes 4 bytes."""
-        report = RunReport("s", 0, horizon, 0.0)
         steps = np.arange(horizon, dtype=float)
-        report.record_margins((
+        records = record_margins((
             (steps / horizon, {"plugin_q": 0.25, "plugin_q2": 0.125}),
             (steps / horizon + 0.5, {"oracle_q": 0.25, "oracle_q2": 0.125}),
             (steps, {"plugin_mean": 0.5}),
             (steps + 1.0, {"oracle_mean": 0.5}),
         ))
-        bases = {id(held): held for held, _ in report.records.values()}.values()
+        bases = {id(held): held for held, _ in records.values()}.values()
         assert len(bases) == 4 and all(held.steps.size == horizon for held in bases)
         held_bytes = sum(held.steps.nbytes + held.values.nbytes for held in bases)
         # physical memory one byte short of a run in flight, 192 bytes a

@@ -42,6 +42,15 @@ class TestDefaults:
         cfg = parse_config()
         assert isinstance(cfg, AppConfig)
 
+    def test_a_config_is_made_once(self):
+        """Its fields are read-only, and an unknown one is refused."""
+        cfg = parse_config()
+        for name in ("k", "monitor"):
+            with pytest.raises(AttributeError):
+                setattr(cfg, name, None)
+        with pytest.raises(TypeError):
+            AppConfig(kk=3)
+
 
     def test_settings_are_built_from_their_keys(self):
         cfg = parse_config(alpha1="0.01", eps_tol="0.1", p_values="0.6,0.7", schedule="none", horizon="100")
@@ -52,6 +61,7 @@ class TestDefaults:
     def test_each_key_is_declared_once(self):
         """A key is a field of AppConfig or of the settings type that checks
         it, never of both, and the keys are still these 22."""
+        assert list(get_type_hints(AppConfig)) == list(AppConfig._fields) and len(AppConfig._fields) == 14
         assert not set(get_type_hints(AppConfig)) & {name for kind in BUILT.values() for name in kind._fields}
         assert sorted(KNOWN_KEYS) == sorted(
             "source production out_dir k seed n_seeds workers feature_kinds ablation_fraction eps_harm_grid "

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -20,6 +21,7 @@ from shiftwatch.harness import (
     SCHEMA_VERSION,
     ExperimentConfig,
     RunReport,
+    record_margins,
     reports_to_json,
     run_experiment,
     run_suite,
@@ -40,11 +42,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 def _report(i, oracle_max, plugin_max, r2=0.5):
     """Synthetic report whose q2 pair has the given max margins."""
-    report = RunReport(scenario_id=f"s{i}", seed=i, horizon=2, eps_tol=0.0, r2=r2)
-    for key in _KEYS:
-        m = oracle_max if key.startswith("oracle") else plugin_max
-        report.record_margins([(np.array([m - 0.5, m]), {key: 0.0})])
-    return report
+    margins = {key: oracle_max if key.startswith("oracle") else plugin_max for key in _KEYS}
+    records = record_margins((np.array([m - 0.5, m]), {key: 0.0}) for key, m in margins.items())
+    return RunReport(scenario_id=f"s{i}", seed=i, horizon=2, eps_tol=0.0, records=records, r2=r2)
 
 
 _FAMILY_KEYS = (("plugin_q", "oracle_q"), ("plugin_q2", "oracle_q2"), ("plugin_mean", "oracle_mean"))
@@ -157,10 +157,8 @@ class TestSuiteMetrics:
         drawn = data.draw(st.lists(st.tuples(st.sampled_from(_LEVELS[1:]), margins), min_size=1, max_size=30))
         reports = []
         for i, (report_tol, rows) in enumerate(drawn):
-            report = RunReport(f"s{i}", i, horizon, report_tol, uncalibratable=rows is None)
-            if rows is not None:
-                report.record_margins((row, {key: 0.0}) for key, row in zip(_KEYS, rows))
-            reports.append(report)
+            records = {} if rows is None else record_margins((row, {key: 0.0}) for key, row in zip(_KEYS, rows))
+            reports.append(RunReport(f"s{i}", i, horizon, report_tol, records, uncalibratable=rows is None))
         for family, (plugin_key, oracle_key) in zip(("phi_q", "phi_q2", "mean"), _FAMILY_KEYS):
             for tol in (None, eps_tol):
                 expected = _reference_metrics(reports, family, plugin_key, oracle_key, eps_harm, tol)
@@ -217,8 +215,7 @@ class TestRecords:
         trajectory ends in a plateau of zeros."""
         # -0.0 and 0.0 compare equal, so sorting leaves them mixed
         base = np.sort(np.minimum(values, 0.0) if capped else values)
-        report = RunReport("s", 0, base.size, 0.25)
-        report.record_margins([(base, {"zero": 0.0, "upper": upper})])
+        report = RunReport("s", 0, base.size, 0.25, record_margins([(base, {"zero": 0.0, "upper": upper})]))
         held, _ = report.records["zero"]
         assert report.records["upper"][0] is held  # one base, shared by its keys
         assert held.steps[0] == 0 and held.values.size <= base.size
@@ -235,10 +232,8 @@ class TestRecords:
         """A trace that falls, by one ulp or to NaN, is no margin trajectory."""
         base = np.sort(values)
         after = np.nan if to_nan else np.nextafter(base[-1], -np.inf)
-        report = RunReport("s", 0, base.size + 1, 0.0)
         with pytest.raises(InvalidInput, match="never fall"):
-            report.record_margins([(np.append(base, after), {"plugin_q": 0.0})])
-        assert report.records == {}
+            record_margins([(np.append(base, after), {"plugin_q": 0.0})])
 
 
 def _record(monkeypatch, *names):
@@ -267,6 +262,29 @@ def small_run():
     schedule = Schedule("sudden", 400, onset=100)
     config = ExperimentConfig()
     return data, scenario, schedule, config
+
+
+class TestRunReport:
+    def test_fields_are_read_only(self):
+        report = _report(0, 0.1, 0.2)
+        for name in ("r2", "records", "uncalibratable"):
+            with pytest.raises(AttributeError):
+                setattr(report, name, None)
+
+    def test_unknown_or_missing_fields_are_refused(self):
+        """A report takes only its own fields, and its records always: no
+        dict of records is shared by reports made without one."""
+        with pytest.raises(TypeError):
+            RunReport("s", 0, 2, 0.0, {}, r3=0.5)
+        with pytest.raises(TypeError):
+            RunReport("s", 0, 2, 0.0, uncalibratable=True)
+
+    def test_a_report_pickles_to_the_same_record(self):
+        """Reports cross from --workers children by pickle, with records or
+        without, and give the same runs.json record after."""
+        for report in (_report(0, 0.1, 0.2), RunReport("s", 0, 2, 0.0, {}, uncalibratable=True, r2=0.5)):
+            again = pickle.loads(pickle.dumps(report))
+            assert again.to_dict(include_margins=True) == report.to_dict(include_margins=True)
 
 
 class TestRunExperiment:
