@@ -128,11 +128,8 @@ def calibrate(grid: GridSpec, data: Dataset) -> CalibrationResult:
 
 
 def write_grid_report(path, report) -> None:
-    """Export the per-cell table as CSV."""
+    """Export the per-cell table as CSV, a column per ``GridCell`` field."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["p", "p_hat", "q", "q_hat", "power", "fdp", "qualifying"])
-        for c in report:
-            writer.writerow(
-                [c.p, c.p_hat, repr(c.q), repr(c.q_hat), repr(c.power), repr(c.fdp), int(c.qualifying)]
-            )
+        writer.writerow(GridCell._fields)
+        writer.writerows(c._replace(qualifying=int(c.qualifying)) for c in report)

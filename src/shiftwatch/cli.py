@@ -167,9 +167,7 @@ def cmd_monitor(cfg: AppConfig):
     if cfg.production is None:
         raise ConfigError("production", "a production CSV (or '-') is required")
     model, cal_scored, calres, r2 = _calibration_pipeline(cfg)
-    stats = source_statistics(cal_scored, calres.selector, cfg.monitor)
-    state = MonitorState(calres.selector, stats, cfg.monitor)
-    d_source = None if model is None else model.train_features.shape[1]
+    state = MonitorState(source_statistics(cal_scored, calres.selector, cfg.monitor), cfg.monitor)
 
     def check_header(d, has_score):  # a header that does not fit the source is no one event's fault
         if has_score != (model is None):
@@ -180,8 +178,8 @@ def cmd_monitor(cfg: AppConfig):
                 else "production stream: a 'score' column is not allowed when the "
                 "k-NN fitted on the source scores the rows"
             )
-        if d_source not in (None, d):
-            raise IngestError(f"production stream: query dimension {d} does not match model dimension {d_source}")
+        if d != cal_scored.d:
+            raise IngestError(f"production stream: query dimension {d} does not match source dimension {cal_scored.d}")
 
     with (
         _outputs(cfg, "monitor.json") as summary,
@@ -193,7 +191,7 @@ def cmd_monitor(cfg: AppConfig):
                 scores = chunk.scores if model is None else predict(model, chunk.features)
             except QueryRowError as exc:  # the refused row, named by its event time t as in trajectory.csv
                 raise InvalidInput(f"production event t={state.t + exc.row + 1}: k-NN query: {exc.message}") from None
-            write_trajectory_csv(fh, state.observe(scores))
+            write_trajectory_csv(fh, state.observe(calres.selector.select(scores)))
         summary.update(events=state.t, phi_q_alarm_time=state.phi_q_time, phi_q2_alarm_time=state.phi_q2_time)
     if state.phi_q or state.phi_q2:
         print(

@@ -25,6 +25,7 @@ from .monitor import (
     MonitorConfig,
     MonitorState,
     delta_diagnostic,
+    first_alarm_time,
     mean_lower_path,
     oracle_source_statistics,
     source_mean_upper,
@@ -104,15 +105,14 @@ class RunReport(NamedTuple):
     calib_fdp: Optional[float] = None
     selector: Optional[Selector] = None
     delta: Optional[float] = None
-    n_clipped: int = 0
+    n_clipped: int = 0  # always 0; runs.json keeps the key until its digests are re-recorded
 
     def first_alarm(self, key: str, eps_tol: Optional[float] = None) -> Optional[int]:
-        """First 1-based step whose margin strictly exceeds the tolerance,
-        as ``first_alarm_time`` finds it in the whole trajectory."""
-        eps = self.eps_tol if eps_tol is None else eps_tol
+        """First 1-based step whose margin strictly exceeds the tolerance:
+        the start of the record that ``first_alarm_time``, ``feed``'s rule, finds."""
         held, upper = self.records[key]
-        i = int(np.searchsorted(held.values - upper, eps, side="right"))
-        return int(held.steps[i]) + 1 if i < held.steps.size else None
+        i = first_alarm_time(held.values - upper, self.eps_tol if eps_tol is None else eps_tol)
+        return None if i is None else int(held.steps[i - 1]) + 1
 
     def max_margin(self, key: str) -> float:
         held, upper = self.records[key]
@@ -208,10 +208,10 @@ def run_experiment(
     del retained
     stream = build_stream(test, excluded, schedule, stream_seed)
     del test, excluded
-    _, first, inverse = np.unique(stream.rows, return_index=True, return_inverse=True)
-    distinct = source.features[stream.rows[first]]
+    rows, inverse = np.unique(stream.rows, return_inverse=True)
+    distinct = source.features[rows]
     stream_errors = source.errors[stream.rows]
-    del stream, first
+    del stream, rows
 
     identity = scenario.scenario_id, seed, schedule.horizon, config.monitor.eps_tol
     fit_half, cal_half = split_half(source.subset(calib), part_seed + 1)
@@ -237,11 +237,10 @@ def run_experiment(
 
     # plug-in quantile detectors share one lower-bound trajectory; the
     # oracle's selection is the true-error flag, so it has no false discoveries
-    l_plugin = MonitorState(selector, stats, mon_cfg).feed(selector.select(stream_scores))
-    l_oracle = MonitorState(selector, oracle_stats, mon_cfg).feed(stream_errors > selector.q)
-    # mean detectors
-    clipped = np.clip(stream_scores, 0.0, 1.0)
-    low_mean_plugin = mean_lower_path(clipped, mon_cfg)
+    l_plugin = MonitorState(stats, mon_cfg).feed(selector.select(stream_scores))
+    l_oracle = MonitorState(oracle_stats, mon_cfg).feed(stream_errors > selector.q)
+    # mean detectors; a k-NN score is a mean of errors, so it lies in [0, 1]
+    low_mean_plugin = mean_lower_path(stream_scores, mon_cfg)
     low_mean_oracle = mean_lower_path(stream_errors, mon_cfg)
 
     records = record_margins((
@@ -258,7 +257,6 @@ def run_experiment(
         calib_fdp=calres.fdp,
         selector=selector,
         delta=delta_diagnostic(stream_errors, stream_scores, selector, stats),
-        n_clipped=int((stream_scores != clipped).sum()),
     )
 
 
@@ -342,7 +340,8 @@ def suite_metrics_by_r2(
         return []
     r2s = np.array([r.r2 for r in usable])
     edges = _linear_quantiles(r2s, np.linspace(0.0, 1.0, R2_BINS + 1))
-    bins = np.clip(np.searchsorted(edges, r2s, side="right") - 1, 0, R2_BINS - 1)
+    # every run counts edges[0], the smallest R^2, among the edges at or below its own
+    bins = np.minimum((r2s[:, None] >= edges).sum(axis=1), R2_BINS) - 1
     out = []
     for b in range(R2_BINS):
         members = [r for r, k in zip(usable, bins) if k == b]

@@ -114,15 +114,15 @@ def source_statistics(source: Dataset, selector: Selector, config: MonitorConfig
 
 
 def oracle_source_statistics(source: Dataset, selector: Selector, config: MonitorConfig) -> SourceStats:
-    """Source stats for the labeled-oracle quantile detector, whose selector
-    is the true-error flag 1{E > q} itself (zero false discoveries by
-    construction)."""
+    """Source stats for the labeled-oracle quantile detector, whose flag is
+    the true-error indicator 1{E > q} itself: its true-discovery rate is
+    the rate of errors above q, and its false-discovery rate is 0."""
     if source.errors is None:
         raise InvalidInput("oracle statistics need true errors")
-    oracle = Dataset(source.features, source.errors, source.errors)
-    return source_statistics(
-        oracle, Selector(q=selector.q, q_hat=selector.q, p=selector.p, p_hat=selector.p), config
-    )
+    n = source.n
+    rate = float((source.errors > selector.q).sum()) / n
+    widths = hoeffding_halfwidth(n, config.alpha_source), hoeffding_halfwidth(n, config.alpha2)
+    return SourceStats(rate, rate, 0.0, *widths)
 
 
 TRAJECTORY_COLUMNS = ("t", "selection_rate", "L_q", "U_q", "U_q2", "phi_q", "phi_q2")
@@ -133,14 +133,14 @@ TRAJECTORY_HEADER = ",".join(TRAJECTORY_COLUMNS) + "\r\n"
 class MonitorState:
     """Single-writer state of the quantile detectors, streaming or batch.
 
-    Feeds the binary selection stream 1{score > q_hat} into a PM-EB
-    confidence sequence at level alpha1 and latches the two alarm flags.
-    Its state is ``selection_cs``, whose ``t`` and ``sum_x`` count the events
+    Feeds a selection stream, the plug-in's 1{score > q_hat} or the
+    oracle's 1{E > q}, into a PM-EB confidence sequence at level alpha1
+    and latches the two alarm flags against its ``source`` bounds. Its
+    state is ``selection_cs``, whose ``t`` and ``sum_x`` count the events
     and the selected ones (exactly below 2^53), and the two latch times.
     """
 
-    def __init__(self, selector: Selector, source: SourceStats, config: MonitorConfig):
-        self.selector = selector
+    def __init__(self, source: SourceStats, config: MonitorConfig):
         self.source = source
         self.config = config
         self.selection_cs = PmEbState(config.alpha1)
@@ -179,12 +179,14 @@ class MonitorState:
         self.selection_cs = after
         return l_q
 
-    def observe(self, scores) -> list:
-        """Feed the next chunk of event scores and latch any alarm it raises.
+    def observe(self, flags) -> list:
+        """Feed the next chunk's boolean selection flags and latch any alarm they raise.
 
         Returns the chunk's trajectory rows, one tuple per event with the
         fields of ``TRAJECTORY_COLUMNS`` (the flags as 0/1)."""
-        flags = self.selector.select(scores)
+        flags = np.asarray(flags)
+        if flags.dtype != bool:
+            raise InvalidInput(f"observe takes boolean selection flags, got {flags.dtype} values")
         n = flags.size
         t = np.arange(self.t + 1, self.t + n + 1)
         selection_rate = (self.selection_cs.sum_x + np.cumsum(flags)) / t

@@ -135,7 +135,7 @@ def test_false_alarm_control():
                 np.arange(data.n), np.arange(0), Schedule("none", 2000), 9000 + ds * 10 + s
             )
             scores = predict_many(model, data.features[stream.rows])
-            state = MonitorState(result.selector, stats, cfg)
+            state = MonitorState(stats, cfg)
             state.feed(result.selector.select(scores))
             total += 1
             if state.phi_q2:
@@ -288,9 +288,9 @@ def test_perfect_estimator_equivalence():
         )
         plugin_sel = (errors[stream.rows] > selector.q_hat).astype(float)
         oracle_sel = (errors[stream.rows] > selector.q).astype(float)
-        plugin = MonitorState(selector, stats, cfg)
+        plugin = MonitorState(stats, cfg)
         plugin.feed(plugin_sel)
-        oracle = MonitorState(selector, oracle_stats, cfg)
+        oracle = MonitorState(oracle_stats, cfg)
         oracle.feed(oracle_sel)
         t_plugin, t_oracle = plugin.phi_q2_time, oracle.phi_q2_time
         if t_plugin != t_oracle:

@@ -79,7 +79,7 @@ def violations():
         # with no source terms, L_q is the running maximum of the PM-EB lower
         # bounds on the selection rate
         flags = selector.select(_draw(rng, HORIZON).scores)
-        l_q = MonitorState(selector, no_source_terms, CONFIG).feed(flags)
+        l_q = MonitorState(no_source_terms, CONFIG).feed(flags)
         counts["pmeb"] += l_q.max() > true_disc + false_disc
     return counts
 

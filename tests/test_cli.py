@@ -308,6 +308,16 @@ class TestMonitorCommand:
             result = self._monitor_rows(runner, tmp_path, rows)
             _assert_one_line_error(result, "production stream", "'score' column")
 
+    @pytest.mark.parametrize("header", ["f0,score", "f0,f1,f2,f3,f4,f5,f6,score"])
+    def test_scored_source_refuses_another_feature_count(self, runner, tmp_path, header):
+        # the production rows of a 2-feature scored source carry 2 features
+        # too, and a header with another count is refused with no row after it
+        d = header.count(",")
+        for rows in ([header, ",".join(["0.5"] * (d + 1))], [header]):
+            result = self._monitor_rows(runner, tmp_path, rows)
+            _assert_one_line_error(result, "production stream:", f"dimension {d} ", "dimension 2")
+            assert "event" not in result.output
+
     def test_failed_run_leaves_no_summary(self, runner, tmp_path, monkeypatch):
         src = _scored_source(tmp_path / "src.csv")
         out = tmp_path / "out"

@@ -14,7 +14,6 @@ from shiftwatch.confidence import (
     pmeb_best_lower_path,
     pmeb_update,
 )
-from shiftwatch.core import Selector
 from shiftwatch.errors import InvalidInput
 from shiftwatch.monitor import SourceStats
 
@@ -272,9 +271,9 @@ class TestStepLogCache:
         stats = SourceStats(
             rate_above_q=0.2, rate_true_discovery=0.15, rate_false_discovery=0.1, w_source=0.05, w_fd=0.05
         )
-        state = MonitorState(Selector(q=0.5, q_hat=0.5, p=0.7, p_hat=0.5), stats, MonitorConfig())
+        state = MonitorState(stats, MonitorConfig())
         rng = np.random.default_rng(21)
         for _ in range(100):
-            state.observe(rng.random(int(rng.integers(1, 50))))
+            state.observe(rng.random(int(rng.integers(1, 50))) > 0.5)
         assert state.t > 100
         assert _log_next_steps.cache_info().currsize <= 1

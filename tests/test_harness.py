@@ -171,6 +171,26 @@ class TestSuiteMetrics:
         groups = suite_metrics_by_r2(reports, "phi_q2", eps_harm=0.0)
         assert sum(g["count"] for g in groups) == 40
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from([-3.0, -0.0, 0.0, 0.25, 0.5, 1.0]), st.floats(-1e6, 1.0, width=64)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @example([0.5])
+    @example([0.5, 0.5, 0.5])
+    def test_r2_bins_are_the_edges_searched_from_the_right(self, values):
+        """Each run's bin is the index np.searchsorted finds for its R^2
+        among the decile edges, from the right, less one and clipped to the
+        bins, so the largest R^2 lands in the last bin."""
+        reports = [_report(i, oracle_max=0.1, plugin_max=0.1, r2=v) for i, v in enumerate(values)]
+        edges = np.quantile(values, np.linspace(0.0, 1.0, harness_module.R2_BINS + 1))
+        bins = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, harness_module.R2_BINS - 1)
+        expected = [(b, int((bins == b).sum())) for b in range(harness_module.R2_BINS) if (bins == b).any()]
+        assert [(g["bin"], g["count"]) for g in suite_metrics_by_r2(reports, "phi_q2", eps_harm=0.0)] == expected
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(
@@ -344,24 +364,19 @@ class TestRunExperiment:
             assert report.max_margin("oracle_q2") <= 0.0
         assert fired == 0
 
-    def test_out_of_range_scores_are_clipped_and_counted(self, small_run, monkeypatch):
-        """The plug-in mean detector sees scores clipped to [0, 1], and the
-        report counts the clipped ones."""
+    def test_scores_outside_the_unit_interval_are_refused(self, small_run, monkeypatch):
+        """A k-NN score is a mean of errors in [0, 1], so the plug-in mean
+        detector reads the stream scores as they are: scores stretched out
+        of that range reach its PM-EB path, which refuses them."""
         data, scenario, schedule, config = small_run
         stretched = lambda model, x: 3.0 * predict_many(model, x) - 1.0
         monkeypatch.setattr(harness_module, "predict_many", stretched)
         calls = _record(monkeypatch, "build_stream", "predict_many")
-        report = run_experiment(data, scenario, schedule, config, seed=5)
-        # the report counts clipped events, whether or not they share a pool row
+        with pytest.raises(InvalidInput, match=r"PM-EB observations must lie in \[0, 1\]"):
+            run_experiment(data, scenario, schedule, config, seed=5)
         (model, _), _ = calls["predict_many"]
         scores = stretched(model, data.features[calls["build_stream"][1].rows])
-        monkeypatch.setattr(harness_module, "predict_many", lambda m, x: np.clip(stretched(m, x), 0.0, 1.0))
-        clipped = run_experiment(data, scenario, schedule, config, seed=5)
-        assert report.n_clipped == int(((scores < 0.0) | (scores > 1.0)).sum()) > 0
-        assert clipped.n_clipped == 0
-        assert report.selector == clipped.selector
-        for key in report.traces:
-            assert np.array_equal(report.traces[key], clipped.traces[key])
+        assert ((scores < 0.0) | (scores > 1.0)).any()
 
     @pytest.mark.parametrize("scenario_id", ["f3_above_median", "f1_category_1"])
     def test_stream_scores_equal_whole_stream_scores(self, monkeypatch, scenario_id):
@@ -386,7 +401,7 @@ class TestRunExperiment:
         assert np.array_equal(errors, data.errors[stream.rows])
         expected = predict_many(model, data.features[stream.rows])
         assert np.array_equal(scores.view(np.int64), expected.view(np.int64))
-        assert report.n_clipped == int((expected != np.clip(expected, 0.0, 1.0)).sum())
+        assert ((expected >= 0.0) & (expected <= 1.0)).all() and report.n_clipped == 0
 
     def test_peak_grows_by_less_than_half_the_added_rows(self):
         """A run holds its pools, their shares and its stream as row indices

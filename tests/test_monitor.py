@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftwatch import Dataset, MonitorConfig, MonitorState, source_statistics
@@ -87,6 +87,32 @@ class TestSourceStatistics:
         assert stats.rate_false_discovery == 0.0
         assert stats.rate_true_discovery == stats.rate_above_q
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        errors=st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=40),
+        q=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        alphas=st.sampled_from([(0.05, 0.05), (0.01, 0.2), (0.3, 0.02)]),
+    )
+    @example(errors=[0.5], q=0.5, alphas=(0.05, 0.05))
+    @example(errors=[0.75], q=0.5, alphas=(0.05, 0.05))
+    @example(errors=[0.5, 0.5, 0.25, 1.0], q=0.5, alphas=(0.01, 0.2))
+    def test_oracle_stats_are_the_source_stats_of_the_true_error_flag(self, errors, q, alphas):
+        """The oracle's rates, counted from 1{E > q} alone, equal bit for bit
+        those of a dataset scored by its own errors under a selector with
+        q_hat = q, at n = 1 and where errors tie with q too."""
+        errors = np.array(errors)
+        source = Dataset(np.arange(errors.size, dtype=float)[:, None], errors)
+        selector = Selector(q=q, q_hat=0.5, p=0.7, p_hat=0.5)
+        cfg = MonitorConfig(alpha_source=alphas[0], alpha_prod=alphas[1])
+        stand_in = source_statistics(Dataset(source.features, errors, errors), Selector(q, q, 0.7, 0.7), cfg)
+        oracle = oracle_source_statistics(source, selector, cfg)
+        assert np.array(oracle).tobytes() == np.array(stand_in).tobytes()
+        assert oracle.rate_false_discovery == 0.0 and oracle.u_q2 == oracle.u_q
+
+    def test_oracle_stats_need_errors(self):
+        with pytest.raises(InvalidInput, match="true errors"):
+            oracle_source_statistics(Dataset(np.ones((3, 1))), Selector(0.5, 0.5, 0.7, 0.5), MonitorConfig())
+
 
 def _stats(**kwargs) -> SourceStats:
     base = dict(
@@ -100,13 +126,9 @@ def _stats(**kwargs) -> SourceStats:
     return SourceStats(**base)
 
 
-# MonitorState.feed never reads the selector; observe applies it to scores
-SELECTOR = Selector(q=0.5, q_hat=0.5, p=0.7, p_hat=0.5)
-
-
 def _lq_path(flags, stats, cfg) -> np.ndarray:
     """L_q over a whole stream: one ``feed`` call on a fresh state."""
-    return MonitorState(SELECTOR, stats, cfg).feed(flags)
+    return MonitorState(stats, cfg).feed(flags)
 
 
 class TestQuantileDetector:
@@ -116,7 +138,7 @@ class TestQuantileDetector:
         assert max(0.0, 0.75 - (0.10 + 0.05) - 0.0) == pytest.approx(0.60)
         sel = np.ones(500)
         cfg = MonitorConfig()
-        state = MonitorState(SELECTOR, _stats(), cfg)
+        state = MonitorState(_stats(), cfg)
         l_q = state.feed(sel)
         expected = np.clip(
             pmeb_best_lower_path(sel, cfg.alpha1) - (0.1 + 0.05), 0.0, None
@@ -147,10 +169,10 @@ class TestQuantileDetector:
                     rng.integers(0, scores.size + 1, size=6).tolist()
                     + [t_q2 - 3, t_q2 + 2, t_q - 1, t_q + 4, 50, 51]
                 )
-                state = MonitorState(selector, stats, cfg)
+                state = MonitorState(stats, cfg)
                 rows = []
                 for chunk in np.split(scores, cuts):
-                    rows += state.observe(chunk)
+                    rows += state.observe(selector.select(chunk))
                 assert state.phi_q_time == t_q and state.phi_q2_time == t_q2
                 assert state.t == scores.size and state.selection_cs.sum_x == selected.sum()
                 cols = list(zip(*rows))
@@ -179,27 +201,47 @@ class TestQuantileDetector:
         assert stats.u_q2 == u
         batch = _lq_path(np.ones(n), stats, cfg)
         assert first_alarm_time(batch - stats.u_q2, eps_tol) == n
-        state = MonitorState(Selector(q=0.5, q_hat=0.5, p=0.7, p_hat=0.5), stats, cfg)
-        state.observe(np.ones(n - 1))
+        state = MonitorState(stats, cfg)
+        state.observe(np.ones(n - 1, dtype=bool))
         assert state.phi_q2_time is None
-        state.observe(np.ones(1))
+        state.observe(np.ones(1, dtype=bool))
         assert state.phi_q2_time == n
         assert state.phi_q_time is None
 
     def test_alarm_comparisons_and_latching(self):
         cfg = MonitorConfig()
         stats = _stats(rate_above_q=0.1, rate_true_discovery=0.05, w_source=0.02)
-        selector = Selector(q=0.5, q_hat=0.5, p=0.7, p_hat=0.5)
-        state = MonitorState(selector, stats, cfg)
+        state = MonitorState(stats, cfg)
         # feed constant selections until phi_q2 (threshold 0.07) fires
         while not state.phi_q2 and state.t < 2000:
-            state.observe([1.0])
+            state.observe([True])
         assert state.phi_q2
         first = state.phi_q2_time
-        rows = state.observe(np.zeros(50))
+        rows = state.observe(np.zeros(50, dtype=bool))
         assert state.phi_q2_time == first  # latched
         assert all(row[6] == 1 for row in rows)
         assert state.phi_q2_time <= (state.phi_q_time or 10**9)
+
+    def test_a_selector_argument_is_refused(self):
+        """The state holds the source bounds and the configuration only: the
+        caller applies its selector before ``observe``."""
+        selector = Selector(q=0.5, q_hat=0.5, p=0.7, p_hat=0.5)
+        with pytest.raises(TypeError):
+            MonitorState(selector, _stats(), MonitorConfig())
+        with pytest.raises(TypeError):
+            MonitorState(selector=selector, source=_stats(), config=MonitorConfig())
+        assert not hasattr(MonitorState(_stats(), MonitorConfig()), "selector")
+
+    @pytest.mark.parametrize(
+        "values", [np.array([0.7, 0.2]), [1.0, 0.0], np.array([1, 0]), np.array([], dtype=float), 1.0]
+    )
+    def test_observe_refuses_anything_but_boolean_flags(self, values):
+        """Scores, or 0/1 flags held as numbers, are refused before any event
+        is counted, so a score is never read as a selection."""
+        state = MonitorState(_stats(), MonitorConfig())
+        with pytest.raises(InvalidInput, match="boolean selection flags"):
+            state.observe(values)
+        assert state.t == 0 and state.selection_cs == PmEbState(MonitorConfig().alpha1)
 
     def test_simple_threshold_comparisons(self):
         assert first_alarm_time(np.array([0.40 - 0.30]), 0.0) == 1
@@ -226,9 +268,9 @@ class TestQuantileDetector:
         flags = np.array(flags, dtype=bool)
         cfg = MonitorConfig(delta_corr=delta_corr)
         stats = _stats(rate_false_discovery=0.02, w_fd=0.01)
-        whole = MonitorState(SELECTOR, stats, cfg)
+        whole = MonitorState(stats, cfg)
         whole_l_q = whole.feed(flags)
-        state = MonitorState(SELECTOR, stats, cfg)
+        state = MonitorState(stats, cfg)
         parts = [state.feed(chunk) for chunk in np.split(flags, sorted(min(c, flags.size) for c in cuts))]
         assert np.concatenate(parts).tobytes() == whole_l_q.tobytes()
         assert repr(state.selection_cs) == repr(whole.selection_cs)
@@ -248,14 +290,14 @@ class TestQuantileDetector:
         rows, event count and alarm times of one uninterrupted ``observe``,
         bit for bit. A stream of 400 events latches phi_q2 after about 70 to
         130 of them, and phi_q later or never."""
-        scores = np.random.default_rng(seed).random(n)
+        flags = np.random.default_rng(seed).random(n) > 0.5
         cfg = MonitorConfig()
         stats = _stats(rate_above_q=0.35, rate_true_discovery=0.3, rate_false_discovery=0.02, w_source=0.02, w_fd=0.01)
-        whole = MonitorState(SELECTOR, stats, cfg)
-        whole_rows = whole.observe(scores)
-        state, rows = MonitorState(SELECTOR, stats, cfg), []
-        for piece in np.split(scores, sorted(min(c, n) for c in cuts)):
-            saved, state = state, MonitorState(SELECTOR, stats, cfg)
+        whole = MonitorState(stats, cfg)
+        whole_rows = whole.observe(flags)
+        state, rows = MonitorState(stats, cfg), []
+        for piece in np.split(flags, sorted(min(c, n) for c in cuts)):
+            saved, state = state, MonitorState(stats, cfg)
             state.selection_cs, state.phi_q_time, state.phi_q2_time = (
                 saved.selection_cs, saved.phi_q_time, saved.phi_q2_time
             )
@@ -280,16 +322,16 @@ class TestQuantileDetector:
         source = Dataset(rng.random((200, 1)), errors, scores)
         selector = Selector(q=0.6, q_hat=float(np.quantile(scores, p_hat)), p=0.6, p_hat=p_hat)
         cfg = MonitorConfig()
-        state = MonitorState(selector, source_statistics(source, selector, cfg), cfg)
+        state = MonitorState(source_statistics(source, selector, cfg), cfg)
         stream = rng.random(600) + shift
         for chunk in np.split(stream, sorted(cuts)):
-            state.observe(chunk)
+            state.observe(selector.select(chunk))
             if state.phi_q:
                 assert state.phi_q2 and state.phi_q2_time <= state.phi_q_time
 
     def test_trajectory_exports(self, tmp_path):
-        state = MonitorState(Selector(0.5, 0.5, 0.7, 0.5), _stats(), MonitorConfig())
-        rows = state.observe([1.0, 0.0, 1.0]) + state.observe([0.0, 1.0])
+        state = MonitorState(_stats(), MonitorConfig())
+        rows = state.observe([True, False, True]) + state.observe([False, True])
         assert [row[0] for row in rows] == [1, 2, 3, 4, 5]
         assert all(type(x) is float for row in rows for x in row[1:5])
         assert all(type(x) is int for row in rows for x in (row[0], row[5], row[6]))
